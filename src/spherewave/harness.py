@@ -6,8 +6,15 @@ projection of the band-kappa_ref solution, because modes evolve independently.
 The per-sample error is therefore exactly the norm of the reference tail above
 degree kappa (computed in coefficient space via Parseval, or on a grid).
 
-Since the per-mode sampling is exact in distribution, experiments take a
-single step of size T; the number of time steps does not enter the error.
+Since the sampling is exact in distribution, experiments take a single step of
+size T; the number of time steps does not enter the error.  Two samplers draw
+the terminal state:
+
+* per-degree (`_DegreeSampler`): coefficient-space errors and weak errors see a
+  sample only through its per-degree sums of squares, which are drawn directly
+  from their exact (Wishart) law at O(kappa_ref) cost, whatever the dimension;
+* per-mode (`_TerminalSampler`): grid errors need every coefficient.
+
 Sample i draws from a generator seeded deterministically from (seed, i), so
 results do not depend on how samples are scheduled across workers.
 """
@@ -21,10 +28,11 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .harmonics import SphereGrid, grid_l2_norm, grid_max_abs, synthesize
-from .modes import CoefficientField, degree_offsets, degree_sizes, laplacian_eigenvalue, mode_count
-from .noise import ConvFactorTable, _wave_entries
+from .modes import (CoefficientField, degree_offsets, degree_sizes, laplacian_eigenvalue,
+                    mode_count, mode_degrees)
+from .noise import ConvFactorTable, _factor_entries, _wave_entries, sample_degree_wishart
 from .schrodinger import SchrodingerState, schrodinger_step
-from .spectrum import PowerSpectrum, random_sobolev_data
+from .spectrum import PowerSpectrum, random_sobolev_data, sobolev_scale
 from .wave import Propagator, WaveState, propagate, step as wave_step
 
 EQUATIONS = ("wave", "wave-dsphere", "schrodinger")
@@ -128,12 +136,14 @@ class ExperimentConfig:
     def resolved(self) -> dict:
         """Config as written into output metadata; enough to re-run bit-identically.
 
-        The output directory is omitted: it does not influence the numbers, and
-        keeping it out makes runs into different directories byte-comparable.
+        The output directory and the thread count are omitted: neither
+        influences the numbers, and keeping them out makes runs into different
+        directories or on different thread counts byte-comparable.
         """
         d = asdict(self)
         d["kappas"] = list(self.kappas)
         del d["output"]
+        del d["threads"]
         return d
 
 
@@ -186,7 +196,8 @@ def default_fit_range(kappas, kappa_ref) -> list[int]:
     return ks[1:]
 
 
-def _make_table(cfg, kind, component, kappas, errors, stderrs, extra=None) -> ErrorTable:
+def _make_table(cfg, kind, component, kappas, errors, stderrs, sampler,
+                extra=None) -> ErrorTable:
     fit_ks = default_fit_range(kappas, cfg.kappa_ref)
     sel = [kappas.index(k) for k in fit_ks]
     if len(fit_ks) >= 3:
@@ -199,6 +210,7 @@ def _make_table(cfg, kind, component, kappas, errors, stderrs, extra=None) -> Er
         "time_stepping": "single-exact-step",
         "fit_kappas": list(fit_ks),
         "slope": slope,
+        "sampler": sampler,
     }
     metadata.update(cfg.resolved())
     if extra:
@@ -269,6 +281,114 @@ class _TerminalSampler:
         return state.position.data, state.velocity.data
 
 
+def _rotation(cfg: ExperimentConfig) -> np.ndarray:
+    """Per-degree 2x2 map of the noise-free step over T, shape (kappa_ref + 1, 2, 2)."""
+    if cfg.equation == "schrodinger":
+        lam = np.array([-laplacian_eigenvalue(ell, 3) for ell in range(cfg.kappa_ref + 1)])
+        x = np.sqrt(lam) * cfg.T
+        rows = ((np.cos(x), np.sin(x)), (-np.sin(x), np.cos(x)))
+    else:
+        prop = Propagator.build(cfg.kappa_ref, cfg.dim, cfg.T)
+        rows = ((prop.r2, prop.r1), (-prop.lam * prop.r1, prop.r2))
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
+class _DegreeSampler:
+    """Draws the per-degree Gram sums S_ell = sum_m u_m u_m^T of the terminal state.
+
+    Within degree ell the h(ell, dim) modes u_m of the state at T are i.i.d.
+    2-vectors u_m = mu_m + L_ell z_m: mu_m is the propagated fixed data, z_m is
+    standard normal, and L_ell L_ell^T = Sigma_ell.  Sigma_ell = A_ell C_ell(T)
+    for the noise (the Schrodinger increment enters as (W1, -W2), which flips
+    the sign of c12), plus M_ell diag(s1^2, s2^2) M_ell^T for random-sobolev
+    data, where M_ell is the noise-free step and s the data scale.  S_ell is
+    therefore Wishart_2(h, Sigma_ell), drawn by the Bartlett decomposition.
+
+    With fixed data the law is noncentral, but only through the mean Gram
+    G_ell = sum_m mu_m mu_m^T, which has rank <= 2: rotating the h modes so
+    that the means lie in the first two gives two modes with means nu_1, nu_2
+    (rows of the factor N with N^T N = G_ell) plus a central Wishart_2(h - 2).
+    Degrees with h <= 2 keep their own modes instead.
+
+    Draw order per sample: the Bartlett variables of every degree (see
+    sample_degree_wishart), then, with fixed data only, standard normals for
+    the two explicit modes of every degree in (degree, mode, component) order.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        cfg.validate_experiment()
+        self.cfg = cfg
+        kref, dim = cfg.kappa_ref, cfg.dim
+        sizes = degree_sizes(kref, dim)
+        if cfg.equation == "schrodinger":
+            cov = ConvFactorTable.for_schrodinger(kref, cfg.T).covariance_matrices()
+            cov[:, 0, 1] *= -1.0
+            cov[:, 1, 0] *= -1.0
+        else:
+            cov = ConvFactorTable.for_wave(kref, dim, cfg.T).covariance_matrices()
+        sigma = cfg.power_spectrum().values(kref)[:, None, None] * cov
+        v1, v2 = _load_initial_fields(cfg)
+        has_fixed = v1 is not None or v2 is not None
+        rot = _rotation(cfg) if cfg.initial_data == "random-sobolev" or has_fixed else None
+        if cfg.initial_data == "random-sobolev":
+            var = np.zeros((kref + 1, 2))
+            for j, exponent in enumerate((cfg.beta, cfg.gamma)):
+                if exponent is not None:
+                    var[:, j] = sobolev_scale(exponent, kref, dim) ** 2
+            sigma = sigma + np.einsum("lij,lj,lkj->lik", rot, var, rot)
+        self.l11, self.l21, self.l22 = _factor_entries(sigma[:, 0, 0], sigma[:, 0, 1],
+                                                       sigma[:, 1, 1])
+        self.dof = sizes.astype(float)
+        self.means = None
+        if has_fixed:
+            self.means, self.present = self._explicit_modes(v1, v2, rot, sizes)
+            self.dof = np.maximum(sizes - 2, 0).astype(float)
+
+    def _explicit_modes(self, v1, v2, rot, sizes):
+        """Means (degree, mode, component) of the two explicit modes, and which exist."""
+        kref, dim = self.cfg.kappa_ref, self.cfg.dim
+        zero = np.zeros(mode_count(kref, dim))
+        x1 = zero if v1 is None else v1.data
+        x2 = zero if v2 is None else v2.data
+        deg = mode_degrees(kref, dim)
+        mu1 = rot[deg, 0, 0] * x1 + rot[deg, 0, 1] * x2
+        mu2 = rot[deg, 1, 0] * x1 + rot[deg, 1, 1] * x2
+        offsets = degree_offsets(kref, dim)
+        n11, n12, n22 = _factor_entries(np.add.reduceat(mu1 * mu1, offsets),
+                                        np.add.reduceat(mu1 * mu2, offsets),
+                                        np.add.reduceat(mu2 * mu2, offsets))
+        means = np.zeros((kref + 1, 2, 2))
+        means[:, 0, 0], means[:, 0, 1], means[:, 1, 1] = n11, n12, n22
+        for ell in np.flatnonzero(sizes <= 2):
+            o, h = offsets[ell], sizes[ell]
+            means[ell] = 0.0
+            means[ell, :h, 0] = mu1[o:o + h]
+            means[ell, :h, 1] = mu2[o:o + h]
+        present = (np.arange(2)[None, :] < sizes[:, None]).astype(float)
+        return means, present
+
+    def __call__(self, index: int):
+        """(S11, S12, S22) per degree for sample `index`, each of length kappa_ref + 1."""
+        rng = _sample_rng(self.cfg.seed, index)
+        s11, s12, s22 = sample_degree_wishart(self.l11, self.l21, self.l22, self.dof, rng)
+        if self.means is not None:
+            z = rng.standard_normal(self.means.shape)
+            u1 = (self.means[:, :, 0] + self.l11[:, None] * z[:, :, 0]) * self.present
+            u2 = (self.means[:, :, 1] + self.l21[:, None] * z[:, :, 0]
+                  + self.l22[:, None] * z[:, :, 1]) * self.present
+            s11 = s11 + np.sum(u1 * u1, axis=1)
+            s12 = s12 + np.sum(u1 * u2, axis=1)
+            s22 = s22 + np.sum(u2 * u2, axis=1)
+        return s11, s12, s22
+
+
+def _degree_tails(per_degree: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
+    """Tail norms above every tested kappa from the per-degree sums of squares."""
+    suffix = np.cumsum(per_degree[::-1])[::-1]
+    tails = [suffix[k + 1] if k + 1 <= cfg.kappa_ref else 0.0 for k in cfg.kappas]
+    return np.sqrt(np.maximum(tails, 0.0))
+
+
 class _TailErrors:
     """Per-sample truncation errors for every tested kappa and one error kind."""
 
@@ -285,10 +405,7 @@ class _TailErrors:
     def __call__(self, data: np.ndarray) -> np.ndarray:
         cfg = self.cfg
         if cfg.error_kind == "l2-coefficients":
-            per_degree = np.add.reduceat(data**2, self.offsets)
-            suffix = np.cumsum(per_degree[::-1])[::-1]
-            tails = [suffix[k + 1] if k + 1 <= cfg.kappa_ref else 0.0 for k in cfg.kappas]
-            return np.sqrt(np.maximum(tails, 0.0))
+            return _degree_tails(np.add.reduceat(data**2, self.offsets), cfg)
         out = np.empty(len(cfg.kappas))
         for j, n in enumerate(self.counts):
             tail = data.copy()
@@ -306,21 +423,33 @@ def _map_samples(cfg, fn, n):
     return [fn(i) for i in range(n)]
 
 
-def _grid_metadata(tails: "_TailErrors") -> dict:
-    if tails.grid is None:
-        return {}
-    return {"grid_n_theta": tails.grid.n_theta, "grid_n_phi": tails.grid.n_phi}
+def _tail_error_sampler(cfg: ExperimentConfig):
+    """(fn, sampler name, grid metadata): fn(i) gives both components' tail errors.
+
+    Coefficient-space errors need only per-degree sums of squares, so they use
+    the per-degree sampler; grid errors synthesize every coefficient.
+    """
+    if cfg.error_kind == "l2-coefficients":
+        sampler = _DegreeSampler(cfg)
+
+        def per_degree(i):
+            s11, _, s22 = sampler(i)
+            return _degree_tails(s11, cfg), _degree_tails(s22, cfg)
+        return per_degree, "per-degree", {}
+
+    terminal = _TerminalSampler(cfg)
+    tails = _TailErrors(cfg)
+
+    def per_mode(i):
+        c1, c2 = terminal(i)
+        return tails(c1), tails(c2)
+    return per_mode, "per-mode", {"grid_n_theta": tails.grid.n_theta,
+                                  "grid_n_phi": tails.grid.n_phi}
 
 
 def strong_error_experiment(cfg: ExperimentConfig) -> dict[str, ErrorTable]:
     """Mean-square truncation errors per kappa for both solution components."""
-    sampler = _TerminalSampler(cfg)
-    tails = _TailErrors(cfg)
-
-    def one(i):
-        c1, c2 = sampler(i)
-        return tails(c1), tails(c2)
-
+    one, sampler, grid_meta = _tail_error_sampler(cfg)
     results = _map_samples(cfg, one, cfg.samples)
     names = cfg.component_names()
     out = {}
@@ -334,21 +463,18 @@ def strong_error_experiment(cfg: ExperimentConfig) -> dict[str, ErrorTable]:
         else:
             stderr = np.zeros_like(rms)
         out[name] = _make_table(cfg, "strong", name, list(cfg.kappas), rms, stderr,
-                                extra=_grid_metadata(tails))
+                                sampler, extra=grid_meta)
     return out
 
 
 def pathwise_error_experiment(cfg: ExperimentConfig) -> dict[str, ErrorTable]:
     """Truncation errors along a single realization (sample index 0)."""
-    sampler = _TerminalSampler(cfg)
-    tails = _TailErrors(cfg)
-    c1, c2 = sampler(0)
+    one, sampler, grid_meta = _tail_error_sampler(cfg)
     names = cfg.component_names()
     out = {}
-    for name, data in zip(names, (c1, c2)):
-        errs = tails(data)
+    for name, errs in zip(names, one(0)):
         out[name] = _make_table(cfg, "pathwise", name, list(cfg.kappas), errs,
-                                np.zeros_like(errs), extra=_grid_metadata(tails))
+                                np.zeros_like(errs), sampler, extra=grid_meta)
     return out
 
 
@@ -357,20 +483,19 @@ def weak_error_experiment(cfg: ExperimentConfig,
     """|E phi(u^kref) - E phi(u^kappa)| with common random numbers.
 
     Both supported functionals depend on u only through its squared L^2 norm,
-    which is a prefix sum of squared coefficients under the coupling.
+    which is a prefix sum of the per-degree sums of squares under the coupling.
     """
     name_phi = functional or cfg.weak_functional
     if name_phi not in FUNCTIONALS:
         raise ValueError(f"unknown test functional {name_phi!r}")
     phi = FUNCTIONALS[name_phi]
-    sampler = _TerminalSampler(cfg)
-    offsets = degree_offsets(cfg.kappa_ref, cfg.dim)
+    sampler = _DegreeSampler(cfg)
     k_idx = np.asarray(cfg.kappas)
 
     def one(i):
+        s11, _, s22 = sampler(i)
         deltas = []
-        for data in sampler(i):
-            per_degree = np.add.reduceat(data**2, offsets)
+        for per_degree in (s11, s22):
             prefix = np.cumsum(per_degree)
             ref = phi(prefix[-1])
             deltas.append(ref - phi(prefix[k_idx]))
@@ -385,7 +510,7 @@ def weak_error_experiment(cfg: ExperimentConfig,
         stderr = (d.std(axis=0, ddof=1) / math.sqrt(cfg.samples)
                   if cfg.samples > 1 else np.zeros_like(mean))
         out[name] = _make_table(cfg, "weak-mc", name, list(cfg.kappas),
-                                np.abs(mean), stderr,
+                                np.abs(mean), stderr, "per-degree",
                                 extra={"functional": name_phi})
     return out
 
@@ -433,7 +558,7 @@ def analytic_weak_error_experiment(cfg: ExperimentConfig) -> dict[str, ErrorTabl
             errors[n].append(abs(r - v))
     return {
         n: _make_table(cfg, "weak-analytic", n, list(cfg.kappas),
-                       np.asarray(errors[n]), np.zeros(len(cfg.kappas)),
+                       np.asarray(errors[n]), np.zeros(len(cfg.kappas)), "none",
                        extra={"functional": "squared-norm"})
         for n in names
     }

@@ -68,10 +68,16 @@ def write_coefficient_csv(path: str, field: CoefficientField, metadata: dict | N
 
 
 def read_coefficient_csv(path: str) -> CoefficientField:
+    """Coefficients written by write_coefficient_csv.
+
+    Rows must carry the (ell, m, component) labels of mode_labels(kappa, dim)
+    in storage order, one row per mode; anything else (reordered, mislabelled,
+    missing or extra rows) is rejected, naming the file and the first bad row.
+    """
     meta = {}
-    values = []
+    rows = []  # (line number, fields)
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -83,13 +89,30 @@ def read_coefficient_csv(path: str) -> CoefficientField:
                 continue
             if line.startswith("ell,"):
                 continue
-            parts = line.split(",")
-            values.append(float(parts[3]))
+            rows.append((lineno, line.split(",")))
     if "kappa" not in meta:
         raise ValueError(f"{path}: missing '# kappa=...' metadata line")
     kappa = int(meta["kappa"])
     dim = int(meta.get("dim", 3))
-    return CoefficientField(np.asarray(values), kappa, dim)
+    labels = mode_labels(kappa, dim)
+    values = np.empty(len(labels))
+    for j, (lineno, fields) in enumerate(rows):
+        if j >= len(labels):
+            raise ValueError(f"{path}: line {lineno}: more than the {len(labels)} coefficient "
+                             f"rows of kappa={kappa}, dim={dim}")
+        try:
+            label = tuple(int(f) for f in fields[:3])
+            values[j] = float(fields[3])
+        except (ValueError, IndexError):
+            raise ValueError(f"{path}: line {lineno}: expected 'ell,m,component,value', "
+                             f"got {','.join(fields)!r}") from None
+        if label != labels[j]:
+            raise ValueError(f"{path}: line {lineno}: mode label {label} where {labels[j]} "
+                             f"is expected (rows must follow the storage order)")
+    if len(rows) != len(labels):
+        raise ValueError(f"{path}: {len(rows)} coefficient rows, expected {len(labels)} "
+                         f"for kappa={kappa}, dim={dim}; first missing mode {labels[len(rows)]}")
+    return CoefficientField(values, kappa, dim)
 
 
 def write_grid_field_csv(path: str, field: GridField, metadata: dict | None = None):

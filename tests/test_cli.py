@@ -208,3 +208,75 @@ def test_file_initial_data_flows_through(tmp_path):
     assert code == 0
     text = (out / "convergence_position.csv").read_text()
     assert "initial_data=file" in text
+
+
+def test_outputs_are_byte_identical_across_thread_counts(tmp_path):
+    for kind in ("l2-coefficients", "l2-grid"):
+        dirs = [tmp_path / f"{kind}-t{threads}" for threads in (1, 2)]
+        for threads, out in zip((1, 2), dirs):
+            assert run_cli("convergence", "--preset", "fig1", "--samples", "4",
+                           "--kappa-ref", "32", "--kappas", "2,4,8,16",
+                           "--error-kind", kind, "--threads", str(threads),
+                           "--output", str(out)) == 0
+        names = sorted(p.name for p in dirs[0].iterdir())
+        assert names == sorted(p.name for p in dirs[1].iterdir()) and len(names) == 4
+        for name in names:
+            assert read(dirs[0] / name) == read(dirs[1] / name), name
+
+
+def test_error_tables_record_the_sampler(tmp_path):
+    runs = {"per-degree": ("convergence",), "per-mode": ("convergence", "--error-kind",
+                                                         "max-grid")}
+    for sampler, argv in runs.items():
+        out = tmp_path / sampler
+        assert run_cli(*argv, "--alpha", "3", "--kappas", "2,4,8", "--kappa-ref", "16",
+                       "--samples", "2", "--seed", "1", "--output", str(out)) == 0
+        for comp in ("position", "velocity"):
+            assert f"# sampler={sampler}\n" in (out / f"convergence_{comp}.csv").read_text()
+            payload = json.loads((out / f"convergence_{comp}.json").read_text())
+            assert payload["metadata"]["sampler"] == sampler
+
+
+def _coefficient_lines(tmp_path, kappa=3, dim=3):
+    rng = np.random.default_rng(2)
+    field = CoefficientField(rng.standard_normal(mode_count(kappa, dim)), kappa, dim)
+    path = tmp_path / "coeffs.csv"
+    write_coefficient_csv(str(path), field)
+    return path, path.read_text().splitlines()
+
+
+def test_coefficient_csv_round_trip_higher_dimension(tmp_path):
+    path, _ = _coefficient_lines(tmp_path, kappa=4, dim=5)
+    back = read_coefficient_csv(str(path))
+    assert (back.kappa, back.dim) == (4, 5)
+    assert back.data.size == mode_count(4, 5)
+
+
+def test_shuffled_coefficient_file_is_rejected(tmp_path):
+    path, lines = _coefficient_lines(tmp_path)
+    first = lines.index("ell,m,component,value") + 1
+    lines[first + 2], lines[first + 5] = lines[first + 5], lines[first + 2]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"coeffs\.csv: line {first + 3}: mode label"):
+        read_coefficient_csv(str(path))
+
+
+def test_mislabelled_coefficient_file_is_rejected(tmp_path):
+    path, lines = _coefficient_lines(tmp_path)
+    first = lines.index("ell,m,component,value") + 1
+    ell, m, comp, value = lines[first + 4].split(",")
+    assert (ell, m, comp) == ("2", "0", "0")
+    lines[first + 4] = f"2,0,1,{value}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"coeffs\.csv: line {first + 5}: mode label"):
+        read_coefficient_csv(str(path))
+
+
+def test_coefficient_file_with_wrong_row_count_is_rejected(tmp_path):
+    path, lines = _coefficient_lines(tmp_path)
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValueError, match=r"coeffs\.csv: 15 coefficient rows, expected 16"):
+        read_coefficient_csv(str(path))
+    path.write_text("\n".join(lines + ["4,0,0,1.0"]) + "\n")
+    with pytest.raises(ValueError, match=r"coeffs\.csv: line \d+: more than the 16"):
+        read_coefficient_csv(str(path))

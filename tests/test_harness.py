@@ -87,10 +87,42 @@ def test_reference_band_gives_zero_error_by_coupling():
 
 def test_grid_error_kinds_match_coefficient_space():
     base = dict(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, samples=4, seed=21)
+    # Parseval on the same per-mode draws: grid tails equal coefficient tails
+    sampler = _TerminalSampler(ExperimentConfig(**base, error_kind="l2-grid"))
+    tails_coeff = _TailErrors(ExperimentConfig(**base, error_kind="l2-coefficients"))
+    tails_grid = _TailErrors(ExperimentConfig(**base, error_kind="l2-grid"))
+    for i in range(base["samples"]):
+        for data in sampler(i):
+            assert np.allclose(tails_coeff(data), tails_grid(data), rtol=1e-8)
+    # the experiments draw from different samplers (per-degree and per-mode),
+    # so they agree in law: within Monte Carlo standard errors
     coeff = strong_error_experiment(ExperimentConfig(**base, error_kind="l2-coefficients"))
     grid = strong_error_experiment(ExperimentConfig(**base, error_kind="l2-grid"))
     for name in ("position", "velocity"):
-        assert np.allclose(coeff[name].errors, grid[name].errors, rtol=1e-8)
+        se = np.hypot(coeff[name].stderrs, grid[name].stderrs)
+        assert np.all(np.abs(coeff[name].errors - grid[name].errors) <= 4.0 * se)
+
+
+def test_tables_record_the_sampler():
+    base = dict(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, samples=2, seed=4)
+    per_degree = [strong_error_experiment(ExperimentConfig(**base)),
+                  pathwise_error_experiment(ExperimentConfig(**base)),
+                  weak_error_experiment(ExperimentConfig(**base))]
+    per_mode = [strong_error_experiment(ExperimentConfig(**base, error_kind=kind))
+                for kind in ("l2-grid", "max-grid")]
+    per_mode.append(pathwise_error_experiment(ExperimentConfig(**base, error_kind="max-grid")))
+    for tables, sampler in [(t, "per-degree") for t in per_degree] + [
+            (t, "per-mode") for t in per_mode]:
+        for table in tables.values():
+            assert table.metadata["sampler"] == sampler
+    analytic = analytic_weak_error_experiment(ExperimentConfig(**base))
+    assert all(t.metadata["sampler"] == "none" for t in analytic.values())
+
+
+def test_thread_count_is_not_in_the_metadata():
+    tables = strong_error_experiment(ExperimentConfig(alpha=3.0, kappas=[2, 4], kappa_ref=8,
+                                                      samples=3, threads=2))
+    assert "threads" not in tables["position"].metadata
 
 
 def test_max_grid_error_dominates_scaled_l2():
