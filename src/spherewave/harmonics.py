@@ -9,7 +9,11 @@ The real orthonormal basis of degree ell is
 where Lbar_{ell,m}(theta) = sqrt((2 ell + 1)/(4 pi) (ell-m)!/(ell+m)!)
 P_{ell,m}(cos theta) and P_{ell,m} carries the Condon-Shortley phase (-1)^m.
 All normalization factors are folded into the recurrences; raw factorials are
-never formed, so degrees in the thousands stay in range.
+never formed.  The order-m seeds still scale like sin(theta)^m, and they
+underflow where sin(theta) is small and m large; the worst colatitude is
+sin(theta) = 1/e, where the addition theorem holds to 2e-13 up to degree 1900
+and fails beyond about 1925.  Synthesis is therefore capped at
+MAX_SYNTHESIS_BAND.
 
 Grids are Gauss-Legendre in cos(theta) and uniform in phi, which makes the
 quadrature exact for band-limited products and the discrete basis exactly
@@ -19,6 +23,8 @@ orthonormal at finite resolution.
 from __future__ import annotations
 
 import math
+import os
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +33,10 @@ from .modes import CoefficientField, laplacian_eigenvalue, harmonic_dimension  #
 
 FOUR_PI = 4.0 * math.pi
 
-# Synthesis guard: tables above this band limit are a sign of a misconfigured run.
-MAX_SYNTHESIS_BAND = 4096
+# Highest band limit whose Legendre table is verified: the addition theorem
+# sum_m (2 - delta_m0) Lbar_{ell,m}^2 = (2 ell + 1)/(4 pi) holds to 2e-13 for
+# every ell <= 1900 at the worst colatitude, sin(theta) = 1/e.
+MAX_SYNTHESIS_BAND = 1900
 
 
 def legendre(ell: int, mu):
@@ -84,7 +92,9 @@ def normalized_legendre(ell: int, m: int, theta: float) -> float:
     """Fully normalized associated Legendre function Lbar_{ell,m}(theta).
 
     Lbar_{0,0} = 1/sqrt(4 pi); the basis functions built from Lbar are
-    orthonormal on the sphere.  Safe for degrees of a few thousand.
+    orthonormal on the sphere.  Accurate for degrees up to MAX_SYNTHESIS_BAND
+    at every colatitude; above that, the seed sin(theta)^m underflows near
+    sin(theta) = 1/e (see the module docstring).
     """
     if ell < 0 or not 0 <= m <= ell:
         raise ValueError(f"need 0 <= m <= ell, got ell={ell}, m={m}")
@@ -118,7 +128,9 @@ def normalized_legendre_table(kappa: int, theta: np.ndarray) -> np.ndarray:
     """Lbar_{ell,m} for all ell <= kappa, m <= ell, at each colatitude.
 
     Returns an array of shape (n_pairs, n_theta) packed m-major: row
-    _pair_offsets(kappa)[m] + (ell - m) holds (ell, m).
+    _pair_offsets(kappa)[m] + (ell - m) holds (ell, m).  The seeds Lbar_{m,m}
+    and Lbar_{m+1,m} are set order by order; the three-term recurrence then
+    runs degree by degree over all orders m <= n - 2 at once.
     """
     theta = np.asarray(theta, dtype=float)
     cos_t = np.cos(theta)
@@ -129,17 +141,35 @@ def normalized_legendre_table(kappa: int, theta: np.ndarray) -> np.ndarray:
     for m in range(kappa + 1):
         if m > 0:
             diag = _normalized_diag_seed(m, sin_t, diag)
-        base = offsets[m]
-        table[base] = diag
+        table[offsets[m]] = diag
         if m < kappa:
-            table[base + 1] = math.sqrt(2 * m + 3.0) * cos_t * diag
-        for n in range(m + 2, kappa + 1):
-            a = math.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
-            b = math.sqrt((2.0 * n + 1.0) / (2.0 * n - 3.0)
-                          * ((n - 1.0) ** 2 - m * m) / (n * n - m * m))
-            row = base + n - m
-            table[row] = a * cos_t * table[row - 1] - b * table[row - 2]
+            table[offsets[m] + 1] = math.sqrt(2 * m + 3.0) * cos_t * diag
+    # prev[m], prev2[m]: Lbar_{n-1,m} and Lbar_{n-2,m} while degree n is built
+    prev, prev2, work = np.empty((3, kappa + 1, theta.size))
+    for n in range(2, kappa + 1):
+        k = n - 1  # orders m < k recur; order k - 1 joins from its two seeds
+        prev[k - 1] = table[offsets[k - 1] + 1]
+        prev2[k - 1] = table[offsets[k - 1]]
+        m = np.arange(k)
+        a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
+        b = np.sqrt((2.0 * n + 1.0) / (2.0 * n - 3.0)
+                    * ((n - 1.0) ** 2 - m * m) / (n * n - m * m))
+        row = np.multiply(a[:, None], cos_t, out=work[:k])
+        row *= prev[:k]
+        older = prev2[:k]
+        older *= b[:, None]
+        np.subtract(row, older, out=older)  # a cos(theta) Lbar_{n-1,m} - b Lbar_{n-2,m}
+        table[offsets[m] + n - m] = older
+        prev, prev2 = prev2, prev  # degree n becomes n - 1
     return table
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
 
 
 @dataclass(eq=False)
@@ -161,6 +191,7 @@ class SphereGrid:
         self.theta_weights = weights[::-1].copy()
         self.phi = 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
         self._basis_tables: dict[int, np.ndarray] = {}
+        self._phase_tables: dict[int, np.ndarray] = {}
 
     @property
     def phi_weight(self) -> float:
@@ -174,10 +205,36 @@ class SphereGrid:
         return float(self.theta_weights @ values.sum(axis=1)) * self.phi_weight
 
     def basis_table(self, kappa: int) -> np.ndarray:
-        """Cached normalized Legendre table at this grid's colatitudes."""
+        """Cached normalized Legendre table at this grid's colatitudes.
+
+        Raises ValueError, before allocating, if the table would not fit in
+        physical memory.
+        """
         if kappa not in self._basis_tables:
+            nbytes = (kappa + 1) * (kappa + 2) // 2 * self.n_theta * 8
+            memory = _physical_memory()
+            if memory is not None and nbytes > memory:
+                raise ValueError(
+                    f"the Legendre table for kappa={kappa} on n_theta={self.n_theta} "
+                    f"colatitudes needs {nbytes / 1e9:.1f} GB, more than the "
+                    f"{memory / 1e9:.1f} GB of physical memory")
             self._basis_tables[kappa] = normalized_legendre_table(kappa, self.theta)
         return self._basis_tables[kappa]
+
+    def phase_table(self, kappa: int) -> np.ndarray:
+        """Cached phi factors of the real basis, shape (2 (kappa + 1), n_phi).
+
+        Row 2m is c_m cos(m phi) and row 2m + 1 is c_m sin(m phi), with c_0 = 1
+        and c_m = sqrt(2); the first 2 (k + 1) rows cover the orders m <= k.
+        """
+        if kappa not in self._phase_tables:
+            m_phi = np.outer(np.arange(kappa + 1), self.phi)
+            table = np.empty((2 * (kappa + 1), self.n_phi))
+            table[0::2] = np.cos(m_phi)
+            table[1::2] = np.sin(m_phi)
+            table[2:] *= math.sqrt(2.0)
+            self._phase_tables[kappa] = table
+        return self._phase_tables[kappa]
 
 
 @dataclass(eq=False)
@@ -199,33 +256,70 @@ class GridField:
 def synthesize(coeffs: CoefficientField, grid: SphereGrid) -> GridField:
     """Evaluate a coefficient field pointwise on the grid (S^2 only).
 
-    The phi sums are separated from the theta sums, so the cost is
-    O(kappa^2 n_theta) + O(kappa n_theta n_phi).
+    The single-shell case of synthesize_tails.  Cost: the theta sums are
+    O(kappa^2 n_theta), the phi sums one O(n_theta kappa n_phi) product.
+    """
+    (values,) = synthesize_tails(coeffs, grid, [-1])
+    return GridField(values, grid)
+
+
+def _packed_coefficients(data: np.ndarray, kappa: int) -> np.ndarray:
+    """Cos (row 0) and sin (row 1) coefficients in the Legendre table's row order."""
+    offsets = _pair_offsets(kappa)
+    m = np.repeat(np.arange(kappa + 1), np.diff(offsets))
+    ell = np.arange(offsets[-1]) - offsets[m] + m
+    cos_index = ell * ell + np.maximum(2 * m - 1, 0)
+    packed = np.zeros((2, offsets[-1]))
+    packed[0] = data[cos_index]
+    packed[1, offsets[1]:] = data[cos_index[offsets[1]:] + 1]
+    return packed
+
+
+def synthesize_tails(coeffs: CoefficientField, grid: SphereGrid,
+                     kappas: Sequence[int]) -> Iterator[np.ndarray]:
+    """Grid values of the tails above each of the increasing `kappas`, largest first.
+
+    The tail above k keeps the degrees k < ell <= coeffs.kappa; every k must
+    lie below coeffs.kappa, and k = -1 gives the whole field.  The degrees
+    are split into shells (kappas[j], kappas[j + 1]] and (kappas[-1],
+    coeffs.kappa].  One pass over the orders m forms every shell's theta
+    profiles from the grid's cached Legendre table.  The shells are then
+    added from the top into one running (n_theta, n_phi) array, each with one
+    product against the grid's cached phase table, of which a shell with top
+    degree k uses the first 2 (k + 1) rows.  The running array is yielded
+    after each shell and overwritten by the next, so reduce or copy it before
+    advancing.  Degrees at or below kappas[0] are never touched.
+
+    Cost per field: theta O(kappa^2 n_theta) once; phi O(n_theta kappa n_phi)
+    for the top shell plus O(n_theta k n_phi) for each lower shell of top k.
     """
     if coeffs.dim != 3:
         raise ValueError(f"pointwise synthesis is available for dim == 3 only, got dim={coeffs.dim}")
     kappa = coeffs.kappa
     if kappa > MAX_SYNTHESIS_BAND:
         raise ValueError(f"band limit {kappa} exceeds synthesis maximum {MAX_SYNTHESIS_BAND}")
+    bottoms = [int(k) for k in kappas]
+    if not bottoms or any(b <= a for a, b in zip(bottoms, bottoms[1:])) or bottoms[-1] >= kappa:
+        raise ValueError(f"kappas must be strictly increasing and below the band limit "
+                         f"{kappa}, got {bottoms}")
+    shells = list(zip(bottoms, bottoms[1:] + [kappa]))
     table = grid.basis_table(kappa)
+    phase = grid.phase_table(kappa)
     offsets = _pair_offsets(kappa)
-    data = coeffs.data
-    # per-order theta profiles: A[m] = sum_ell c_cos Lbar, B[m] = sum_ell c_sin Lbar
-    a = np.zeros((kappa + 1, grid.n_theta))
-    b = np.zeros((kappa + 1, grid.n_theta))
-    ells = np.arange(kappa + 1)
-    bases = ells * ells
-    a[0] = data[bases] @ table[offsets[0]:offsets[1]]
-    for m in range(1, kappa + 1):
+    packed = _packed_coefficients(coeffs.data, kappa)
+    # profiles[j][2m], [2m + 1]: sum over shell j's degrees of c_cos Lbar, c_sin Lbar
+    profiles = [np.zeros((2 * (hi + 1), grid.n_theta)) for _, hi in shells]
+    for m in range(kappa + 1):
         block = table[offsets[m]:offsets[m + 1]]
-        idx = bases[m:] + 2 * m - 1
-        a[m] = data[idx] @ block
-        b[m] = data[idx + 1] @ block
-    fac = np.full(kappa + 1, math.sqrt(2.0))
-    fac[0] = 1.0
-    m_phi = np.outer(np.arange(kappa + 1), grid.phi)
-    values = (fac[:, None] * a).T @ np.cos(m_phi) + (fac[:, None] * b).T @ np.sin(m_phi)
-    return GridField(values, grid)
+        coef = packed[:, offsets[m]:offsets[m + 1]]
+        for (lo, hi), profile in zip(shells, profiles):
+            start, stop = max(lo + 1 - m, 0), hi + 1 - m  # rows of degrees in the shell
+            if stop > start:
+                profile[2 * m:2 * m + 2] = coef[:, start:stop] @ block[start:stop]
+    values = np.zeros((grid.n_theta, grid.n_phi))
+    for (_, hi), profile in reversed(list(zip(shells, profiles))):
+        values += profile.T @ phase[:2 * (hi + 1)]
+        yield values
 
 
 def grid_l2_norm(f: GridField) -> float:

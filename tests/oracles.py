@@ -2,7 +2,10 @@
 
 Nothing here shares code with the package: Legendre values come from symbolic
 differentiation of the generating polynomial, covariance entries from adaptive
-quadrature of the kernel products, and norms from plain dense sums.
+quadrature of the kernel products, and norms from plain dense sums.  Grid
+values are summed mode by mode from scipy's spherical harmonics, and the
+Legendre table is built by the plain (ell, m) loop that the vectorized
+builder must reproduce bit for bit.
 """
 
 import math
@@ -10,6 +13,7 @@ import math
 import numpy as np
 import sympy as sp
 from scipy import integrate
+from scipy.special import sph_harm_y
 
 
 def rodrigues_legendre(ell: int, mu: float) -> float:
@@ -64,3 +68,46 @@ def conv_covariance_quadrature(kernels, lam: float, t: float) -> np.ndarray:
         out[1, 1] += integrate.quad(lambda s: r2(s) ** 2, a, b, epsabs=1e-13, epsrel=1e-13)[0]
     out[1, 0] = out[0, 1]
     return out
+
+
+def loop_legendre_table(kappa: int, theta) -> np.ndarray:
+    """Lbar_{ell,m} packed m-major, one (ell, m) entry at a time in scalar arithmetic."""
+    theta = np.asarray(theta, dtype=float)
+    cos_t = np.cos(theta)
+    sin_t = np.sin(theta)
+    orders = np.arange(kappa + 2)
+    offsets = orders * (kappa + 1) - orders * (orders - 1) // 2
+    table = np.empty((offsets[-1], theta.size))
+    diag = np.full(theta.size, 1.0 / math.sqrt(4.0 * math.pi))
+    for m in range(kappa + 1):
+        if m > 0:
+            diag = -math.sqrt((2 * m + 1) / (2.0 * m)) * sin_t * diag
+        base = offsets[m]
+        table[base] = diag
+        if m < kappa:
+            table[base + 1] = math.sqrt(2 * m + 3.0) * cos_t * diag
+        for n in range(m + 2, kappa + 1):
+            a = math.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
+            b = math.sqrt((2.0 * n + 1.0) / (2.0 * n - 3.0)
+                          * ((n - 1.0) ** 2 - m * m) / (n * n - m * m))
+            row = base + n - m
+            table[row] = a * cos_t * table[row - 1] - b * table[row - 2]
+    return table
+
+
+def tail_values_by_modes(data, kappa: int, theta, phi, above: int) -> np.ndarray:
+    """(n_theta, n_phi) values of the degrees above `above` of a real S^2 expansion.
+
+    Sums sqrt(2) Re/Im Y_ell^m (scipy, Condon-Shortley phase) mode by mode, in
+    the package's storage order: (ell, 0), then (ell, m) cos and sin for m >= 1.
+    """
+    th, ph = np.meshgrid(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float),
+                         indexing="ij")
+    values = np.zeros(th.shape)
+    for ell in range(above + 1, kappa + 1):
+        base = ell * ell
+        values += data[base] * sph_harm_y(ell, 0, th, ph).real
+        for m in range(1, ell + 1):
+            y = math.sqrt(2.0) * sph_harm_y(ell, m, th, ph)
+            values += data[base + 2 * m - 1] * y.real + data[base + 2 * m] * y.imag
+    return values

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from spherewave.harmonics import (SphereGrid, GridField, assoc_legendre, grid_l2_norm,
-                                  grid_max_abs, legendre, normalized_legendre,
-                                  normalized_legendre_table, synthesize, _pair_offsets)
+from spherewave import harmonics
+from spherewave.harmonics import (MAX_SYNTHESIS_BAND, SphereGrid, GridField, assoc_legendre,
+                                  grid_l2_norm, grid_max_abs, legendre, normalized_legendre,
+                                  normalized_legendre_table, synthesize, synthesize_tails,
+                                  _pair_offsets)
 from spherewave.modes import (CoefficientField, harmonic_dimension,
                               laplacian_eigenvalue, mode_count)
 
-from oracles import normalization_factor, rodrigues_legendre, symbolic_assoc_legendre
+from oracles import (loop_legendre_table, normalization_factor, rodrigues_legendre,
+                     symbolic_assoc_legendre, tail_values_by_modes)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -222,3 +225,93 @@ def test_grid_field_shape_validation():
     grid = SphereGrid(4, 8)
     with pytest.raises(ValueError):
         GridField(np.zeros((5, 8)), grid)
+
+
+def test_vectorized_table_is_bit_identical_to_the_loop():
+    grid = SphereGrid(65, 8)
+    theta = np.concatenate([grid.theta, [0.0, 0.05, math.asin(1.0 / math.e), math.pi]])
+    for kappa in (0, 1, 2, 5, 64):
+        assert np.array_equal(normalized_legendre_table(kappa, theta),
+                              loop_legendre_table(kappa, theta))
+
+
+def test_addition_theorem_holds_at_the_synthesis_guard():
+    # sum_m (2 - delta_m0) Lbar_{ell,m}^2 = (2 ell + 1)/(4 pi) for every ell up to
+    # the guard; sin(theta) = 1/e is where the order-m seeds underflow first
+    kappa = MAX_SYNTHESIS_BAND
+    theta = np.array([math.asin(1.0 / math.e), math.pi / 6, 0.05])
+    table = normalized_legendre_table(kappa, theta)
+    offsets = _pair_offsets(kappa)
+    m = np.repeat(np.arange(kappa + 1), np.diff(offsets))
+    ell = np.arange(offsets[-1]) - offsets[m] + m
+    weight = np.where(m == 0, 1.0, 2.0)
+    expected = (2.0 * np.arange(kappa + 1) + 1.0) / FOUR_PI
+    for col in range(theta.size):
+        sums = np.bincount(ell, weights=weight * table[:, col] ** 2, minlength=kappa + 1)
+        assert np.max(np.abs(sums / expected - 1.0)) < 1e-11, theta[col]
+
+
+def test_synthesis_above_the_guard_is_rejected():
+    with pytest.raises(ValueError, match="exceeds synthesis maximum"):
+        synthesize(CoefficientField.zeros(MAX_SYNTHESIS_BAND + 1), SphereGrid(2, 2))
+
+
+def test_basis_table_fails_before_allocating_beyond_physical_memory(monkeypatch):
+    grid = SphereGrid(65, 8)
+    monkeypatch.setattr(harmonics, "_physical_memory", lambda: 10**6)
+    monkeypatch.setattr(harmonics, "normalized_legendre_table",
+                        lambda *a: pytest.fail("table built despite the memory check"))
+    # 2145 pairs x 65 colatitudes x 8 bytes = 1.1 MB
+    with pytest.raises(ValueError, match=r"kappa=64 on n_theta=65 .* 0\.0 GB"):
+        grid.basis_table(64)
+    monkeypatch.undo()
+    monkeypatch.setattr(harmonics, "_physical_memory", lambda: None)  # unknown: no check
+    assert grid.basis_table(64).shape == (2145, 65)
+
+
+def test_basis_table_size_estimate_matches_the_table():
+    grid = SphereGrid(9, 4)
+    table = grid.basis_table(12)
+    assert table.nbytes == (12 + 1) * (12 + 2) // 2 * 9 * 8
+
+
+def _tails(coeffs, grid, kappas):
+    return [values.copy() for values in synthesize_tails(coeffs, grid, kappas)]
+
+
+@pytest.mark.parametrize("n_theta,n_phi,kappas", [
+    (25, 50, [2, 4, 8, 16]),        # default grid for kappa 24
+    (23, 47, [3, 10]),              # odd grid sizes
+    (30, 17, [1, 5]),               # n_phi < 2 kappa + 1: point values stay exact
+    (25, 50, [1, 7, 8, 15]),        # gaps and a one-degree shell
+    (25, 50, [0]),
+])
+def test_shell_tails_match_mode_by_mode_tails(n_theta, n_phi, kappas):
+    kappa = 24
+    rng = np.random.default_rng(n_theta * 100 + n_phi)
+    coeffs = CoefficientField(rng.standard_normal(mode_count(kappa, 3)), kappa)
+    grid = SphereGrid(n_theta, n_phi)
+    got = _tails(coeffs, grid, kappas)
+    assert len(got) == len(kappas)
+    for values, k in zip(got, reversed(kappas)):
+        expected = tail_values_by_modes(coeffs.data, kappa, grid.theta, grid.phi, k)
+        np.testing.assert_allclose(values, expected, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_full_synthesis_is_the_single_shell_case():
+    kappa = 24
+    rng = np.random.default_rng(3)
+    coeffs = CoefficientField(rng.standard_normal(mode_count(kappa, 3)), kappa)
+    grid = SphereGrid(23, 47)
+    expected = tail_values_by_modes(coeffs.data, kappa, grid.theta, grid.phi, -1)
+    np.testing.assert_allclose(synthesize(coeffs, grid).values, expected, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_tails_need_increasing_kappas_below_the_band():
+    coeffs = CoefficientField.zeros(6)
+    grid = SphereGrid(7, 14)
+    for kappas in ([3, 3], [4, 2], [], [3, 6]):
+        with pytest.raises(ValueError, match="strictly increasing and below the band"):
+            _tails(coeffs, grid, kappas)

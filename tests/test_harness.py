@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spherewave import harness
 from spherewave.harness import (ErrorTable, ExperimentConfig, _TailErrors,
                                 _TerminalSampler, analytic_second_moment,
                                 analytic_weak_error_experiment, default_fit_range,
@@ -259,3 +260,85 @@ def test_random_initial_data_draw_order_is_stable():
     a = strong_error_experiment(cfg)
     b = strong_error_experiment(cfg)
     assert np.array_equal(a["position"].errors, b["position"].errors)
+
+
+# Grid errors recorded from the per-tail synthesis that preceded the shell
+# synthesis (one full synthesis per kappa); the shells must reproduce them.
+RECORDED_GRID_ERRORS = [
+    (strong_error_experiment,
+     dict(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, samples=3, seed=11, error_kind="max-grid"),
+     {"position": [0.10908111366052643, 0.04421295749132558, 0.01671803326112789],
+      "velocity": [0.5231202168176088, 0.3524444895939367, 0.19190425882429962]}),
+    (strong_error_experiment,
+     dict(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, samples=3, seed=11, error_kind="l2-grid"),
+     {"position": [0.12840330965784766, 0.051488538775597975, 0.01993839627851573],
+      "velocity": [0.678310577821851, 0.40913811505088155, 0.23961037700302867]}),
+    (pathwise_error_experiment,
+     dict(alpha=2.0, kappas=[0, 3, 7, 12], kappa_ref=24, seed=5, error_kind="max-grid",
+          n_theta=19, n_phi=30),
+     {"position": [0.8212931769608188, 0.14800620293501351, 0.07062383914130962,
+                   0.04203813625187407],
+      "velocity": [2.0209705446777413, 1.1082557071192514, 0.8918589360287332,
+                   0.7741610271330426]}),
+    (pathwise_error_experiment,
+     dict(alpha=2.0, kappas=[1, 5, 6, 20], kappa_ref=24, seed=5, error_kind="l2-grid",
+          n_theta=27, n_phi=51),
+     {"position": [0.5703459130847862, 0.12041042616218693, 0.10354983543232903,
+                   0.018018043142279182],
+      "velocity": [1.6588914290593009, 1.1672391516085543, 1.0891498019298795,
+                   0.42360656292424403]}),
+    (strong_error_experiment,
+     dict(equation="schrodinger", alpha=4.0, kappas=[2, 4, 8, 16], kappa_ref=32, samples=2,
+          seed=3, error_kind="max-grid"),
+     {"real": [0.22362320187814713, 0.13434671375376075, 0.07159673585988645,
+               0.035146134108444665],
+      "imag": [0.232381616403561, 0.15367041580447963, 0.07974665881019687,
+               0.03454086048345245]}),
+]
+
+
+@pytest.mark.parametrize("experiment,config,recorded", RECORDED_GRID_ERRORS)
+def test_grid_errors_match_recorded_per_tail_values(experiment, config, recorded):
+    tables = experiment(ExperimentConfig(**config))
+    assert set(tables) == set(recorded)
+    for name, errors in recorded.items():
+        np.testing.assert_allclose(tables[name].errors, errors, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("grid", [dict(n_theta=16), dict(n_phi=32), dict(n_theta=8, n_phi=20)])
+def test_under_resolved_l2_grid_is_rejected(grid):
+    # kappa_ref 16 needs n_theta >= 17 and n_phi >= 33 for exact quadrature
+    cfg = ExperimentConfig(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, samples=2,
+                           error_kind="l2-grid", **grid)
+    with pytest.raises(ValueError, match="n_theta >= 17 and n_phi >= 33"):
+        cfg.validate_experiment()
+    with pytest.raises(ValueError, match="l2-grid"):
+        strong_error_experiment(cfg)
+    ExperimentConfig(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, error_kind="l2-grid",
+                     n_theta=17, n_phi=33).validate_experiment()
+
+
+def test_coarse_max_grid_is_accepted():
+    cfg = ExperimentConfig(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, samples=2,
+                           error_kind="max-grid", n_theta=8, n_phi=20)
+    cfg.validate_experiment()
+    table = strong_error_experiment(cfg)["position"]
+    assert np.all(table.errors > 0)
+    assert (table.metadata["grid_n_theta"], table.metadata["grid_n_phi"]) == (8, 20)
+
+
+def test_only_per_mode_samples_use_threads(monkeypatch):
+    pools = []
+
+    class CountingPool(harness.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", CountingPool)
+    base = dict(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, samples=3, threads=2)
+    strong_error_experiment(ExperimentConfig(**base))
+    weak_error_experiment(ExperimentConfig(**base))
+    assert pools == []
+    strong_error_experiment(ExperimentConfig(**base, error_kind="max-grid"))
+    assert pools == [2]
