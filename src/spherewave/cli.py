@@ -17,6 +17,7 @@ from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
+from . import harmonics
 from .harmonics import synthesize
 from .harness import (ExperimentConfig, analytic_weak_error_experiment,
                       pathwise_error_experiment, strong_error_experiment,
@@ -24,6 +25,7 @@ from .harness import (ExperimentConfig, analytic_weak_error_experiment,
 from .io import (ensure_dir, write_coefficient_csv, write_error_table_csv,
                  write_error_table_json, write_grid_field_csv,
                  write_schrodinger_trajectory_csv, write_wave_trajectory_csv)
+from .modes import mode_count
 from .noise import sample_isotropic_grf
 from .schrodinger import run_path_schrodinger
 from .wave import run_path
@@ -188,7 +190,27 @@ def _simulate_initial(cfg):
     return v1 or zero, v2 or zero
 
 
+# Peak resident bytes per mode of simulate and sample-field (states, noise, the
+# row template and one formatted field): the growth of peak RSS between 87k and
+# 609k modes of `simulate --equation wave-dsphere --dim 5 --steps 2` was 208 B
+# per mode, and 200 B for `sample-field`.
+BYTES_PER_MODE = 208
+
+
+def _check_state_memory(cfg: ExperimentConfig):
+    """Refuse, before allocating anything, a state larger than physical memory."""
+    modes = mode_count(cfg.kappa_ref, cfg.dim)
+    nbytes = modes * BYTES_PER_MODE
+    memory = harmonics._physical_memory()
+    if memory is not None and nbytes > memory:
+        raise ValueError(
+            f"kappa_ref={cfg.kappa_ref} with dim={cfg.dim} has {modes} modes, which need "
+            f"about {nbytes / 1e9:.1f} GB, more than the {memory / 1e9:.1f} GB of "
+            f"physical memory")
+
+
 def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
+    _check_state_memory(cfg)
     ensure_dir(cfg.output)
     ps = cfg.power_spectrum()
     v1, v2 = _simulate_initial(cfg)
@@ -196,15 +218,13 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     written = []
     traj_path = os.path.join(cfg.output, "trajectory.csv")
     if cfg.equation == "schrodinger":
-        traj = run_path_schrodinger(ps, v1, v2, cfg.kappa_ref, cfg.T, cfg.steps,
-                                    cfg.seed, cfg.store_every)
-        write_schrodinger_trajectory_csv(traj_path, traj, cfg.seed, meta)
-        final = traj[-1].real
+        states = run_path_schrodinger(ps, v1, v2, cfg.kappa_ref, cfg.T, cfg.steps,
+                                      cfg.seed, cfg.store_every)
+        final = write_schrodinger_trajectory_csv(traj_path, states, cfg.seed, meta).real
     else:
-        traj = run_path(ps, v1, v2, cfg.kappa_ref, cfg.dim, cfg.T, cfg.steps,
-                        cfg.seed, cfg.store_every)
-        write_wave_trajectory_csv(traj_path, traj, cfg.seed, meta)
-        final = traj[-1].position
+        states = run_path(ps, v1, v2, cfg.kappa_ref, cfg.dim, cfg.T, cfg.steps,
+                          cfg.seed, cfg.store_every)
+        final = write_wave_trajectory_csv(traj_path, states, cfg.seed, meta).position
     written.append(traj_path)
     if cfg.dim == 3:
         field = synthesize(final, cfg.grid())
@@ -216,6 +236,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
 
 def cmd_sample_field(cfg: ExperimentConfig) -> list[str]:
     """Draw one isotropic Gaussian random field and export it."""
+    _check_state_memory(cfg)
     ensure_dir(cfg.output)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     sample = sample_isotropic_grf(cfg.power_spectrum(), cfg.kappa_ref, cfg.dim, rng)

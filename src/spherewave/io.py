@@ -8,6 +8,7 @@ time- or environment-dependent is ever written.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -55,16 +56,24 @@ def write_error_table_json(path: str, table: ErrorTable):
         fh.write("\n")
 
 
+def _header(metadata: dict, columns: str) -> str:
+    return "\n".join(_metadata_lines(metadata) + [columns]) + "\n"
+
+
+def _mode_template(kappa: int, dim: int) -> str:
+    """'%' template of one field's rows 'ell,m,component,value', one per mode in
+    storage order; `template % tuple(data.tolist())` formats every value as
+    format_float does."""
+    return "".join(f"{ell},{m},{comp},%.16e\n" for ell, m, comp in mode_labels(kappa, dim))
+
+
 def write_coefficient_csv(path: str, field: CoefficientField, metadata: dict | None = None):
     meta = dict(metadata) if metadata else {}
     # the field's own shape wins over whatever the caller carries
     meta.update({"kappa": field.kappa, "dim": field.dim})
-    lines = _metadata_lines(meta)
-    lines.append("ell,m,component,value")
-    for (ell, m, comp), value in zip(mode_labels(field.kappa, field.dim), field.data):
-        lines.append(f"{ell},{m},{comp},{format_float(value)}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_header(meta, "ell,m,component,value"))
+        fh.write(_mode_template(field.kappa, field.dim) % tuple(field.data.tolist()))
 
 
 def read_coefficient_csv(path: str) -> CoefficientField:
@@ -120,47 +129,56 @@ def write_grid_field_csv(path: str, field: GridField, metadata: dict | None = No
     meta = dict(metadata) if metadata else {}
     # the resolved grid size wins over whatever the caller carries
     meta.update({"n_theta": field.grid.n_theta, "n_phi": field.grid.n_phi})
-    lines = _metadata_lines(meta)
-    lines.append("theta,phi,value")
-    for i, theta in enumerate(field.grid.theta):
-        ts = format_float(theta)
-        for j, phi in enumerate(field.grid.phi):
-            lines.append(f"{ts},{format_float(phi)},{format_float(field.values[i, j])}")
+    # theta.join(pieces) is the '%' template of one theta row: theta precedes
+    # every piece but the empty first one
+    pieces = [""] + [f",{format_float(phi)},%.16e\n" for phi in field.grid.phi]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_header(meta, "theta,phi,value"))
+        for theta, row in zip(field.grid.theta, field.values):
+            fh.write(format_float(theta).join(pieces) % tuple(row.tolist()))
 
 
-def _snapshot_lines(fields_by_name, t, kappa, dim, seed):
-    lines = [f"# t={repr(float(t))} kappa={kappa} d={dim} seed={seed}"]
-    labels = mode_labels(kappa, dim)
-    for name, data in fields_by_name:
-        lines.append(f"# field={name}")
-        for (ell, m, comp), value in zip(labels, data):
-            lines.append(f"{ell},{m},{comp},{format_float(value)}")
-    return lines
+def _write_trajectory_csv(path, states, seed, metadata, names):
+    """Write each state's fields `names` as it arrives; return the last state.
+
+    The file is written under a temporary name in the same directory and
+    renamed to `path` after the last state, so a run that fails midway
+    leaves no trajectory that looks complete.
+    """
+    partial = path + ".part"
+    state = shape = template = None
+    try:
+        with open(partial, "w") as fh:
+            fh.write(_header(metadata or {}, "ell,m,component,value"))
+            for state in states:
+                fields = [getattr(state, name) for name in names]
+                if template is None:
+                    shape = (fields[0].kappa, fields[0].dim)
+                    template = _mode_template(*shape)
+                if any((f.kappa, f.dim) != shape for f in fields):
+                    raise ValueError(f"state at t={state.t} does not have the band limit "
+                                     f"and dimension {shape} of the first state")
+                fh.write(f"# t={float(state.t)!r} kappa={shape[0]} d={shape[1]} seed={seed}\n")
+                for name, f in zip(names, fields):
+                    fh.write(f"# field={name}\n")
+                    fh.write(template % tuple(f.data.tolist()))
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
+    return state
 
 
-def write_wave_trajectory_csv(path: str, trajectory, seed: int, metadata: dict | None = None):
-    lines = _metadata_lines(metadata or {})
-    lines.append("ell,m,component,value")
-    for state in trajectory:
-        lines.extend(_snapshot_lines(
-            [("position", state.position.data), ("velocity", state.velocity.data)],
-            state.t, state.kappa, state.dim, seed))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def write_wave_trajectory_csv(path: str, states, seed: int, metadata: dict | None = None):
+    """Stream wave states (position, velocity) to path; returns the last state."""
+    return _write_trajectory_csv(path, states, seed, metadata, ("position", "velocity"))
 
 
-def write_schrodinger_trajectory_csv(path: str, trajectory, seed: int,
+def write_schrodinger_trajectory_csv(path: str, states, seed: int,
                                      metadata: dict | None = None):
-    lines = _metadata_lines(metadata or {})
-    lines.append("ell,m,component,value")
-    for state in trajectory:
-        lines.extend(_snapshot_lines(
-            [("real", state.real.data), ("imag", state.imag.data)],
-            state.t, state.kappa, 3, seed))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Stream Schrodinger states (real, imag) to path; returns the last state."""
+    return _write_trajectory_csv(path, states, seed, metadata, ("real", "imag"))
 
 
 def ensure_dir(path: str):

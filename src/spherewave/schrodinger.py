@@ -13,12 +13,14 @@ convolution (no 1/sqrt(lam) damping on the sine kernel, unlike the wave case).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .modes import CoefficientField, laplacian_eigenvalue, mode_degrees
 from .noise import ConvFactorTable, sample_schrodinger_conv_increments
 from .spectrum import PowerSpectrum
+from .wave import check_path_args, stored_states
 
 
 @dataclass(eq=False)
@@ -62,24 +64,17 @@ def schrodinger_step(state: SchrodingerState, h: float, ps: PowerSpectrum,
 
 def run_path_schrodinger(ps: PowerSpectrum, vr: CoefficientField, vi: CoefficientField,
                          kappa: int, T: float, steps: int, seed: int,
-                         store_every: int = 1) -> list[SchrodingerState]:
-    """Sample one path on the uniform grid; bit-reproducible for a given seed."""
-    if steps < 1:
-        raise ValueError(f"need at least one step, got {steps}")
-    if not T > 0.0:
-        raise ValueError(f"final time must be positive, got {T}")
-    if store_every < 1:
-        raise ValueError(f"store_every must be >= 1, got {store_every}")
+                         store_every: int = 1) -> Iterator[SchrodingerState]:
+    """Sample one path on the uniform grid; yields the stored states like
+    wave.run_path, checks its arguments when called, bit-reproducible for a
+    given seed."""
+    check_path_args(T, steps, store_every)
     h = T / steps
     factors = ConvFactorTable.for_schrodinger(kappa, h)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    state = init_schrodinger_state(vr, vi, kappa)
-    out = [state]
-    for j in range(1, steps + 1):
-        state = schrodinger_step(state, h, ps, rng, factors)
-        if j % store_every == 0 or j == steps:
-            out.append(state)
-    return out
+    return stored_states(init_schrodinger_state(vr, vi, kappa),
+                         lambda state: schrodinger_step(state, h, ps, rng, factors),
+                         steps, store_every)
 
 
 def mode_modulus(state: SchrodingerState) -> np.ndarray:

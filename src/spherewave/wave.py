@@ -14,6 +14,7 @@ only approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -111,29 +112,41 @@ def step(state: WaveState, h: float, ps: PowerSpectrum, rng: np.random.Generator
 
 def run_path(ps: PowerSpectrum, v1: CoefficientField, v2: CoefficientField,
              kappa: int, dim: int, T: float, steps: int, seed: int,
-             store_every: int = 1) -> list[WaveState]:
+             store_every: int = 1) -> Iterator[WaveState]:
     """Sample one path on the uniform grid t_j = j T / steps.
 
-    Returns the stored states (always including t = 0 and t = T); the draw
-    order is fixed, so a given seed reproduces the trajectory bit for bit.
+    Yields the stored states (always including t = 0 and t = T) as they are
+    reached, so only the current state is held; the arguments are checked
+    when the function is called.  The draw order is fixed, so a given seed
+    reproduces the trajectory bit for bit.
     """
+    check_path_args(T, steps, store_every)
+    h = T / steps
+    factors = ConvFactorTable.for_wave(kappa, dim, h)
+    prop = Propagator.build(kappa, dim, h)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return stored_states(init_state(v1, v2, kappa, dim),
+                         lambda state: step(state, h, ps, rng, factors, prop),
+                         steps, store_every)
+
+
+def check_path_args(T: float, steps: int, store_every: int):
+    """Arguments shared by the path samplers of both equations."""
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
     if not T > 0.0:
         raise ValueError(f"final time must be positive, got {T}")
     if store_every < 1:
         raise ValueError(f"store_every must be >= 1, got {store_every}")
-    h = T / steps
-    factors = ConvFactorTable.for_wave(kappa, dim, h)
-    prop = Propagator.build(kappa, dim, h)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    state = init_state(v1, v2, kappa, dim)
-    out = [state]
+
+
+def stored_states(state, advance: Callable, steps: int, store_every: int) -> Iterator:
+    """Yield state, then every store_every-th of `steps` advances and the last one."""
+    yield state
     for j in range(1, steps + 1):
-        state = step(state, h, ps, rng, factors, prop)
+        state = advance(state)
         if j % store_every == 0 or j == steps:
-            out.append(state)
-    return out
+            yield state
 
 
 def mode_energy(state: WaveState) -> np.ndarray:

@@ -5,7 +5,9 @@ differentiation of the generating polynomial, covariance entries from adaptive
 quadrature of the kernel products, and norms from plain dense sums.  Grid
 values are summed mode by mode from scipy's spherical harmonics, and the
 Legendre table is built by the plain (ell, m) loop that the vectorized
-builder must reproduce bit for bit.
+builder must reproduce bit for bit.  The CSV writers below are the
+line-by-line writers that the streaming writers in `spherewave.io` must
+reproduce byte for byte.
 """
 
 import math
@@ -111,3 +113,59 @@ def tail_values_by_modes(data, kappa: int, theta, phi, above: int) -> np.ndarray
             y = math.sqrt(2.0) * sph_harm_y(ell, m, th, ph)
             values += data[base + 2 * m - 1] * y.real + data[base + 2 * m] * y.imag
     return values
+
+
+def harmonic_dimension(ell: int, dim: int) -> int:
+    """h(ell, dim) as the difference of two counts of homogeneous monomials."""
+    below = math.comb(ell + dim - 3, dim - 1) if ell >= 2 else 0
+    return math.comb(ell + dim - 1, dim - 1) - below
+
+
+def mode_labels(kappa: int, dim: int) -> list[tuple[int, int, int]]:
+    """(ell, m, component) per flat index: (ell, 0, 0), then (ell, m, 1) and
+    (ell, m, 2) for m >= 1 on S^2; (ell, j, 0) for j = 1..h(ell, dim) above."""
+    if dim == 3:
+        return [(ell, m, comp) for ell in range(kappa + 1)
+                for m, comp in [(0, 0)] + [(m, c) for m in range(1, ell + 1) for c in (1, 2)]]
+    return [(ell, j, 0) for ell in range(kappa + 1)
+            for j in range(1, harmonic_dimension(ell, dim) + 1)]
+
+
+def _float(x) -> str:
+    return f"{float(x):.16e}"
+
+
+def _metadata_lines(metadata: dict) -> list[str]:
+    return [f"# {key}={metadata[key]!r}" if isinstance(metadata[key], float)
+            else f"# {key}={metadata[key]}" for key in sorted(metadata)]
+
+
+def coefficient_csv_text(data, kappa: int, dim: int, metadata: dict) -> str:
+    lines = _metadata_lines({**metadata, "kappa": kappa, "dim": dim})
+    lines.append("ell,m,component,value")
+    for (ell, m, comp), value in zip(mode_labels(kappa, dim), data):
+        lines.append(f"{ell},{m},{comp},{_float(value)}")
+    return "\n".join(lines) + "\n"
+
+
+def grid_csv_text(values, theta, phi, metadata: dict) -> str:
+    lines = _metadata_lines({**metadata, "n_theta": len(theta), "n_phi": len(phi)})
+    lines.append("theta,phi,value")
+    for i, th in enumerate(theta):
+        for j, ph in enumerate(phi):
+            lines.append(f"{_float(th)},{_float(ph)},{_float(values[i, j])}")
+    return "\n".join(lines) + "\n"
+
+
+def trajectory_csv_text(snapshots, kappa: int, dim: int, seed: int, metadata: dict) -> str:
+    """snapshots: (t, [(field name, data), ...]) per stored state."""
+    lines = _metadata_lines(metadata)
+    lines.append("ell,m,component,value")
+    labels = mode_labels(kappa, dim)
+    for t, fields in snapshots:
+        lines.append(f"# t={float(t)!r} kappa={kappa} d={dim} seed={seed}")
+        for name, data in fields:
+            lines.append(f"# field={name}")
+            for (ell, m, comp), value in zip(labels, data):
+                lines.append(f"{ell},{m},{comp},{_float(value)}")
+    return "\n".join(lines) + "\n"

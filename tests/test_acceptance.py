@@ -153,14 +153,14 @@ def test_criterion_8c_conservation_laws():
     kappa = 8
     v1 = CoefficientField(rng.standard_normal(mode_count(kappa, 3)), kappa)
     v2 = CoefficientField(rng.standard_normal(mode_count(kappa, 3)), kappa)
-    traj = run_path(zero, v1, v2, kappa, 3, 5.0, 100, seed=0)
+    traj = list(run_path(zero, v1, v2, kappa, 3, 5.0, 100, seed=0))
     e0 = mode_energy(traj[0])
     defect = max(float(np.max(np.abs(mode_energy(s) - e0) / np.maximum(e0, 1e-300)))
                  for s in traj[1:])
     ok = _check("criterion 8c wave energy conservation over 100 steps", defect <= 1e-10,
                 f"worst relative drift {defect:.2e}")
 
-    straj = run_path_schrodinger(zero, v1, v2, kappa, 5.0, 100, seed=0)
+    straj = list(run_path_schrodinger(zero, v1, v2, kappa, 5.0, 100, seed=0))
     m0 = mode_modulus(straj[0]).sum()
     mdefect = max(abs(mode_modulus(s).sum() - m0) / m0 for s in straj[1:])
     ok &= _check("criterion 8c Schrodinger mass conservation over 100 steps",
@@ -174,14 +174,14 @@ def test_criterion_8d_single_step_equals_many_steps():
     kappa = 8
     v1 = CoefficientField(rng.standard_normal(mode_count(kappa, 3)), kappa)
     v2 = CoefficientField(rng.standard_normal(mode_count(kappa, 3)), kappa)
-    one = run_path(zero, v1, v2, kappa, 3, 1.0, 1, seed=0)[-1]
-    many = run_path(zero, v1, v2, kappa, 3, 1.0, 64, seed=0)[-1]
+    one = list(run_path(zero, v1, v2, kappa, 3, 1.0, 1, seed=0))[-1]
+    many = list(run_path(zero, v1, v2, kappa, 3, 1.0, 64, seed=0))[-1]
     dev = max(float(np.max(np.abs(one.position.data - many.position.data))),
               float(np.max(np.abs(one.velocity.data - many.velocity.data))))
     ok = _check("criterion 8d wave one step vs 64 steps", dev <= 1e-12, f"max dev {dev:.2e}")
 
-    s_one = run_path_schrodinger(zero, v1, v2, kappa, 1.0, 1, seed=0)[-1]
-    s_many = run_path_schrodinger(zero, v1, v2, kappa, 1.0, 64, seed=0)[-1]
+    s_one = list(run_path_schrodinger(zero, v1, v2, kappa, 1.0, 1, seed=0))[-1]
+    s_many = list(run_path_schrodinger(zero, v1, v2, kappa, 1.0, 64, seed=0))[-1]
     sdev = max(float(np.max(np.abs(s_one.real.data - s_many.real.data))),
                float(np.max(np.abs(s_one.imag.data - s_many.imag.data))))
     ok &= _check("criterion 8d Schrodinger one step vs 64 steps", sdev <= 1e-12,

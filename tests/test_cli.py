@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+from spherewave import cli, harmonics
 from spherewave.cli import PRESETS, build_parser, main, resolve_config
 from spherewave.io import read_coefficient_csv, write_coefficient_csv
 from spherewave.modes import CoefficientField, mode_count
@@ -280,3 +282,56 @@ def test_coefficient_file_with_wrong_row_count_is_rejected(tmp_path):
     path.write_text("\n".join(lines + ["4,0,0,1.0"]) + "\n")
     with pytest.raises(ValueError, match=r"coeffs\.csv: line \d+: more than the 16"):
         read_coefficient_csv(str(path))
+
+
+# SHA-256 of files written before trajectories were streamed to disk; the
+# streaming writers must keep every byte.  final_field.csv is left out: its
+# grid sums go through BLAS, whose rounding depends on the library build.
+GOLDEN = [
+    (("simulate", "--alpha", "3", "--kappa-ref", "8", "--steps", "4", "--seed", "3"),
+     "trajectory.csv", "e01c7ac564971c0e6f0b78675bbe58643835c334d07b1f8b2c361ecb1a75323c"),
+    (("simulate", "--alpha", "3", "--kappa-ref", "12", "--steps", "7", "--store-every", "3",
+      "--seed", "4"),
+     "trajectory.csv", "b135995147c542aeb2174b892faba043feb2e606ce28ab1552f6a6134bf3202f"),
+    (("simulate", "--equation", "schrodinger", "--alpha", "4", "--kappa-ref", "6",
+      "--steps", "5", "--store-every", "3", "--seed", "1"),
+     "trajectory.csv", "5e5738a308a0c0243c8125a399a660d357521327636ed23580a4cd1f134ba24e"),
+    (("simulate", "--equation", "wave-dsphere", "--dim", "4", "--alpha", "4",
+      "--kappa-ref", "5", "--steps", "2", "--seed", "1"),
+     "trajectory.csv", "34e3ec80df9ee2740f823900a7653bfbcddfe1d5c9baa139af28a1310b8022aa"),
+    (("sample-field", "--alpha", "3", "--kappa-ref", "16", "--seed", "2"),
+     "sample_coefficients.csv",
+     "4841f45a684a8b64caecc8ea1501056e3c1f675d5acaa24e7eb04e451902a013"),
+    (("sample-field", "--equation", "wave-dsphere", "--dim", "4", "--alpha", "4",
+      "--kappa-ref", "6", "--seed", "2"),
+     "sample_coefficients.csv",
+     "a430834cd182125e8f181355851c67fc1282517dbdeddfe68f9141f9f295cf90"),
+]
+
+
+@pytest.mark.parametrize("argv,name,digest", GOLDEN, ids=lambda v: "-".join(v)
+                         if isinstance(v, tuple) else None)
+def test_outputs_match_golden_hashes(tmp_path, argv, name, digest):
+    assert run_cli(*argv, "--output", str(tmp_path)) == 0
+    assert hashlib.sha256(read(tmp_path / name)).hexdigest() == digest
+    assert not list(tmp_path.glob("*.part"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "sample-field"])
+def test_state_larger_than_memory_fails_before_allocating(tmp_path, monkeypatch, capsys,
+                                                          command):
+    monkeypatch.setattr(harmonics, "_physical_memory", lambda: 64 * 10**9)
+    for name in ("run_path", "sample_isotropic_grf", "_simulate_initial"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("allocated anyway"))
+    out = tmp_path / "big"
+    # 2,528,665,425 modes x BYTES_PER_MODE
+    assert run_cli(command, "--equation", "wave-dsphere", "--dim", "8", "--kappa-ref", "64",
+                   "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "kappa_ref=64 with dim=8 has 2528665425 modes" in err
+    assert f"{2528665425 * cli.BYTES_PER_MODE / 1e9:.1f} GB" in err and "64.0 GB" in err
+    assert not out.exists()
+
+    monkeypatch.setattr(harmonics, "_physical_memory", lambda: None)  # unknown: no check
+    cli._check_state_memory(resolve_config(build_parser().parse_args(
+        [command, "--equation", "wave-dsphere", "--dim", "8", "--kappa-ref", "64"])))

@@ -1,0 +1,136 @@
+"""Streaming CSV writers against the line-by-line reference writers of oracles."""
+
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+import oracles
+from spherewave.harmonics import GridField, SphereGrid
+from spherewave.io import (write_coefficient_csv, write_grid_field_csv,
+                           write_schrodinger_trajectory_csv, write_wave_trajectory_csv)
+from spherewave.modes import CoefficientField, mode_count
+from spherewave.schrodinger import SchrodingerState
+from spherewave.wave import WaveState
+
+METADATA = {"alpha": 3.0, "equation": "wave", "kappas": [2, 4], "seed": 5, "beta": None}
+
+# -0.0, the smallest subnormal, a mid-range subnormal, the largest finite
+# magnitudes tested and integer-valued floats, mixed with arbitrary doubles
+SPECIAL = [-0.0, 0.0, 5e-324, -7.4e-310, 1.7e308, -1.7e308, 3.0, -12.0, 1e16, 2.0**53]
+values = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _fields(draw_array, kappa, dim):
+    return draw_array(hnp.arrays(np.float64, mode_count(kappa, dim), elements=values))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data(), st.sampled_from([(0, 3), (3, 3), (4, 4), (3, 6)]))
+def test_coefficient_writer_matches_reference(tmp_path_factory, data, shape):
+    kappa, dim = shape
+    coeffs = _fields(data.draw, kappa, dim)
+    path = str(tmp_path_factory.mktemp("coeff") / "c.csv")
+    write_coefficient_csv(path, CoefficientField(coeffs, kappa, dim), METADATA)
+    with open(path) as fh:
+        assert fh.read() == oracles.coefficient_csv_text(coeffs, kappa, dim, METADATA)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data(), st.integers(1, 6), st.integers(1, 9))
+def test_grid_writer_matches_reference(tmp_path_factory, data, n_theta, n_phi):
+    grid = SphereGrid(n_theta, n_phi)
+    grid_values = data.draw(hnp.arrays(np.float64, (n_theta, n_phi), elements=values))
+    path = str(tmp_path_factory.mktemp("grid") / "g.csv")
+    write_grid_field_csv(path, GridField(grid_values, grid), METADATA)
+    with open(path) as fh:
+        assert fh.read() == oracles.grid_csv_text(grid_values, grid.theta, grid.phi, METADATA)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data(), st.sampled_from(["wave", "wave-d4", "schrodinger"]), st.integers(0, 4))
+def test_trajectory_writers_match_reference(tmp_path_factory, data, kind, n_states):
+    kappa, dim = (3, 4) if kind == "wave-d4" else (3, 3)
+    times = data.draw(st.lists(values, min_size=n_states, max_size=n_states))
+    arrays = [(_fields(data.draw, kappa, dim), _fields(data.draw, kappa, dim))
+              for _ in range(n_states)]
+    if kind == "schrodinger":
+        names, writer, cls = ("real", "imag"), write_schrodinger_trajectory_csv, SchrodingerState
+    else:
+        names, writer, cls = ("position", "velocity"), write_wave_trajectory_csv, WaveState
+    states = (cls(CoefficientField(a, kappa, dim), CoefficientField(b, kappa, dim), t=t)
+              for t, (a, b) in zip(times, arrays))
+    path = str(tmp_path_factory.mktemp("traj") / "trajectory.csv")
+    last = writer(path, states, 17, METADATA)
+    snapshots = [(t, list(zip(names, pair))) for t, pair in zip(times, arrays)]
+    with open(path) as fh:
+        assert fh.read() == oracles.trajectory_csv_text(snapshots, kappa, dim, 17, METADATA)
+    if n_states:
+        assert np.array_equal(getattr(last, names[0]).data, arrays[-1][0], equal_nan=True)
+    else:
+        assert last is None
+
+
+def _wave_states(kappa, count):
+    rng = np.random.default_rng(0)
+    for j in range(count):
+        yield WaveState(CoefficientField(rng.standard_normal(mode_count(kappa)), kappa),
+                        CoefficientField(rng.standard_normal(mode_count(kappa)), kappa),
+                        t=float(j))
+
+
+def _writer_peak(path, count):
+    tracemalloc.start()
+    try:
+        write_wave_trajectory_csv(path, _wave_states(24, count), 1, METADATA)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trajectory_writer_memory_does_not_grow_with_the_snapshot_count(tmp_path):
+    path = str(tmp_path / "trajectory.csv")
+    _writer_peak(path, 2)  # warm up imports and caches
+    few = _writer_peak(path, 8)
+    many = _writer_peak(path, 64)
+    assert many <= 1.5 * few, (few, many)
+
+
+def test_failed_trajectory_leaves_no_file(tmp_path):
+    def failing_states():
+        yield from _wave_states(4, 2)
+        raise RuntimeError("step failed")
+
+    path = tmp_path / "trajectory.csv"
+    with pytest.raises(RuntimeError, match="step failed"):
+        write_wave_trajectory_csv(str(path), failing_states(), 1, METADATA)
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_trajectory_keeps_an_earlier_complete_file(tmp_path):
+    path = tmp_path / "trajectory.csv"
+    write_wave_trajectory_csv(str(path), _wave_states(4, 3), 1, METADATA)
+    before = path.read_bytes()
+
+    def failing_states():
+        yield from _wave_states(4, 1)
+        raise RuntimeError("step failed")
+
+    with pytest.raises(RuntimeError):
+        write_wave_trajectory_csv(str(path), failing_states(), 1, METADATA)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["trajectory.csv"]
+
+
+def test_states_of_another_shape_are_rejected(tmp_path):
+    states = [WaveState(CoefficientField.zeros(2), CoefficientField.zeros(2)),
+              WaveState(CoefficientField.zeros(3), CoefficientField.zeros(3))]
+    with pytest.raises(ValueError, match="band limit and dimension"):
+        write_wave_trajectory_csv(str(tmp_path / "trajectory.csv"), states, 1)
+    assert os.listdir(tmp_path) == []

@@ -43,7 +43,7 @@ def test_mass_and_per_mode_modulus_conservation():
     rng = np.random.default_rng(4)
     vr = CoefficientField(rng.standard_normal(mode_count(kappa, 3)), kappa)
     vi = CoefficientField(rng.standard_normal(mode_count(kappa, 3)), kappa)
-    traj = run_path_schrodinger(ZERO, vr, vi, kappa, 4.0, 100, seed=0)
+    traj = list(run_path_schrodinger(ZERO, vr, vi, kappa, 4.0, 100, seed=0))
     m0 = mode_modulus(traj[0])
     mass0 = m0.sum()
     for state in traj[1:]:
@@ -57,8 +57,8 @@ def test_one_step_equals_many_steps_without_noise():
     rng = np.random.default_rng(10)
     vr = CoefficientField(rng.standard_normal(mode_count(kappa, 3)), kappa)
     vi = CoefficientField(rng.standard_normal(mode_count(kappa, 3)), kappa)
-    one = run_path_schrodinger(ZERO, vr, vi, kappa, 1.0, 1, seed=0)[-1]
-    many = run_path_schrodinger(ZERO, vr, vi, kappa, 1.0, 100, seed=0)[-1]
+    one = list(run_path_schrodinger(ZERO, vr, vi, kappa, 1.0, 1, seed=0))[-1]
+    many = list(run_path_schrodinger(ZERO, vr, vi, kappa, 1.0, 100, seed=0))[-1]
     assert np.allclose(one.real.data, many.real.data, rtol=0, atol=1e-12)
     assert np.allclose(one.imag.data, many.imag.data, rtol=0, atol=1e-12)
 
@@ -128,3 +128,11 @@ def test_truncation_and_dimension_guards():
     with pytest.raises(ValueError):
         schrodinger_step(SchrodingerState(CoefficientField.zeros(4), CoefficientField.zeros(4)),
                          0.25, ZERO, np.random.default_rng(0), factors)
+
+
+@pytest.mark.parametrize("T,steps,store_every", [(1.0, 0, 1), (0.0, 4, 1), (-1.0, 4, 1),
+                                                 (1.0, 4, 0)])
+def test_run_path_checks_its_arguments_when_called(T, steps, store_every):
+    v = CoefficientField.zeros(3)
+    with pytest.raises(ValueError):
+        run_path_schrodinger(ZERO, v, v, 3, T, steps, seed=0, store_every=store_every)

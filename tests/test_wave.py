@@ -68,8 +68,8 @@ def test_run_path_single_vs_many_steps_without_noise():
     rng_data = np.random.default_rng(9)
     v1 = CoefficientField(rng_data.standard_normal(mode_count(kappa, 3)), kappa)
     v2 = CoefficientField(rng_data.standard_normal(mode_count(kappa, 3)), kappa)
-    one = run_path(ZERO, v1, v2, kappa, 3, 1.0, 1, seed=0)[-1]
-    many = run_path(ZERO, v1, v2, kappa, 3, 1.0, 10, seed=0)[-1]
+    one = list(run_path(ZERO, v1, v2, kappa, 3, 1.0, 1, seed=0))[-1]
+    many = list(run_path(ZERO, v1, v2, kappa, 3, 1.0, 10, seed=0))[-1]
     assert np.allclose(one.position.data, many.position.data, rtol=0, atol=1e-12)
     assert np.allclose(one.velocity.data, many.velocity.data, rtol=0, atol=1e-12)
 
@@ -88,7 +88,7 @@ def test_energy_conservation_over_many_steps():
     rng_data = np.random.default_rng(5)
     v1 = CoefficientField(rng_data.standard_normal(mode_count(kappa, 3)), kappa)
     v2 = CoefficientField(rng_data.standard_normal(mode_count(kappa, 3)), kappa)
-    traj = run_path(ZERO, v1, v2, kappa, 3, 5.0, 120, seed=0)
+    traj = list(run_path(ZERO, v1, v2, kappa, 3, 5.0, 120, seed=0))
     e0 = mode_energy(traj[0])
     for state in traj[1:]:
         assert np.allclose(mode_energy(state), e0, rtol=1e-10, atol=1e-14)
@@ -122,12 +122,12 @@ def test_run_path_bit_reproducible():
     kappa = 16
     ps = PowerSpectrum(alpha=3.0)
     v = CoefficientField.zeros(kappa)
-    a = run_path(ps, v, v, kappa, 3, 1.0, 5, seed=123)
+    a = list(run_path(ps, v, v, kappa, 3, 1.0, 5, seed=123))
     b = run_path(ps, v, v, kappa, 3, 1.0, 5, seed=123)
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.position.data, sb.position.data)
         assert np.array_equal(sa.velocity.data, sb.velocity.data)
-    c = run_path(ps, v, v, kappa, 3, 1.0, 5, seed=124)
+    c = list(run_path(ps, v, v, kappa, 3, 1.0, 5, seed=124))
     assert not np.array_equal(a[-1].position.data, c[-1].position.data)
 
 
@@ -200,7 +200,7 @@ def test_higher_dimension_contracts():
     rng_data = np.random.default_rng(21)
     v1 = CoefficientField(rng_data.standard_normal(mode_count(kappa, dim)), kappa, dim)
     v2 = CoefficientField(rng_data.standard_normal(mode_count(kappa, dim)), kappa, dim)
-    traj = run_path(ZERO, v1, v2, kappa, dim, 2.0, 50, seed=0)
+    traj = list(run_path(ZERO, v1, v2, kappa, dim, 2.0, 50, seed=0))
     e0 = mode_energy(traj[0])
     assert np.allclose(mode_energy(traj[-1]), e0, rtol=1e-10, atol=1e-14)
 
@@ -247,3 +247,19 @@ def test_projection_commutes_with_stepping():
         w1.truncated(kappa), w2.truncated(kappa))
     assert np.allclose(projected_after[0].data, small.position.data, rtol=0, atol=1e-14)
     assert np.allclose(projected_after[1].data, small.velocity.data, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("T,steps,store_every", [(1.0, 0, 1), (0.0, 4, 1), (-1.0, 4, 1),
+                                                 (1.0, 4, 0)])
+def test_run_path_checks_its_arguments_when_called(T, steps, store_every):
+    v = CoefficientField.zeros(3)
+    with pytest.raises(ValueError):
+        run_path(ZERO, v, v, 3, 3, T, steps, seed=0, store_every=store_every)
+
+
+def test_run_path_yields_the_stored_states_lazily():
+    kappa = 4
+    v = CoefficientField.zeros(kappa)
+    states = run_path(PowerSpectrum(alpha=3.0), v, v, kappa, 3, 1.0, 7, seed=2, store_every=3)
+    assert next(states).t == 0.0
+    assert [s.t for s in states] == pytest.approx([3 / 7, 6 / 7, 1.0])
