@@ -113,7 +113,8 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--weak-method", dest="weak_method", choices=["mc", "analytic"])
     parser.add_argument("--store-every", dest="store_every", type=int,
                         help="trajectory storage stride")
-    parser.add_argument("--threads", type=int, help="worker threads for per-mode samples (grid errors)")
+    parser.add_argument("--threads", type=int,
+                        help="worker threads for chunks of per-mode samples (grid errors)")
     parser.add_argument("--output", help="output directory")
 
 

@@ -33,6 +33,11 @@ from .modes import CoefficientField, laplacian_eigenvalue, harmonic_dimension  #
 
 FOUR_PI = 4.0 * math.pi
 
+# Largest Legendre order block synthesize_tails generates at once, in bytes.
+# Fewer blocks pay the per-degree recurrence overhead fewer times; the northern
+# half of the table is a single block up to kappa 255 on the default grid.
+LEGENDRE_BLOCK_BYTES = 32 * 2**20
+
 # Highest band limit whose Legendre table is verified: the addition theorem
 # sum_m (2 - delta_m0) Lbar_{ell,m}^2 = (2 ell + 1)/(4 pi) holds to 2e-13 for
 # every ell <= 1900 at the worst colatitude, sin(theta) = 1/e.
@@ -124,33 +129,47 @@ def _pair_offsets(kappa: int) -> np.ndarray:
     return m * (kappa + 1) - m * (m - 1) // 2
 
 
-def normalized_legendre_table(kappa: int, theta: np.ndarray) -> np.ndarray:
-    """Lbar_{ell,m} for all ell <= kappa, m <= ell, at each colatitude.
+def normalized_legendre_table(kappa: int, theta: np.ndarray, m0: int = 0,
+                              m1: int | None = None) -> np.ndarray:
+    """Lbar_{ell,m} for all ell <= kappa and the orders m0 <= m < m1, at each colatitude.
 
     Returns an array of shape (n_pairs, n_theta) packed m-major: row
-    _pair_offsets(kappa)[m] + (ell - m) holds (ell, m).  The seeds Lbar_{m,m}
-    and Lbar_{m+1,m} are set order by order; the three-term recurrence then
-    runs degree by degree over all orders m <= n - 2 at once.
+    _pair_offsets(kappa)[m] - _pair_offsets(kappa)[m0] + (ell - m) holds
+    (ell, m).  By default m1 = kappa + 1, the full table.  The diagonal seeds
+    Lbar_{m,m} are products over the orders from 0 up, so every order range
+    gets the entries of the full table bit for bit; the three-term recurrence
+    then runs degree by degree over all orders of the range at once.
     """
+    m1 = kappa + 1 if m1 is None else m1
+    if not 0 <= m0 < m1 <= kappa + 1:
+        raise ValueError(f"need 0 <= m0 < m1 <= kappa + 1, got m0={m0}, m1={m1}, kappa={kappa}")
     theta = np.asarray(theta, dtype=float)
     cos_t = np.cos(theta)
     sin_t = np.sin(theta)
-    offsets = _pair_offsets(kappa)
+    offsets = _pair_offsets(kappa)[m0:m1 + 1]
+    offsets = offsets - offsets[0]
     table = np.empty((offsets[-1], theta.size))
-    diag = np.full(theta.size, 1.0 / math.sqrt(FOUR_PI))
-    for m in range(kappa + 1):
-        if m > 0:
-            diag = _normalized_diag_seed(m, sin_t, diag)
-        table[offsets[m]] = diag
-        if m < kappa:
-            table[offsets[m] + 1] = math.sqrt(2 * m + 3.0) * cos_t * diag
-    # prev[m], prev2[m]: Lbar_{n-1,m} and Lbar_{n-2,m} while degree n is built
-    prev, prev2, work = np.empty((3, kappa + 1, theta.size))
-    for n in range(2, kappa + 1):
-        k = n - 1  # orders m < k recur; order k - 1 joins from its two seeds
-        prev[k - 1] = table[offsets[k - 1] + 1]
-        prev2[k - 1] = table[offsets[k - 1]]
-        m = np.arange(k)
+    # Lbar_{m,m} = Lbar_{m-1,m-1} * (-sqrt((2m + 1)/(2m)) sin(theta)), accumulated in order
+    factors = np.empty((m1, theta.size))
+    factors[0] = 1.0 / math.sqrt(FOUR_PI)
+    up = np.arange(1, m1)
+    np.multiply(-np.sqrt((2 * up + 1) / (2.0 * up))[:, None], sin_t, out=factors[1:])
+    diag = np.cumprod(factors, axis=0)[m0:]
+    orders = np.arange(m0, m1)
+    table[offsets[:-1]] = diag
+    inner = orders < kappa  # Lbar_{m+1,m} exists
+    table[offsets[:-1][inner] + 1] = (np.sqrt(2 * orders[inner] + 3.0)[:, None] * cos_t
+                                      * diag[inner])
+    # prev[i], prev2[i]: Lbar_{n-1,m} and Lbar_{n-2,m} of order m = m0 + i while
+    # degree n is built
+    prev, prev2, work = np.empty((3, m1 - m0, theta.size))
+    for n in range(m0 + 2, kappa + 1):
+        j = n - 2 - m0  # order n - 2 joins from its two seeds
+        if j < m1 - m0:
+            prev[j] = table[offsets[j] + 1]
+            prev2[j] = table[offsets[j]]
+        k = min(j + 1, m1 - m0)  # orders m0 .. m0 + k - 1 recur
+        m = orders[:k]
         a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
         b = np.sqrt((2.0 * n + 1.0) / (2.0 * n - 3.0)
                     * ((n - 1.0) ** 2 - m * m) / (n * n - m * m))
@@ -159,9 +178,24 @@ def normalized_legendre_table(kappa: int, theta: np.ndarray) -> np.ndarray:
         older = prev2[:k]
         older *= b[:, None]
         np.subtract(row, older, out=older)  # a cos(theta) Lbar_{n-1,m} - b Lbar_{n-2,m}
-        table[offsets[m] + n - m] = older
+        table[offsets[:k] + n - m] = older
         prev, prev2 = prev2, prev  # degree n becomes n - 1
     return table
+
+
+def _legendre_blocks(kappa: int, theta: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(m0, m1, rows): the Legendre table in consecutive order blocks [m0, m1).
+
+    Each block holds at most LEGENDRE_BLOCK_BYTES, or a single order where one
+    order alone is larger; small tables come as one block.
+    """
+    offsets = _pair_offsets(kappa)
+    rows = max(LEGENDRE_BLOCK_BYTES // (8 * theta.size), 1)
+    m0 = 0
+    while m0 <= kappa:
+        m1 = max(int(np.searchsorted(offsets, offsets[m0] + rows, side="right")) - 1, m0 + 1)
+        yield m0, m1, normalized_legendre_table(kappa, theta, m0, m1)
+        m0 = m1
 
 
 def _physical_memory() -> int | None:
@@ -190,7 +224,6 @@ class SphereGrid:
         self.theta = np.arccos(nodes[::-1])
         self.theta_weights = weights[::-1].copy()
         self.phi = 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
-        self._basis_tables: dict[int, np.ndarray] = {}
         self._phase_tables: dict[int, np.ndarray] = {}
 
     @property
@@ -203,23 +236,6 @@ class SphereGrid:
 
     def integrate(self, values: np.ndarray) -> float:
         return float(self.theta_weights @ values.sum(axis=1)) * self.phi_weight
-
-    def basis_table(self, kappa: int) -> np.ndarray:
-        """Cached normalized Legendre table at this grid's colatitudes.
-
-        Raises ValueError, before allocating, if the table would not fit in
-        physical memory.
-        """
-        if kappa not in self._basis_tables:
-            nbytes = (kappa + 1) * (kappa + 2) // 2 * self.n_theta * 8
-            memory = _physical_memory()
-            if memory is not None and nbytes > memory:
-                raise ValueError(
-                    f"the Legendre table for kappa={kappa} on n_theta={self.n_theta} "
-                    f"colatitudes needs {nbytes / 1e9:.1f} GB, more than the "
-                    f"{memory / 1e9:.1f} GB of physical memory")
-            self._basis_tables[kappa] = normalized_legendre_table(kappa, self.theta)
-        return self._basis_tables[kappa]
 
     def phase_table(self, kappa: int) -> np.ndarray:
         """Cached phi factors of the real basis, shape (2 (kappa + 1), n_phi).
@@ -256,70 +272,143 @@ class GridField:
 def synthesize(coeffs: CoefficientField, grid: SphereGrid) -> GridField:
     """Evaluate a coefficient field pointwise on the grid (S^2 only).
 
-    The single-shell case of synthesize_tails.  Cost: the theta sums are
-    O(kappa^2 n_theta), the phi sums one O(n_theta kappa n_phi) product.
-    """
-    (values,) = synthesize_tails(coeffs, grid, [-1])
-    return GridField(values, grid)
-
-
-def _packed_coefficients(data: np.ndarray, kappa: int) -> np.ndarray:
-    """Cos (row 0) and sin (row 1) coefficients in the Legendre table's row order."""
-    offsets = _pair_offsets(kappa)
-    m = np.repeat(np.arange(kappa + 1), np.diff(offsets))
-    ell = np.arange(offsets[-1]) - offsets[m] + m
-    cos_index = ell * ell + np.maximum(2 * m - 1, 0)
-    packed = np.zeros((2, offsets[-1]))
-    packed[0] = data[cos_index]
-    packed[1, offsets[1]:] = data[cos_index[offsets[1]:] + 1]
-    return packed
-
-
-def synthesize_tails(coeffs: CoefficientField, grid: SphereGrid,
-                     kappas: Sequence[int]) -> Iterator[np.ndarray]:
-    """Grid values of the tails above each of the increasing `kappas`, largest first.
-
-    The tail above k keeps the degrees k < ell <= coeffs.kappa; every k must
-    lie below coeffs.kappa, and k = -1 gives the whole field.  The degrees
-    are split into shells (kappas[j], kappas[j + 1]] and (kappas[-1],
-    coeffs.kappa].  One pass over the orders m forms every shell's theta
-    profiles from the grid's cached Legendre table.  The shells are then
-    added from the top into one running (n_theta, n_phi) array, each with one
-    product against the grid's cached phase table, of which a shell with top
-    degree k uses the first 2 (k + 1) rows.  The running array is yielded
-    after each shell and overwritten by the next, so reduce or copy it before
-    advancing.  Degrees at or below kappas[0] are never touched.
-
-    Cost per field: theta O(kappa^2 n_theta) once; phi O(n_theta kappa n_phi)
-    for the top shell plus O(n_theta k n_phi) for each lower shell of top k.
+    The one-field, single-shell case of synthesize_tails.
     """
     if coeffs.dim != 3:
         raise ValueError(f"pointwise synthesis is available for dim == 3 only, got dim={coeffs.dim}")
-    kappa = coeffs.kappa
+    (values,) = synthesize_tails(coeffs.data[None], coeffs.kappa, grid, [-1])
+    return GridField(values[0], grid)
+
+
+def synthesis_field_bytes(kappa: int, grid: SphereGrid) -> int:
+    """Bytes one field adds to the working set of synthesize_tails at band kappa.
+
+    Counts the running array and the product added into it (n_theta x n_phi
+    each), the top shell's theta profiles (2 (kappa + 1) x n_theta) and the
+    packed coefficients (two per (ell, m) pair).  The lower shells' profiles
+    fit in the product's room while the top shell is added, as long as their
+    top degrees k have sum(k + 1) <= n_phi / 2.  Raises ValueError when the
+    count exceeds physical memory; nothing is allocated before the check.
+    """
+    pairs = (kappa + 1) * (kappa + 2) // 2
+    nbytes = 8 * (2 * grid.n_theta * grid.n_phi + 2 * (kappa + 1) * grid.n_theta + 2 * pairs)
+    memory = _physical_memory()
+    if memory is not None and nbytes > memory:
+        raise ValueError(
+            f"synthesis at kappa={kappa} on a {grid.n_theta} x {grid.n_phi} grid "
+            f"(n_theta x n_phi) needs {nbytes / 1e9:.3g} GB per field, more than the "
+            f"{memory / 1e9:.3g} GB of physical memory")
+    return nbytes
+
+
+def _packed_coefficients(data: np.ndarray, kappa: int) -> np.ndarray:
+    """Cos (row 0) and sin (row 1) coefficients of each field, by order and parity.
+
+    Shape (2, n_fields, n_pairs).  Order m fills the columns
+    _pair_offsets(kappa)[m:m + 2]: first its degrees with ell - m even, then
+    those with ell - m odd, each ascending.
+    """
+    offsets = _pair_offsets(kappa)
+    m = np.repeat(np.arange(kappa + 1), np.diff(offsets))
+    r = np.arange(offsets[-1]) - offsets[m]
+    n_even = (kappa - m) // 2 + 1
+    ell = m + np.where(r < n_even, 2 * r, 2 * (r - n_even) + 1)
+    cos_index = ell * ell + np.maximum(2 * m - 1, 0)
+    packed = np.empty((2, data.shape[0], offsets[-1]))
+    # mode="clip" writes straight into `out`; it also keeps order 0's unused sin
+    # index, zeroed below, in range at kappa 0
+    np.take(data, cos_index, axis=1, out=packed[0], mode="clip")
+    np.take(data, cos_index + 1, axis=1, out=packed[1], mode="clip")
+    packed[1, :, :offsets[1]] = 0.0  # order 0 has no sin part
+    return packed
+
+
+def synthesize_tails(data: np.ndarray, kappa: int, grid: SphereGrid,
+                     kappas: Sequence[int]) -> Iterator[np.ndarray]:
+    """Grid values of the tails above each of the increasing `kappas`, largest first.
+
+    `data` stacks the coefficient arrays of B fields on S^2 at band limit
+    kappa, shape (B, (kappa + 1)^2).  The tail above k keeps the degrees
+    k < ell <= kappa; every k must lie below kappa, and k = -1 gives the whole
+    field.  The degrees are split into shells (kappas[j], kappas[j + 1]] and
+    (kappas[-1], kappa].
+
+    Theta: the Legendre rows are generated in order blocks at the northern
+    colatitudes only (and the equator when n_theta is odd), applied to the
+    whole batch and dropped; no table is stored.  Gauss-Legendre nodes are
+    antisymmetric and Lbar_{ell,m}(pi - theta) = (-1)^{ell+m} Lbar_{ell,m}(theta),
+    so per order and shell one (2B, rows) x (rows, n_north) product over the
+    even ell - m and one over the odd give E and O, and the northern and
+    southern profiles are E + O and E - O.
+
+    Phi: the shells are added from the top into one running (B, n_theta,
+    n_phi) array, each with one product against the grid's cached phase
+    table, of which a shell with top degree k uses the first 2 (k + 1) rows.
+    The running array is yielded after each shell and overwritten by the
+    next, so reduce or copy it before advancing.  Degrees at or below
+    kappas[0] are never touched.
+
+    Cost per field: theta O(kappa^2 n_theta / 2) once; phi O(n_theta kappa
+    n_phi) for the top shell plus O(n_theta k n_phi) for each lower shell of
+    top k.  Raises ValueError, before allocating, if one field's working set
+    (synthesis_field_bytes) exceeds physical memory.
+    """
     if kappa > MAX_SYNTHESIS_BAND:
         raise ValueError(f"band limit {kappa} exceeds synthesis maximum {MAX_SYNTHESIS_BAND}")
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.shape[1] != (kappa + 1) ** 2:
+        raise ValueError(f"expected coefficient arrays of shape (B, {(kappa + 1) ** 2}) for "
+                         f"band limit {kappa}, got {data.shape}")
     bottoms = [int(k) for k in kappas]
     if not bottoms or any(b <= a for a, b in zip(bottoms, bottoms[1:])) or bottoms[-1] >= kappa:
         raise ValueError(f"kappas must be strictly increasing and below the band limit "
                          f"{kappa}, got {bottoms}")
+    synthesis_field_bytes(kappa, grid)  # refuses a field larger than memory
     shells = list(zip(bottoms, bottoms[1:] + [kappa]))
-    table = grid.basis_table(kappa)
+    profiles = _theta_profiles(data, kappa, grid, shells)
+    n_fields = data.shape[0]
     phase = grid.phase_table(kappa)
+    values = tail = None
+    for _, hi in reversed(shells):  # each shell's profiles are dropped once added
+        rows = 2 * (hi + 1)
+        if values is None:
+            values = profiles.pop().reshape(rows, -1).T @ phase[:rows]
+        else:
+            tail = np.matmul(profiles.pop().reshape(rows, -1).T, phase[:rows], out=tail)
+            values += tail
+        yield values.reshape(n_fields, grid.n_theta, grid.n_phi)
+
+
+def _theta_profiles(data, kappa, grid, shells) -> list[np.ndarray]:
+    """Per shell (lo, hi], the theta sums of every field, shape (2 (hi + 1), B, n_theta).
+
+    Row 2m + c, field b holds the sum over the shell's degrees of the cos
+    (c = 0) or sin (c = 1) coefficient of order m times Lbar_{ell,m}.  The
+    Legendre blocks, the packed coefficients and the even and odd partial
+    sums are dropped on return.
+    """
+    n_fields, n_theta = data.shape[0], grid.n_theta
+    n_north, n_south = (n_theta + 1) // 2, n_theta // 2
     offsets = _pair_offsets(kappa)
-    packed = _packed_coefficients(coeffs.data, kappa)
-    # profiles[j][2m], [2m + 1]: sum over shell j's degrees of c_cos Lbar, c_sin Lbar
-    profiles = [np.zeros((2 * (hi + 1), grid.n_theta)) for _, hi in shells]
-    for m in range(kappa + 1):
-        block = table[offsets[m]:offsets[m + 1]]
-        coef = packed[:, offsets[m]:offsets[m + 1]]
-        for (lo, hi), profile in zip(shells, profiles):
-            start, stop = max(lo + 1 - m, 0), hi + 1 - m  # rows of degrees in the shell
-            if stop > start:
-                profile[2 * m:2 * m + 2] = coef[:, start:stop] @ block[start:stop]
-    values = np.zeros((grid.n_theta, grid.n_phi))
-    for (_, hi), profile in reversed(list(zip(shells, profiles))):
-        values += profile.T @ phase[:2 * (hi + 1)]
-        yield values
+    packed = _packed_coefficients(data, kappa).reshape(2 * n_fields, -1)
+    profiles = [np.zeros((2 * (hi + 1), n_fields, n_theta)) for _, hi in shells]
+    for m0, m1, block in _legendre_blocks(kappa, grid.theta[:n_north]):
+        for m in range(m0, m1):
+            rows = block[offsets[m] - offsets[m0]:offsets[m + 1] - offsets[m0]]
+            coef = packed[:, offsets[m]:offsets[m + 1]]
+            n_even = (kappa - m) // 2 + 1
+            for (lo, hi), profile in zip(shells, profiles):
+                start, stop = max(lo + 1 - m, 0), hi + 1 - m  # rows ell - m of the shell
+                if stop <= start:
+                    continue
+                e0, e1, o0, o1 = (start + 1) // 2, (stop + 1) // 2, start // 2, stop // 2
+                even = coef[:, e0:e1] @ rows[2 * e0:2 * e1:2]
+                odd = coef[:, n_even + o0:n_even + o1] @ rows[2 * o0 + 1:2 * o1 + 1:2]
+                out = profile[2 * m:2 * m + 2].reshape(2 * n_fields, n_theta)
+                np.add(even, odd, out=out[:, :n_north])
+                # southern row n_theta - 1 - i mirrors northern row i
+                np.subtract(even[:, :n_south], odd[:, :n_south], out=out[:, n_north:][:, ::-1])
+    return profiles
 
 
 def grid_l2_norm(f: GridField) -> float:

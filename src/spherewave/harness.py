@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .harmonics import GridField, SphereGrid, grid_l2_norm, grid_max_abs, synthesize_tails
+from .harmonics import SphereGrid, synthesis_field_bytes, synthesize_tails
 from .modes import (CoefficientField, degree_offsets, degree_sizes, laplacian_eigenvalue,
                     mode_count, mode_degrees)
 from .noise import ConvFactorTable, _factor_entries, _wave_entries, sample_degree_wishart
@@ -401,40 +401,49 @@ def _degree_tails(per_degree: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
     return np.sqrt(np.maximum(tails, 0.0))
 
 
-class _TailErrors:
-    """Per-sample truncation errors for every tested kappa and one error kind.
+# Working memory of one chunk of grid-error samples, two fields each at
+# harmonics.synthesis_field_bytes; at kappa_ref 256 on the default grid a chunk
+# holds 9 samples.  Larger chunks share each Legendre block among more fields.
+SAMPLE_CHUNK_BYTES = 64 * 2**20
 
-    Grid errors take one synthesis pass per coefficient array: the tails are
-    built shell by shell from the top (synthesize_tails) and each is reduced
-    before the next shell is added, so no tail field is stored.
+
+class _TailErrors:
+    """Grid errors of the tails above every tested kappa, for a stack of fields.
+
+    One batched synthesis pass (synthesize_tails) serves the whole stack: the
+    tails are built shell by shell from the top, and each is reduced (max-abs
+    or quadrature L^2) before the next shell is added, so no tail field is
+    stored.  `chunk` is the number of samples (two fields each) whose working
+    set fits SAMPLE_CHUNK_BYTES; it depends on kappa_ref and the grid shape
+    only, so a run's results do not depend on --threads.
     """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.offsets = degree_offsets(cfg.kappa_ref, cfg.dim)
-        if cfg.error_kind in ("l2-grid", "max-grid"):
-            self.grid = cfg.grid()
-            self.grid.basis_table(cfg.kappa_ref)  # build the cache up front
-        else:
-            self.grid = None
+        self.grid = cfg.grid()
+        field_bytes = synthesis_field_bytes(cfg.kappa_ref, self.grid)
+        self.chunk = max(1, SAMPLE_CHUNK_BYTES // (2 * field_bytes))
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
-        if cfg.error_kind == "l2-coefficients":
-            return _degree_tails(np.add.reduceat(data**2, self.offsets), cfg)
-        norm = grid_l2_norm if cfg.error_kind == "l2-grid" else grid_max_abs
-        field = CoefficientField(data, cfg.kappa_ref, cfg.dim)
-        largest_first = [norm(GridField(values, self.grid))
-                         for values in synthesize_tails(field, self.grid, cfg.kappas)]
-        return np.array(largest_first[::-1])
+        """Errors of the (B, n_modes) stack `data`, shape (B, len(kappas)), kappas ascending."""
+        cfg, grid = self.cfg, self.grid
+        largest_first = []
+        for values in synthesize_tails(data, cfg.kappa_ref, grid, cfg.kappas):
+            if cfg.error_kind == "max-grid":
+                largest_first.append(np.maximum(values.max(axis=(1, 2)),
+                                                -values.min(axis=(1, 2))))
+            else:
+                squares = np.einsum("btp,btp->bt", values, values) @ grid.theta_weights
+                largest_first.append(np.sqrt(np.maximum(squares * grid.phi_weight, 0.0)))
+        return np.stack(largest_first[::-1], axis=1)
 
 
 def _map_samples(cfg, fn, n, sampler):
     """Evaluate fn(0..n-1) preserving index order.
 
-    Only per-mode samples run on cfg.threads workers.  A per-degree sample
-    takes about 0.1 ms at kappa_ref 256, less than handing it to a thread
-    costs, so those run serially.
+    Per-mode tasks (chunks of grid-error samples) run on cfg.threads workers.
+    A per-degree sample takes about 0.1 ms at kappa_ref 256, less than handing
+    it to a thread costs, so those run serially.
     """
     if cfg.threads > 1 and sampler == "per-mode":
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -442,11 +451,13 @@ def _map_samples(cfg, fn, n, sampler):
     return [fn(i) for i in range(n)]
 
 
-def _tail_error_sampler(cfg: ExperimentConfig):
-    """(fn, sampler name, grid metadata): fn(i) gives both components' tail errors.
+def _sample_tail_errors(cfg: ExperimentConfig, n: int):
+    """Both components' tail errors of samples 0..n-1, the sampler name, grid metadata.
 
     Coefficient-space errors need only per-degree sums of squares, so they use
-    the per-degree sampler; grid errors synthesize every coefficient.
+    the per-degree sampler, one task per sample.  Grid errors synthesize every
+    coefficient: each task draws a chunk of samples and synthesizes both
+    components of all of them in one batch.
     """
     if cfg.error_kind == "l2-coefficients":
         sampler = _DegreeSampler(cfg)
@@ -454,22 +465,28 @@ def _tail_error_sampler(cfg: ExperimentConfig):
         def per_degree(i):
             s11, _, s22 = sampler(i)
             return _degree_tails(s11, cfg), _degree_tails(s22, cfg)
-        return per_degree, "per-degree", {}
+        return _map_samples(cfg, per_degree, n, "per-degree"), "per-degree", {}
 
+    tails = _TailErrors(cfg)  # refuses a grid beyond physical memory before sampling
     terminal = _TerminalSampler(cfg)
-    tails = _TailErrors(cfg)
+    size = tails.chunk
 
-    def per_mode(i):
-        c1, c2 = terminal(i)
-        return tails(c1), tails(c2)
-    return per_mode, "per-mode", {"grid_n_theta": tails.grid.n_theta,
-                                  "grid_n_phi": tails.grid.n_phi}
+    def per_chunk(j):
+        indices = range(j * size, min(n, (j + 1) * size))
+        data = np.empty((2 * len(indices), mode_count(cfg.kappa_ref, cfg.dim)))
+        for k, i in enumerate(indices):
+            data[2 * k], data[2 * k + 1] = terminal(i)
+        errors = tails(data)
+        return list(zip(errors[0::2], errors[1::2]))
+
+    chunks = _map_samples(cfg, per_chunk, -(-n // size), "per-mode")
+    return ([r for chunk in chunks for r in chunk], "per-mode",
+            {"grid_n_theta": tails.grid.n_theta, "grid_n_phi": tails.grid.n_phi})
 
 
 def strong_error_experiment(cfg: ExperimentConfig) -> dict[str, ErrorTable]:
     """Mean-square truncation errors per kappa for both solution components."""
-    one, sampler, grid_meta = _tail_error_sampler(cfg)
-    results = _map_samples(cfg, one, cfg.samples, sampler)
+    results, sampler, grid_meta = _sample_tail_errors(cfg, cfg.samples)
     names = cfg.component_names()
     out = {}
     for pos, name in enumerate(names):
@@ -488,10 +505,10 @@ def strong_error_experiment(cfg: ExperimentConfig) -> dict[str, ErrorTable]:
 
 def pathwise_error_experiment(cfg: ExperimentConfig) -> dict[str, ErrorTable]:
     """Truncation errors along a single realization (sample index 0)."""
-    one, sampler, grid_meta = _tail_error_sampler(cfg)
+    (first,), sampler, grid_meta = _sample_tail_errors(cfg, 1)
     names = cfg.component_names()
     out = {}
-    for name, errs in zip(names, one(0)):
+    for name, errs in zip(names, first):
         out[name] = _make_table(cfg, "pathwise", name, list(cfg.kappas), errs,
                                 np.zeros_like(errs), sampler, extra=grid_meta)
     return out

@@ -16,7 +16,7 @@ import numpy as np
 
 from .harmonics import GridField
 from .harness import ErrorTable
-from .modes import CoefficientField, mode_labels
+from .modes import CoefficientField, mode_count, mode_labels
 
 
 def format_float(x: float) -> str:
@@ -103,12 +103,23 @@ def read_coefficient_csv(path: str) -> CoefficientField:
         raise ValueError(f"{path}: missing '# kappa=...' metadata line")
     kappa = int(meta["kappa"])
     dim = int(meta.get("dim", 3))
+    if kappa < 0 or dim < 3:
+        raise ValueError(f"{path}: need kappa >= 0 and dim >= 3, got kappa={kappa}, dim={dim}")
+    # Every degree has at least one mode, so a file with at most kappa rows is
+    # short whatever dim is; otherwise kappa is below the row count and the
+    # mode count costs O(rows).  The labels are built only for a file of the
+    # right length.
+    n_modes = mode_count(kappa, dim) if len(rows) > kappa else None
+    if n_modes is not None and len(rows) > n_modes:
+        raise ValueError(f"{path}: line {rows[n_modes][0]}: more than the {n_modes} "
+                         f"coefficient rows of kappa={kappa}, dim={dim}")
+    if len(rows) != n_modes:
+        expected = n_modes if n_modes is not None else f"at least {kappa + 1}"
+        raise ValueError(f"{path}: {len(rows)} coefficient rows, expected {expected} "
+                         f"for kappa={kappa}, dim={dim}")
     labels = mode_labels(kappa, dim)
-    values = np.empty(len(labels))
+    values = np.empty(n_modes)
     for j, (lineno, fields) in enumerate(rows):
-        if j >= len(labels):
-            raise ValueError(f"{path}: line {lineno}: more than the {len(labels)} coefficient "
-                             f"rows of kappa={kappa}, dim={dim}")
         try:
             label = tuple(int(f) for f in fields[:3])
             values[j] = float(fields[3])
@@ -118,9 +129,6 @@ def read_coefficient_csv(path: str) -> CoefficientField:
         if label != labels[j]:
             raise ValueError(f"{path}: line {lineno}: mode label {label} where {labels[j]} "
                              f"is expected (rows must follow the storage order)")
-    if len(rows) != len(labels):
-        raise ValueError(f"{path}: {len(rows)} coefficient rows, expected {len(labels)} "
-                         f"for kappa={kappa}, dim={dim}; first missing mode {labels[len(rows)]}")
     return CoefficientField(values, kappa, dim)
 
 

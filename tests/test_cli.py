@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from spherewave import cli, harmonics
+from spherewave import cli, harmonics, harness
+from spherewave import io as spherewave_io
 from spherewave.cli import PRESETS, build_parser, main, resolve_config
 from spherewave.io import read_coefficient_csv, write_coefficient_csv
 from spherewave.modes import CoefficientField, mode_count
@@ -212,11 +213,15 @@ def test_file_initial_data_flows_through(tmp_path):
     assert "initial_data=file" in text
 
 
-def test_outputs_are_byte_identical_across_thread_counts(tmp_path):
-    for kind in ("l2-coefficients", "l2-grid"):
-        dirs = [tmp_path / f"{kind}-t{threads}" for threads in (1, 2)]
+def test_outputs_are_byte_identical_across_thread_counts(tmp_path, monkeypatch):
+    # grid errors in chunks of two samples, so that both workers get chunks
+    fields = 2 * 2 * harmonics.synthesis_field_bytes(32, harmonics.SphereGrid(33, 66))
+    monkeypatch.setattr(harness, "SAMPLE_CHUNK_BYTES", fields)
+    for command, kind in [("convergence", "l2-coefficients"), ("convergence", "l2-grid"),
+                          ("convergence", "max-grid"), ("path-error", "max-grid")]:
+        dirs = [tmp_path / f"{command}-{kind}-t{threads}" for threads in (1, 2)]
         for threads, out in zip((1, 2), dirs):
-            assert run_cli("convergence", "--preset", "fig1", "--samples", "4",
+            assert run_cli(command, "--preset", "fig1", "--samples", "5",
                            "--kappa-ref", "32", "--kappas", "2,4,8,16",
                            "--error-kind", kind, "--threads", str(threads),
                            "--output", str(out)) == 0
@@ -281,6 +286,28 @@ def test_coefficient_file_with_wrong_row_count_is_rejected(tmp_path):
         read_coefficient_csv(str(path))
     path.write_text("\n".join(lines + ["4,0,0,1.0"]) + "\n")
     with pytest.raises(ValueError, match=r"coeffs\.csv: line \d+: more than the 16"):
+        read_coefficient_csv(str(path))
+
+
+def test_short_coefficient_file_is_rejected_before_building_labels(tmp_path, monkeypatch):
+    monkeypatch.setattr(spherewave_io, "mode_labels",
+                        lambda *a: pytest.fail("mode labels built for a short file"))
+    path = tmp_path / "short.csv"
+    path.write_text("# kappa=1000\n# dim=3\nell,m,component,value\n0,0,0,1.0\n")
+    with pytest.raises(ValueError, match=r"short\.csv: 1 coefficient rows, expected at least "
+                                         r"1001 for kappa=1000, dim=3"):
+        read_coefficient_csv(str(path))
+    path.write_text("# kappa=1\n# dim=8\nell,m,component,value\n0,0,0,1.0\n1,1,0,2.0\n")
+    with pytest.raises(ValueError, match=r"short\.csv: 2 coefficient rows, expected 9 "
+                                         r"for kappa=1, dim=8"):
+        read_coefficient_csv(str(path))
+
+
+@pytest.mark.parametrize("header", ["# kappa=-1\n", "# kappa=2\n# dim=2\n"])
+def test_coefficient_file_with_invalid_shape_is_rejected(tmp_path, header):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "ell,m,component,value\n0,0,0,1.0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: need kappa >= 0 and dim >= 3"):
         read_coefficient_csv(str(path))
 
 

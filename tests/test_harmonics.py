@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from spherewave import harmonics
 from spherewave.harmonics import (MAX_SYNTHESIS_BAND, SphereGrid, GridField, assoc_legendre,
                                   grid_l2_norm, grid_max_abs, legendre, normalized_legendre,
-                                  normalized_legendre_table, synthesize, synthesize_tails,
+                                  normalized_legendre_table, synthesis_field_bytes,
+                                  synthesize, synthesize_tails, _legendre_blocks,
                                   _pair_offsets)
 from spherewave.modes import (CoefficientField, harmonic_dimension,
                               laplacian_eigenvalue, mode_count)
@@ -228,11 +231,52 @@ def test_grid_field_shape_validation():
 
 
 def test_vectorized_table_is_bit_identical_to_the_loop():
-    grid = SphereGrid(65, 8)
-    theta = np.concatenate([grid.theta, [0.0, 0.05, math.asin(1.0 / math.e), math.pi]])
+    theta = _table_thetas()
     for kappa in (0, 1, 2, 5, 64):
         assert np.array_equal(normalized_legendre_table(kappa, theta),
                               loop_legendre_table(kappa, theta))
+
+
+def _table_thetas():
+    grid = SphereGrid(65, 8)
+    return np.concatenate([grid.theta, [0.0, 0.05, math.asin(1.0 / math.e), math.pi]])
+
+
+@pytest.mark.parametrize("kappa", [0, 1, 5, 64])
+def test_order_ranges_concatenate_to_the_full_table(kappa):
+    theta = _table_thetas()
+    full = normalized_legendre_table(kappa, theta)
+    for width in (1, 7, kappa + 1):
+        blocks = [normalized_legendre_table(kappa, theta, m0, min(m0 + width, kappa + 1))
+                  for m0 in range(0, kappa + 1, width)]
+        assert np.array_equal(np.concatenate(blocks), full), width
+
+
+def test_order_range_must_lie_within_the_band():
+    for m0, m1 in [(0, 0), (3, 2), (-1, 2), (0, 7)]:
+        with pytest.raises(ValueError, match="need 0 <= m0 < m1 <= kappa"):
+            normalized_legendre_table(5, [0.3], m0, m1)
+
+
+@pytest.mark.parametrize("budget_rows,kappa", [(1, 9), (10, 9), (40, 9), (10**6, 30)])
+def test_legendre_blocks_cover_the_orders_within_the_budget(monkeypatch, budget_rows, kappa):
+    theta = np.array([0.2, 1.0, 1.5])
+    monkeypatch.setattr(harmonics, "LEGENDRE_BLOCK_BYTES", budget_rows * 8 * theta.size)
+    blocks = list(_legendre_blocks(kappa, theta))
+    assert [m0 for m0, _, _ in blocks] == [0] + [m1 for _, m1, _ in blocks[:-1]]
+    assert blocks[-1][1] == kappa + 1
+    offsets = _pair_offsets(kappa)
+    for m0, m1, rows in blocks:
+        # a block holds at most the budget, or one order that alone exceeds it
+        assert rows.shape[0] <= budget_rows or m1 == m0 + 1
+        assert m1 == kappa + 1 or offsets[m1 + 1] - offsets[m0] > budget_rows
+    assert np.array_equal(np.concatenate([rows for *_, rows in blocks]),
+                          normalized_legendre_table(kappa, theta))
+
+
+def test_default_block_budget_keeps_small_tables_whole():
+    # the northern half of the default grid for kappa 128
+    assert len(list(_legendre_blocks(128, SphereGrid(129, 258).theta[:65]))) == 1
 
 
 def test_addition_theorem_holds_at_the_synthesis_guard():
@@ -256,27 +300,43 @@ def test_synthesis_above_the_guard_is_rejected():
         synthesize(CoefficientField.zeros(MAX_SYNTHESIS_BAND + 1), SphereGrid(2, 2))
 
 
-def test_basis_table_fails_before_allocating_beyond_physical_memory(monkeypatch):
-    grid = SphereGrid(65, 8)
+def test_synthesis_fails_before_allocating_beyond_physical_memory(monkeypatch):
+    grid = SphereGrid(65, 2000)
+    coeffs = CoefficientField.zeros(64)
     monkeypatch.setattr(harmonics, "_physical_memory", lambda: 10**6)
-    monkeypatch.setattr(harmonics, "normalized_legendre_table",
-                        lambda *a: pytest.fail("table built despite the memory check"))
-    # 2145 pairs x 65 colatitudes x 8 bytes = 1.1 MB
-    with pytest.raises(ValueError, match=r"kappa=64 on n_theta=65 .* 0\.0 GB"):
-        grid.basis_table(64)
+    for name in ("normalized_legendre_table", "_packed_coefficients"):
+        monkeypatch.setattr(harmonics, name,
+                            lambda *a: pytest.fail("allocated despite the memory check"))
+    # (2 x 65 x 2000 + 130 x 65 + 2 x 2145) values x 8 bytes = 2.18 MB per field
+    with pytest.raises(ValueError, match=r"kappa=64 on a 65 x 2000 grid .* needs 0\.00218 GB "
+                                         r"per field, more than the 0\.001 GB"):
+        synthesize(coeffs, grid)
+    assert grid._phase_tables == {}
     monkeypatch.undo()
     monkeypatch.setattr(harmonics, "_physical_memory", lambda: None)  # unknown: no check
-    assert grid.basis_table(64).shape == (2145, 65)
+    assert synthesize(coeffs, grid).values.shape == (65, 2000)
 
 
-def test_basis_table_size_estimate_matches_the_table():
-    grid = SphereGrid(9, 4)
-    table = grid.basis_table(12)
-    assert table.nbytes == (12 + 1) * (12 + 2) // 2 * 9 * 8
+def test_synthesis_field_bytes_bound_each_fields_working_set():
+    kappa = 48
+    grid = SphereGrid(kappa + 1, 2 * kappa + 2)
+    data = np.random.default_rng(0).standard_normal((8, mode_count(kappa, 3)))
+
+    def traced_peak(n_fields):
+        synthesize(CoefficientField(data[0], kappa), grid)  # the phase table is cached
+        tracemalloc.start()
+        try:
+            for _ in synthesize_tails(data[:n_fields], kappa, grid, [4]):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(8) - traced_peak(2) <= 6 * synthesis_field_bytes(kappa, grid)
 
 
-def _tails(coeffs, grid, kappas):
-    return [values.copy() for values in synthesize_tails(coeffs, grid, kappas)]
+def _tails(data, kappa, grid, kappas):
+    return [values.copy() for values in synthesize_tails(data, kappa, grid, kappas)]
 
 
 @pytest.mark.parametrize("n_theta,n_phi,kappas", [
@@ -285,18 +345,74 @@ def _tails(coeffs, grid, kappas):
     (30, 17, [1, 5]),               # n_phi < 2 kappa + 1: point values stay exact
     (25, 50, [1, 7, 8, 15]),        # gaps and a one-degree shell
     (25, 50, [0]),
+    (1, 3, [0, 5]),                 # the equator alone
+    (2, 5, [-1, 3]),                # one row per hemisphere
 ])
 def test_shell_tails_match_mode_by_mode_tails(n_theta, n_phi, kappas):
     kappa = 24
     rng = np.random.default_rng(n_theta * 100 + n_phi)
-    coeffs = CoefficientField(rng.standard_normal(mode_count(kappa, 3)), kappa)
+    data = rng.standard_normal((3, mode_count(kappa, 3)))
     grid = SphereGrid(n_theta, n_phi)
-    got = _tails(coeffs, grid, kappas)
+    got = _tails(data, kappa, grid, kappas)
     assert len(got) == len(kappas)
     for values, k in zip(got, reversed(kappas)):
-        expected = tail_values_by_modes(coeffs.data, kappa, grid.theta, grid.phi, k)
-        np.testing.assert_allclose(values, expected, rtol=1e-12,
-                                   atol=1e-12 * np.max(np.abs(expected)))
+        assert values.shape == (3, n_theta, n_phi)
+        for field, coeffs in zip(values, data):
+            expected = tail_values_by_modes(coeffs, kappa, grid.theta, grid.phi, k)
+            np.testing.assert_allclose(field, expected, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(expected)))
+
+
+_PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@_PROPERTY
+@given(st.data())
+def test_batched_tails_match_mode_by_mode_tails(draw):
+    kappa = draw.draw(st.integers(1, 24), label="kappa")
+    n_fields = draw.draw(st.integers(1, 5), label="fields")
+    kappas = sorted(draw.draw(st.sets(st.integers(-1, kappa - 1), min_size=1, max_size=4),
+                              label="kappas"))
+    n_theta = draw.draw(st.integers(1, kappa + 3), label="n_theta")
+    n_phi = draw.draw(st.integers(1, 2 * kappa + 3), label="n_phi")
+    seed = draw.draw(st.integers(0, 2**32 - 1), label="seed")
+    data = np.random.default_rng(seed).standard_normal((n_fields, mode_count(kappa, 3)))
+    grid = SphereGrid(n_theta, n_phi)
+    got = _tails(data, kappa, grid, kappas)
+    assert len(got) == len(kappas)
+    for values, k in zip(got, reversed(kappas)):
+        for field, coeffs in zip(values, data):
+            expected = tail_values_by_modes(coeffs, kappa, grid.theta, grid.phi, k)
+            np.testing.assert_allclose(field, expected, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(expected)))
+
+
+@_PROPERTY
+@given(kappa=st.integers(0, 24), n_fields=st.integers(1, 5), extra_theta=st.integers(0, 3),
+       extra_phi=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_batched_synthesis_keeps_parseval_on_exact_grids(kappa, n_fields, extra_theta,
+                                                         extra_phi, seed):
+    data = np.random.default_rng(seed).standard_normal((n_fields, mode_count(kappa, 3)))
+    grid = SphereGrid(kappa + 1 + extra_theta, 2 * kappa + 1 + extra_phi)
+    (values,) = synthesize_tails(data, kappa, grid, [-1])
+    for field, coeffs in zip(values, data):
+        assert grid.integrate(field**2) == pytest.approx(np.sum(coeffs**2), rel=1e-12)
+
+
+@_PROPERTY
+@given(n_theta=st.integers(1, 600))
+def test_grid_nodes_are_exactly_antisymmetric(n_theta):
+    # the hemisphere fold evaluates the Legendre rows at the northern colatitudes
+    # only and mirrors them: southern row n_theta - 1 - i must be the reflection
+    # of northern row i
+    grid = SphereGrid(n_theta, 3)
+    nodes = np.polynomial.legendre.leggauss(n_theta)[0]
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(grid.theta, np.arccos(nodes[::-1]))
+    assert np.array_equal(grid.theta_weights, grid.theta_weights[::-1])
+    north = (n_theta + 1) // 2
+    assert np.all(grid.theta[:north] <= math.pi / 2) and np.all(grid.theta[north:] > math.pi / 2)
 
 
 def test_full_synthesis_is_the_single_shell_case():
@@ -310,8 +426,15 @@ def test_full_synthesis_is_the_single_shell_case():
 
 
 def test_tails_need_increasing_kappas_below_the_band():
-    coeffs = CoefficientField.zeros(6)
+    data = np.zeros((2, mode_count(6, 3)))
     grid = SphereGrid(7, 14)
     for kappas in ([3, 3], [4, 2], [], [3, 6]):
         with pytest.raises(ValueError, match="strictly increasing and below the band"):
-            _tails(coeffs, grid, kappas)
+            _tails(data, 6, grid, kappas)
+
+
+def test_tails_need_a_stack_of_full_coefficient_arrays():
+    grid = SphereGrid(7, 14)
+    for shape in [(49,), (2, 48), (1, 2, 49)]:
+        with pytest.raises(ValueError, match=r"shape \(B, 49\) for band limit 6"):
+            _tails(np.zeros(shape), 6, grid, [2])

@@ -1,16 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spherewave import harness
 from spherewave.harness import (ErrorTable, ExperimentConfig, _TailErrors,
-                                _TerminalSampler, analytic_second_moment,
+                                _TerminalSampler, _degree_tails, analytic_second_moment,
                                 analytic_weak_error_experiment, default_fit_range,
                                 fit_rate, pathwise_error_experiment,
                                 strong_error_experiment, theoretical_rates,
                                 weak_error_experiment)
-from spherewave.modes import CoefficientField, mode_count
+from spherewave.modes import CoefficientField, degree_offsets, mode_count
 from spherewave.spectrum import PowerSpectrum
 
 
@@ -89,12 +90,14 @@ def test_reference_band_gives_zero_error_by_coupling():
 def test_grid_error_kinds_match_coefficient_space():
     base = dict(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, samples=4, seed=21)
     # Parseval on the same per-mode draws: grid tails equal coefficient tails
-    sampler = _TerminalSampler(ExperimentConfig(**base, error_kind="l2-grid"))
-    tails_coeff = _TailErrors(ExperimentConfig(**base, error_kind="l2-coefficients"))
-    tails_grid = _TailErrors(ExperimentConfig(**base, error_kind="l2-grid"))
-    for i in range(base["samples"]):
-        for data in sampler(i):
-            assert np.allclose(tails_coeff(data), tails_grid(data), rtol=1e-8)
+    cfg = ExperimentConfig(**base, error_kind="l2-grid")
+    sampler = _TerminalSampler(cfg)
+    data = np.array([c for i in range(base["samples"]) for c in sampler(i)])
+    tails_grid = _TailErrors(cfg)(data)
+    offsets = degree_offsets(cfg.kappa_ref, cfg.dim)
+    for row, errors in zip(data, tails_grid):
+        tails_coeff = _degree_tails(np.add.reduceat(row**2, offsets), cfg)
+        assert np.allclose(tails_coeff, errors, rtol=1e-8)
     # the experiments draw from different samplers (per-degree and per-mode),
     # so they agree in law: within Monte Carlo standard errors
     coeff = strong_error_experiment(ExperimentConfig(**base, error_kind="l2-coefficients"))
@@ -131,15 +134,12 @@ def test_max_grid_error_dominates_scaled_l2():
     cfg = ExperimentConfig(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, samples=1, seed=3,
                            error_kind="max-grid")
     sampler = _TerminalSampler(cfg)
-    tails_max = _TailErrors(cfg)
-    tails_l2 = _TailErrors(ExperimentConfig(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16,
-                                            samples=1, seed=3, error_kind="l2-grid"))
-    for i in range(5):
-        c1, c2 = sampler(i)
-        for data in (c1, c2):
-            e_max = tails_max(data)
-            e_l2 = tails_l2(data)
-            assert np.all(e_max >= e_l2 / math.sqrt(4.0 * math.pi) - 1e-12)
+    data = np.array([c for i in range(5) for c in sampler(i)])
+    e_max = _TailErrors(cfg)(data)
+    e_l2 = _TailErrors(ExperimentConfig(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16,
+                                        samples=1, seed=3, error_kind="l2-grid"))(data)
+    assert e_max.shape == e_l2.shape == (10, 3)
+    assert np.all(e_max >= e_l2 / math.sqrt(4.0 * math.pi) - 1e-12)
 
 
 def test_pathwise_experiment_single_realization():
@@ -342,3 +342,36 @@ def test_only_per_mode_samples_use_threads(monkeypatch):
     assert pools == []
     strong_error_experiment(ExperimentConfig(**base, error_kind="max-grid"))
     assert pools == [2]
+
+
+@pytest.mark.parametrize("kind", ["max-grid", "l2-grid"])
+def test_grid_errors_do_not_depend_on_the_chunk_a_sample_lands_in(monkeypatch, kind):
+    cfg = ExperimentConfig(alpha=2.0, kappas=[1, 4, 9], kappa_ref=20, samples=7, seed=8,
+                           error_kind=kind)
+    field_bytes = harness.synthesis_field_bytes(cfg.kappa_ref, cfg.grid())
+    runs = []
+    for chunk in (1, 3, cfg.samples):
+        monkeypatch.setattr(harness, "SAMPLE_CHUNK_BYTES", 2 * chunk * field_bytes)
+        assert _TailErrors(cfg).chunk == chunk
+        runs.append(harness._sample_tail_errors(cfg, cfg.samples)[0])
+    for run in runs[1:]:
+        assert len(run) == cfg.samples
+        for sample, reference in zip(run, runs[0]):
+            for errors, expected in zip(sample, reference):
+                np.testing.assert_allclose(errors, expected, rtol=1e-13, atol=0)
+
+
+def test_grid_error_memory_does_not_grow_with_the_samples():
+    cfg = dict(alpha=1.0, kappas=[2, 4, 8, 16, 32], kappa_ref=64, seed=4, error_kind="max-grid")
+    chunk = _TailErrors(ExperimentConfig(**cfg)).chunk
+
+    def traced_peak(samples):
+        tracemalloc.start()
+        try:
+            strong_error_experiment(ExperimentConfig(**cfg, samples=samples))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the smaller run fills one chunk; the larger runs four
+    assert traced_peak(4 * chunk) <= 1.3 * traced_peak(chunk)
