@@ -191,11 +191,11 @@ def _simulate_initial(cfg):
     return v1 or zero, v2 or zero
 
 
-# Peak resident bytes per mode of simulate and sample-field (states, noise, the
-# row template and one formatted field): the growth of peak RSS between 87k and
-# 609k modes of `simulate --equation wave-dsphere --dim 5 --steps 2` was 208 B
-# per mode, and 200 B for `sample-field`.
-BYTES_PER_MODE = 208
+# Peak resident bytes per mode of simulate and sample-field (states, noise and
+# the mode labels of the row prefixes): the growth of peak RSS between 87k and
+# 609k modes of `simulate --equation wave-dsphere --dim 5 --steps 2` was 192.4 B
+# per mode, and 184.5 B for `sample-field`.
+BYTES_PER_MODE = 193
 
 
 def _check_state_memory(cfg: ExperimentConfig):
@@ -277,6 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         _add_config_flags(p)
+        p.add_argument("--debug", action="store_true",
+                       help="re-raise a failure with its traceback after the error line")
     return parser
 
 
@@ -288,6 +290,8 @@ def main(argv=None) -> int:
         written = _COMMANDS[args.command](cfg)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
+        if args.debug:
+            raise
         return 1
     for path in written:
         print(path)

@@ -4,11 +4,31 @@ Every file starts with a metadata block reproducing the resolved configuration,
 so a run can be repeated bit-identically from its own output.  Floating-point
 values are written with 17 significant digits (lossless round trip); nothing
 time- or environment-dependent is ever written.
+
+The coefficient, grid and trajectory CSVs hold one value per row, so their
+writers format values with numpy in slices of `_SLICE` rows instead of one
+Python `%` call per value; the bytes are those of `"%.16e" % x`.  A finite x
+with 1e-280 <= |x| < 1e280 has the decimal exponent e10 = floor(log10|x|),
+corrected by one where log10 rounds across a power of ten, and
+S = |x| * 10**(16 - e10) lies in [1e16, 1e17).  The power of ten is held as
+a double-double (hi, lo) rounded from exact integers, |x| * hi is split
+exactly into p + err by Dekker's product, and S = p + (err + |x| * lo) has
+an absolute error below 1e-14.  The integer part N = floor(S) is therefore
+exact, and so is the rounding of S to 17 digits unless the remainder S - N
+lies within `_TIE` (1e-9) of 1/2.  The exponent is corrected from N before
+rounding; a rounding that carries N to 1e17 gives 1e16 and e10 + 1.  The
+digits of N come from a table of 4-digit groups, and every byte a row does
+not print (padding, a positive sign, the hundreds digit of a two-digit
+exponent) is NUL and deleted in one pass over the slice.  Python `%` formats, one by
+one, the values this argument does not cover: nan and inf, magnitudes below
+1e-280 (including subnormals) or from 1e280 up, and remainders near 1/2,
+which include the exact ties (166058747059374.62 is one at 17 digits).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 
@@ -18,9 +38,131 @@ from .harmonics import GridField
 from .harness import ErrorTable
 from .modes import CoefficientField, mode_count, mode_labels
 
+# Rows formatted per numpy pass, so the writers' working set does not grow
+# with the mode count or the grid size.
+_SLICE = 1 << 12
+_FAST_RANGE = (1e-280, 1e280)  # magnitudes formatted without Python `%`
+_E10_RANGE = (-281, 281)       # decimal exponents the fast path can meet
+_TIE = 1e-9                    # remainders this close to 1/2 go to Python `%`
+_SPLITTER = 134217729.0        # 2**27 + 1, Dekker's splitting constant
+_WORD = np.dtype("<u4")
+# One formatted value in words: "\0-d." "dddd" x 4 "e+ht" "o\n\0\0"
+_FLOAT_WORDS = 7
+
 
 def format_float(x: float) -> str:
     return f"{float(x):.16e}"
+
+
+def _split(a):
+    """Dekker's split of a into a high part of 26 bits and the exact rest."""
+    t = a * _SPLITTER
+    high = t - (t - a)
+    return high, a - high
+
+
+@functools.cache
+def _format_tables():
+    """Tables of the fast path; built on first use, not at import (a few ms).
+
+    Returns, indexed by e10_max - e10, the double-double 10**(16 - e10) as
+    (hi, lo) and hi's Dekker split; the byte words of the 4-digit groups
+    0000..9999; and, indexed by e10 - e10_min, the exponent words "e+ht"
+    (NUL for the hundreds digit below 100) and "o\n\0\0".
+    """
+    lo_e10, hi_e10 = _E10_RANGE
+    powers = []
+    for k in range(16 - hi_e10, 17 - lo_e10):
+        if k >= 0:
+            hi = float(10**k)
+            powers.append((hi, float(10**k - int(hi))))
+        else:
+            hi = 1 / 10**-k  # int / int rounds correctly
+            num, den = hi.as_integer_ratio()
+            powers.append((hi, (den - num * 10**-k) / (den * 10**-k)))
+    hi, lo = np.array(powers).T
+    digits = np.frombuffer(b"".join(b"%04d" % g for g in range(10**4)), _WORD)
+    heads, tails = [], []
+    for e in range(lo_e10, hi_e10 + 2):  # + 1 for a carry
+        hundreds, tens, ones = b"%03d" % abs(e)
+        heads.append(bytes([ord("e"), ord("-" if e < 0 else "+"),
+                            hundreds if abs(e) >= 100 else 0, tens]))
+        tails.append(bytes([ones, ord("\n"), 0, 0]))
+    return (hi, lo, *_split(hi), digits, np.frombuffer(b"".join(heads), _WORD),
+            np.frombuffer(b"".join(tails), _WORD))
+
+
+def _scaled(a, e10, tables):
+    """floor(S) and S - floor(S) of S = a * 10**(16 - e10), as a double-double."""
+    row = _E10_RANGE[1] - e10
+    hi, lo, hi_high, hi_low = (t[row] for t in tables[:4])
+    a_high, a_low = _split(a)
+    p = a * hi
+    err = ((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
+    s = err + a * lo
+    whole = np.floor(s)
+    return p.astype(np.int64) + whole.astype(np.int64), s - whole
+
+
+def _divmod(a, d):
+    # numpy divides by a scalar several times faster than np.divmod does
+    q = a // d
+    return q, a - q * d
+
+
+def _format_floats(x, out):
+    """Write the bytes of "%.16e\n" % v for each v of x into out, an (n, 7)
+    array of words, NUL where a byte is not printed (see the module notes).
+
+    Returns the indices of the values formatted by Python `%`.
+    """
+    tables = _format_tables()
+    magnitude = np.abs(x)
+    fast = (magnitude >= _FAST_RANGE[0]) & (magnitude < _FAST_RANGE[1])
+    zero = magnitude == 0
+    a = np.where(fast, magnitude, 1.0)
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    n, rem = _scaled(a, e10, tables)
+    off = np.flatnonzero((n < 10**16) | (n >= 10**17))
+    if off.size:  # log10 rounded across a power of ten
+        e10[off] += np.where(n[off] >= 10**17, 1, -1)
+        n[off], rem[off] = _scaled(a[off], e10[off], tables)
+        fast[off] &= (n[off] >= 10**16) & (n[off] < 10**17)
+    fast &= np.abs(rem - 0.5) >= _TIE
+    n += rem > 0.5
+    carry = n == 10**17
+    n[carry] = 10**16
+    e10 += carry
+    n[zero] = 0
+    e10[zero] = 0
+    lead, rest = _divmod(n, 10**16)
+    digits, heads, tails = tables[4:]
+    sign = np.where(np.signbit(x), ord("-"), 0)
+    out[:, 0] = (sign << 8) | ((lead + ord("0")) << 16) | (ord(".") << 24)  # NUL sign d .
+    for col, eight in zip((1, 3), _divmod(rest, 10**8)):
+        out[:, col], out[:, col + 1] = (digits[g] for g in _divmod(eight, 10**4))
+    out[:, 5] = heads[e10 - _E10_RANGE[0]]
+    out[:, 6] = tails[e10 - _E10_RANGE[0]]
+    slow = np.flatnonzero(~(fast | zero))
+    for i in slow:
+        out[i] = np.frombuffer((b"%.16e\n" % x[i]).ljust(4 * _FLOAT_WORDS, b"\0"), _WORD)
+    return slow
+
+
+def _write_rows(fh, values, prefix):
+    """Write "<prefix>%.16e\n" for each value to the binary handle fh.
+
+    prefix(rows), for a slice of rows, gives their prefixes as words with
+    NUL padding; the values are formatted `_SLICE` rows at a time.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    for start in range(0, len(values), _SLICE):
+        rows = slice(start, min(start + _SLICE, len(values)))
+        head = prefix(rows)
+        words = np.empty((len(head), head.shape[1] + _FLOAT_WORDS), _WORD)
+        words[:, :head.shape[1]] = head
+        _format_floats(values[rows], words[:, head.shape[1]:])
+        fh.write(words.tobytes().translate(None, b"\0"))
 
 
 def _metadata_lines(metadata: dict) -> list[str]:
@@ -60,20 +202,21 @@ def _header(metadata: dict, columns: str) -> str:
     return "\n".join(_metadata_lines(metadata) + [columns]) + "\n"
 
 
-def _mode_template(kappa: int, dim: int) -> str:
-    """'%' template of one field's rows 'ell,m,component,value', one per mode in
-    storage order; `template % tuple(data.tolist())` formats every value as
-    format_float does."""
-    return "".join(f"{ell},{m},{comp},%.16e\n" for ell, m, comp in mode_labels(kappa, dim))
+def _label_words(kappa: int, dim: int) -> np.ndarray:
+    """Row prefixes 'ell,m,component,' of the modes in storage order, as words."""
+    labels = np.array([f"{ell},{m},{comp}," for ell, m, comp in mode_labels(kappa, dim)],
+                      dtype=bytes)
+    width = -(-labels.itemsize // 4)
+    return labels.astype(f"S{4 * width}").view(_WORD).reshape(len(labels), width)
 
 
 def write_coefficient_csv(path: str, field: CoefficientField, metadata: dict | None = None):
     meta = dict(metadata) if metadata else {}
     # the field's own shape wins over whatever the caller carries
     meta.update({"kappa": field.kappa, "dim": field.dim})
-    with open(path, "w") as fh:
-        fh.write(_header(meta, "ell,m,component,value"))
-        fh.write(_mode_template(field.kappa, field.dim) % tuple(field.data.tolist()))
+    with open(path, "wb") as fh:
+        fh.write(_header(meta, "ell,m,component,value").encode())
+        _write_rows(fh, field.data, _label_words(field.kappa, field.dim).__getitem__)
 
 
 def read_coefficient_csv(path: str) -> CoefficientField:
@@ -132,18 +275,30 @@ def read_coefficient_csv(path: str) -> CoefficientField:
     return CoefficientField(values, kappa, dim)
 
 
+def _column_words(values) -> np.ndarray:
+    """'%.16e,' of each value as words, for the leading columns of a row."""
+    words = np.empty((len(values), _FLOAT_WORDS), _WORD)
+    _format_floats(values, words)
+    text = words.view(np.uint8)
+    text[text == ord("\n")] = ord(",")
+    return words
+
+
 def write_grid_field_csv(path: str, field: GridField, metadata: dict | None = None):
     """Row-major (theta, phi) samples; header theta,phi,value."""
     meta = dict(metadata) if metadata else {}
     # the resolved grid size wins over whatever the caller carries
     meta.update({"n_theta": field.grid.n_theta, "n_phi": field.grid.n_phi})
-    # theta.join(pieces) is the '%' template of one theta row: theta precedes
-    # every piece but the empty first one
-    pieces = [""] + [f",{format_float(phi)},%.16e\n" for phi in field.grid.phi]
-    with open(path, "w") as fh:
-        fh.write(_header(meta, "theta,phi,value"))
-        for theta, row in zip(field.grid.theta, field.values):
-            fh.write(format_float(theta).join(pieces) % tuple(row.tolist()))
+    theta = _column_words(field.grid.theta)
+    phi = _column_words(field.grid.phi)
+
+    def prefix(rows):
+        point = np.arange(rows.start, rows.stop)
+        return np.hstack((theta[point // len(phi)], phi[point % len(phi)]))
+
+    with open(path, "wb") as fh:
+        fh.write(_header(meta, "theta,phi,value").encode())
+        _write_rows(fh, field.values.ravel(), prefix)
 
 
 def _write_trajectory_csv(path, states, seed, metadata, names):
@@ -154,22 +309,23 @@ def _write_trajectory_csv(path, states, seed, metadata, names):
     leaves no trajectory that looks complete.
     """
     partial = path + ".part"
-    state = shape = template = None
+    state = shape = labels = None
     try:
-        with open(partial, "w") as fh:
-            fh.write(_header(metadata or {}, "ell,m,component,value"))
+        with open(partial, "wb") as fh:
+            fh.write(_header(metadata or {}, "ell,m,component,value").encode())
             for state in states:
                 fields = [getattr(state, name) for name in names]
-                if template is None:
+                if labels is None:
                     shape = (fields[0].kappa, fields[0].dim)
-                    template = _mode_template(*shape)
+                    labels = _label_words(*shape).__getitem__
                 if any((f.kappa, f.dim) != shape for f in fields):
                     raise ValueError(f"state at t={state.t} does not have the band limit "
                                      f"and dimension {shape} of the first state")
-                fh.write(f"# t={float(state.t)!r} kappa={shape[0]} d={shape[1]} seed={seed}\n")
+                fh.write(f"# t={float(state.t)!r} kappa={shape[0]} d={shape[1]} "
+                         f"seed={seed}\n".encode())
                 for name, f in zip(names, fields):
-                    fh.write(f"# field={name}\n")
-                    fh.write(template % tuple(f.data.tolist()))
+                    fh.write(f"# field={name}\n".encode())
+                    _write_rows(fh, f.data, labels)
         os.replace(partial, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

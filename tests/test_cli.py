@@ -62,6 +62,15 @@ def test_invalid_experiment_config_exits_nonzero(tmp_path, capsys):
     assert "kappa_ref" in capsys.readouterr().err
 
 
+def test_debug_flag_re_raises_after_the_error_line(tmp_path, capsys):
+    argv = ["convergence", "--kappas", "2,4,8", "--kappa-ref", "8", "--output", str(tmp_path)]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(ValueError, match="kappa_ref"):
+        run_cli(*argv, "--debug")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_convergence_writes_tables_with_metadata(tmp_path):
     out = tmp_path / "run"
     code = run_cli("convergence", "--preset", "fig1", "--samples", "5",

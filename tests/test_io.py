@@ -1,7 +1,9 @@
 """Streaming CSV writers against the line-by-line reference writers of oracles."""
 
+import io
 import os
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from spherewave import io as spherewave_io
 from spherewave.harmonics import GridField, SphereGrid
 from spherewave.io import (write_coefficient_csv, write_grid_field_csv,
                            write_schrodinger_trajectory_csv, write_wave_trajectory_csv)
@@ -134,3 +137,75 @@ def test_states_of_another_shape_are_rejected(tmp_path):
     with pytest.raises(ValueError, match="band limit and dimension"):
         write_wave_trajectory_csv(str(tmp_path / "trajectory.csv"), states, 1)
     assert os.listdir(tmp_path) == []
+
+
+def _written(values) -> bytes:
+    """What the writers' row formatter makes of values, with empty prefixes."""
+    values = np.asarray(values, dtype=np.float64)
+    fh = io.BytesIO()
+    spherewave_io._write_rows(fh, values,
+                              lambda rows: np.zeros((rows.stop - rows.start, 0), np.uint32))
+    return fh.getvalue()
+
+
+def _percent(values) -> bytes:
+    return "".join("%.16e\n" % v for v in np.asarray(values, dtype=np.float64).tolist()).encode()
+
+
+def _with_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # the neighbour of the largest double is inf
+        around = np.concatenate([np.nextafter(values, -np.inf), values,
+                                 np.nextafter(values, np.inf)])
+    return np.concatenate([around, -around])
+
+
+def test_formatter_matches_percent_around_powers_of_ten():
+    powers = np.array([float(f"1e{k}") for k in range(-307, 309)])
+    values = _with_neighbours(powers)
+    assert _written(values) == _percent(values)
+
+
+def test_formatter_matches_percent_at_the_fast_path_borders():
+    low, high = spherewave_io._FAST_RANGE
+    steps = np.arange(-64, 65)
+    values = np.concatenate([_with_neighbours([low, high]),
+                             low + steps * np.spacing(low), high + steps * np.spacing(high)])
+    assert _written(values) == _percent(values)
+
+
+def test_formatter_matches_percent_on_ties():
+    rng = np.random.default_rng(3)
+    # 18-digit integers ending in 5 (rounded to the nearest double)
+    integers = [float(10 * int(q) + 5) for q in rng.integers(10**16, 10**17 - 1, 2000)]
+    # doubles from 1e13 to 1e17 with short binary fractions, many of them exact
+    # decimal ties at 17 significant digits
+    fractions = [m / 2.0**j for j in range(1, 6)
+                 for m in rng.integers(int(1e13) << j, min(int(1e17) << j, 2**53), 2000)]
+    values = np.array(integers + fractions + [166058747059374.62])
+    digits = [Decimal(v).normalize().as_tuple().digits for v in fractions]
+    assert sum(len(d) == 18 and d[-1] == 5 for d in digits) > 1000  # exact ties
+    assert _written(values) == _percent(values)
+    assert _written(-values) == _percent(-values)
+
+
+def test_formatter_matches_percent_on_special_values():
+    tiny = np.finfo(np.float64).tiny
+    values = _with_neighbours([5e-324, 1e-310, tiny, np.finfo(np.float64).max, 0.0, 1.0])
+    values = np.concatenate([values, [np.nan, -np.nan, np.inf, -np.inf, -0.0]])
+    assert _written(values) == _percent(values)
+
+
+def test_formatter_matches_percent_on_random_bit_patterns():
+    rng = np.random.default_rng(4)
+    values = rng.integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False).view(np.float64)
+    assert _written(values) == _percent(values)
+
+
+def test_formatter_falls_back_rarely_on_normal_draws():
+    values = np.random.default_rng(5).standard_normal(10**5)
+    words = np.empty((values.size, spherewave_io._FLOAT_WORDS), np.uint32)
+    slow = spherewave_io._format_floats(values, words)
+    assert len(slow) < values.size // 10**4, len(slow)
+    text = words.view(np.uint8)
+    assert text[text != 0].tobytes() == _percent(values)
