@@ -10,6 +10,7 @@ explicit flags.  Named presets reproduce the reference experiments; run e.g.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -81,7 +82,8 @@ def _parse_kappas(text):
     return [int(tok) for tok in str(text).split(",") if tok.strip()]
 
 
-def _add_config_flags(parser: argparse.ArgumentParser):
+def _add_flags(parser: argparse.ArgumentParser):
+    """The flags of every subcommand: one per config key, then --debug."""
     parser.add_argument("--config", help="JSON file with flat config keys")
     parser.add_argument("--preset", choices=sorted(PRESETS), help="named experiment preset")
     parser.add_argument("--equation", choices=["wave", "wave-dsphere", "schrodinger"])
@@ -116,6 +118,8 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--threads", type=int,
                         help="worker threads for chunks of per-mode samples (grid errors)")
     parser.add_argument("--output", help="output directory")
+    parser.add_argument("--debug", action="store_true",
+                        help="re-raise a failure with its traceback after the error line")
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -193,9 +197,10 @@ def _simulate_initial(cfg):
 
 # Peak resident bytes per mode of simulate and sample-field (states, noise and
 # the mode labels of the row prefixes): the growth of peak RSS between 87k and
-# 609k modes of `simulate --equation wave-dsphere --dim 5 --steps 2` was 192.4 B
-# per mode, and 184.5 B for `sample-field`.
-BYTES_PER_MODE = 193
+# 609k modes of `simulate --equation wave-dsphere --dim 5 --steps 2` was 99.6 to
+# 100.0 B per mode in three fresh processes, and 49.1 to 49.4 B for
+# `sample-field`.
+BYTES_PER_MODE = 101
 
 
 def _check_state_memory(cfg: ExperimentConfig):
@@ -253,41 +258,40 @@ def cmd_sample_field(cfg: ExperimentConfig) -> list[str]:
     return written
 
 
+# subcommand: (function, help line)
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "convergence": cmd_convergence,
-    "weak": cmd_weak,
-    "path-error": cmd_path_error,
-    "sample-field": cmd_sample_field,
+    "simulate": (cmd_simulate, "sample one path and export the trajectory"),
+    "convergence": (cmd_convergence, "mean-square truncation errors across band limits"),
+    "weak": (cmd_weak, "weak errors of a test functional across band limits"),
+    "path-error": (cmd_path_error, "truncation errors of a single realization"),
+    "sample-field": (cmd_sample_field, "draw and export one isotropic random field"),
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it.
+
+    The flags are defined once, on a parent parser that every subcommand
+    copies: argparse copies parent actions without formatting each one again.
+    """
     parser = argparse.ArgumentParser(
         prog="spherewave",
         description="Spectral solver and convergence lab for stochastic wave and "
                     "Schrodinger equations on spheres.")
+    flags = argparse.ArgumentParser(add_help=False)
+    _add_flags(flags)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("simulate", "sample one path and export the trajectory"),
-        ("convergence", "mean-square truncation errors across band limits"),
-        ("weak", "weak errors of a test functional across band limits"),
-        ("path-error", "truncation errors of a single realization"),
-        ("sample-field", "draw and export one isotropic random field"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        _add_config_flags(p)
-        p.add_argument("--debug", action="store_true",
-                       help="re-raise a failure with its traceback after the error line")
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text, parents=[flags])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        written = _COMMANDS[args.command](cfg)
+        written = _COMMANDS[args.command][0](cfg)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         if args.debug:

@@ -15,8 +15,12 @@ the terminal state:
   from their exact (Wishart) law at O(kappa_ref) cost, whatever the dimension;
 * per-mode (`_TerminalSampler`): grid errors need every coefficient.
 
-Sample i draws from a generator seeded deterministically from (seed, i), so
-results do not depend on how samples are scheduled across workers.
+Both run in chunks of consecutive samples whose size depends on kappa_ref (and
+the grid) only: a per-degree chunk makes each sample's draws into a row of one
+array and does the algebra, tails and functionals once per chunk; a per-mode
+chunk synthesizes all its fields in one batch.  Sample i draws from a
+generator seeded deterministically from (seed, i), so results do not depend on
+the chunk a sample lands in or on how chunks are scheduled across workers.
 """
 
 from __future__ import annotations
@@ -325,6 +329,11 @@ class _DegreeSampler:
     Draw order per sample: the Bartlett variables of every degree (see
     sample_degree_wishart), then, with fixed data only, standard normals for
     the two explicit modes of every degree in (degree, mode, component) order.
+
+    `draw` takes a chunk of samples: each sample draws from its own generator
+    into a row of (chunk, kappa_ref + 1) arrays, and the algebra after the
+    draws runs once per chunk.  `chunk` is the number of samples whose row
+    array fits DEGREE_CHUNK_BYTES; it depends on kappa_ref only.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -350,6 +359,7 @@ class _DegreeSampler:
             sigma = sigma + np.einsum("lij,lj,lkj->lik", rot, var, rot)
         self.l11, self.l21, self.l22 = _factor_entries(sigma[:, 0, 0], sigma[:, 0, 1],
                                                        sigma[:, 1, 1])
+        self.chunk = max(1, DEGREE_CHUNK_BYTES // (8 * (kref + 1)))
         self.dof = sizes.astype(float)
         self.means = None
         if has_fixed:
@@ -379,26 +389,42 @@ class _DegreeSampler:
         present = (np.arange(2)[None, :] < sizes[:, None]).astype(float)
         return means, present
 
+    def draw(self, indices):
+        """(S11, S12, S22) per degree, shape (len(indices), kappa_ref + 1) each;
+        row k is sample indices[k]."""
+        rngs = [_sample_rng(self.cfg.seed, i) for i in indices]
+        s11, s12, s22 = sample_degree_wishart(self.l11, self.l21, self.l22, self.dof, rngs)
+        if self.means is not None:
+            z = np.empty((len(rngs), *self.means.shape))
+            for row, rng in zip(z, rngs):
+                rng.standard_normal(out=row)
+            u1 = (self.means[:, :, 0] + self.l11[:, None] * z[..., 0]) * self.present
+            u2 = (self.means[:, :, 1] + self.l21[:, None] * z[..., 0]
+                  + self.l22[:, None] * z[..., 1]) * self.present
+            s11 = s11 + np.sum(u1 * u1, axis=-1)
+            s12 = s12 + np.sum(u1 * u2, axis=-1)
+            s22 = s22 + np.sum(u2 * u2, axis=-1)
+        return s11, s12, s22
+
     def __call__(self, index: int):
         """(S11, S12, S22) per degree for sample `index`, each of length kappa_ref + 1."""
-        rng = _sample_rng(self.cfg.seed, index)
-        s11, s12, s22 = sample_degree_wishart(self.l11, self.l21, self.l22, self.dof, rng)
-        if self.means is not None:
-            z = rng.standard_normal(self.means.shape)
-            u1 = (self.means[:, :, 0] + self.l11[:, None] * z[:, :, 0]) * self.present
-            u2 = (self.means[:, :, 1] + self.l21[:, None] * z[:, :, 0]
-                  + self.l22[:, None] * z[:, :, 1]) * self.present
-            s11 = s11 + np.sum(u1 * u1, axis=1)
-            s12 = s12 + np.sum(u1 * u2, axis=1)
-            s22 = s22 + np.sum(u2 * u2, axis=1)
-        return s11, s12, s22
+        return tuple(s[0] for s in self.draw([index]))
 
 
 def _degree_tails(per_degree: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
-    """Tail norms above every tested kappa from the per-degree sums of squares."""
-    suffix = np.cumsum(per_degree[::-1])[::-1]
-    tails = [suffix[k + 1] if k + 1 <= cfg.kappa_ref else 0.0 for k in cfg.kappas]
+    """Tail norms above every tested kappa from the per-degree sums of squares.
+
+    per_degree has the degrees on its last axis; so has the result, one entry
+    per tested kappa (each below kappa_ref).
+    """
+    suffix = np.cumsum(per_degree[..., ::-1], axis=-1)[..., ::-1]
+    tails = suffix[..., np.asarray(cfg.kappas) + 1]
     return np.sqrt(np.maximum(tails, 0.0))
+
+
+# Size of one (chunk, kappa_ref + 1) array of per-degree draws: at kappa_ref
+# 256 a chunk holds 31 samples, and the chunk's arrays stay in the cache.
+DEGREE_CHUNK_BYTES = 64 * 2**10
 
 
 # Working memory of one chunk of grid-error samples, two fields each at
@@ -439,11 +465,12 @@ class _TailErrors:
 
 
 def _map_samples(cfg, fn, n, sampler):
-    """Evaluate fn(0..n-1) preserving index order.
+    """Evaluate fn(0..n-1) preserving index order; each task is a chunk of samples.
 
     Per-mode tasks (chunks of grid-error samples) run on cfg.threads workers.
-    A per-degree sample takes about 0.1 ms at kappa_ref 256, less than handing
-    it to a thread costs, so those run serially.
+    Per-degree chunks (about 3 ms at kappa_ref 256: 31 samples of small numpy
+    calls each) run serially; when they ran one sample per task, two threads
+    were measured slower than one.
     """
     if cfg.threads > 1 and sampler == "per-mode":
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -451,36 +478,41 @@ def _map_samples(cfg, fn, n, sampler):
     return [fn(i) for i in range(n)]
 
 
+def _map_chunks(cfg, fn, n, size, sampler):
+    """Per-sample results of samples 0..n-1 in index order, where fn(indices)
+    returns those of one chunk of at most `size` consecutive samples."""
+    chunks = _map_samples(cfg, lambda j: fn(range(j * size, min(n, (j + 1) * size))),
+                          -(-n // size), sampler)
+    return [r for chunk in chunks for r in chunk]
+
+
 def _sample_tail_errors(cfg: ExperimentConfig, n: int):
     """Both components' tail errors of samples 0..n-1, the sampler name, grid metadata.
 
     Coefficient-space errors need only per-degree sums of squares, so they use
-    the per-degree sampler, one task per sample.  Grid errors synthesize every
-    coefficient: each task draws a chunk of samples and synthesizes both
-    components of all of them in one batch.
+    the per-degree sampler.  Grid errors synthesize every coefficient: each
+    task draws a chunk of samples and synthesizes both components of all of
+    them in one batch.
     """
     if cfg.error_kind == "l2-coefficients":
         sampler = _DegreeSampler(cfg)
 
-        def per_degree(i):
-            s11, _, s22 = sampler(i)
-            return _degree_tails(s11, cfg), _degree_tails(s22, cfg)
-        return _map_samples(cfg, per_degree, n, "per-degree"), "per-degree", {}
+        def per_degree(indices):
+            s11, _, s22 = sampler.draw(indices)
+            return list(zip(_degree_tails(s11, cfg), _degree_tails(s22, cfg)))
+        return _map_chunks(cfg, per_degree, n, sampler.chunk, "per-degree"), "per-degree", {}
 
     tails = _TailErrors(cfg)  # refuses a grid beyond physical memory before sampling
     terminal = _TerminalSampler(cfg)
-    size = tails.chunk
 
-    def per_chunk(j):
-        indices = range(j * size, min(n, (j + 1) * size))
+    def per_mode(indices):
         data = np.empty((2 * len(indices), mode_count(cfg.kappa_ref, cfg.dim)))
         for k, i in enumerate(indices):
             data[2 * k], data[2 * k + 1] = terminal(i)
         errors = tails(data)
         return list(zip(errors[0::2], errors[1::2]))
 
-    chunks = _map_samples(cfg, per_chunk, -(-n // size), "per-mode")
-    return ([r for chunk in chunks for r in chunk], "per-mode",
+    return (_map_chunks(cfg, per_mode, n, tails.chunk, "per-mode"), "per-mode",
             {"grid_n_theta": tails.grid.n_theta, "grid_n_phi": tails.grid.n_phi})
 
 
@@ -526,18 +558,18 @@ def weak_error_experiment(cfg: ExperimentConfig,
         raise ValueError(f"unknown test functional {name_phi!r}")
     phi = FUNCTIONALS[name_phi]
     sampler = _DegreeSampler(cfg)
-    k_idx = np.asarray(cfg.kappas)
+    # phi of the tested prefixes and of the full norm in one call per chunk
+    columns = np.append(cfg.kappas, cfg.kappa_ref)
 
-    def one(i):
-        s11, _, s22 = sampler(i)
-        deltas = []
-        for per_degree in (s11, s22):
-            prefix = np.cumsum(per_degree)
-            ref = phi(prefix[-1])
-            deltas.append(ref - phi(prefix[k_idx]))
-        return deltas
+    def deltas(per_degree):
+        values = phi(np.cumsum(per_degree, axis=1)[:, columns])
+        return values[:, -1:] - values[:, :-1]
 
-    results = _map_samples(cfg, one, cfg.samples, "per-degree")
+    def per_chunk(indices):
+        s11, _, s22 = sampler.draw(indices)
+        return list(zip(deltas(s11), deltas(s22)))
+
+    results = _map_chunks(cfg, per_chunk, cfg.samples, sampler.chunk, "per-degree")
     names = cfg.component_names()
     out = {}
     for pos, name in enumerate(names):

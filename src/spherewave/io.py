@@ -36,7 +36,7 @@ import numpy as np
 
 from .harmonics import GridField
 from .harness import ErrorTable
-from .modes import CoefficientField, mode_count, mode_labels
+from .modes import CoefficientField, degree_offsets, mode_count, mode_degrees, mode_labels
 
 # Rows formatted per numpy pass, so the writers' working set does not grow
 # with the mode count or the grid size.
@@ -202,12 +202,48 @@ def _header(metadata: dict, columns: str) -> str:
     return "\n".join(_metadata_lines(metadata) + [columns]) + "\n"
 
 
+def _decimal_rows(top: int) -> np.ndarray:
+    """Digits of 0..top, one row each, right-aligned with NUL for leading zeros.
+
+    Shape (top + 1, len(str(top))), bytes; the digits come from the 4-digit
+    groups of the float formatter.
+    """
+    width = len(str(top))
+    groups = -(-width // 4)
+    words = np.empty((top + 1, groups), _WORD)
+    rest, digits = np.arange(top + 1), _format_tables()[4]
+    for g in reversed(range(groups)):
+        rest, group = _divmod(rest, 10**4)
+        words[:, g] = digits[group]
+    text = words.view(np.uint8)[:, 4 * groups - width:]
+    leading = np.logical_and.accumulate(text == ord("0"), axis=1)
+    leading[:, -1] = False
+    text[leading] = 0
+    return text
+
+
 def _label_words(kappa: int, dim: int) -> np.ndarray:
-    """Row prefixes 'ell,m,component,' of the modes in storage order, as words."""
-    labels = np.array([f"{ell},{m},{comp}," for ell, m, comp in mode_labels(kappa, dim)],
-                      dtype=bytes)
-    width = -(-labels.itemsize // 4)
-    return labels.astype(f"S{4 * width}").view(_WORD).reshape(len(labels), width)
+    """Row prefixes 'ell,m,component,' of the modes in storage order, as words.
+
+    From each mode's degree ell and index i within its degree: on S^2,
+    m = (i + 1) // 2 and the component is 0 for i = 0, then 1 (cos) and 2
+    (sin) in turn; above, (ell, i + 1, 0).  Both numbers are gathered from
+    digit rows formatted once per value, NUL-padded as the writers expect.
+    """
+    degrees = mode_degrees(kappa, dim)
+    index = np.arange(len(degrees)) - degree_offsets(kappa, dim)[degrees]
+    if dim == 3:
+        second, comp = (index + 1) // 2, np.where(index == 0, 0, 2 - index % 2)
+    else:
+        second, comp = index + 1, 0
+    ells, seconds = _decimal_rows(kappa), _decimal_rows(int(second.max()))
+    a, b = ells.shape[1], ells.shape[1] + 1 + seconds.shape[1]
+    text = np.zeros((len(degrees), 4 * -(-(b + 3) // 4)), np.uint8)
+    text[:, :a] = ells[degrees]
+    text[:, a + 1:b] = seconds[second]
+    text[:, [a, b, b + 2]] = ord(",")
+    text[:, b + 1] = ord("0") + comp
+    return text.view(_WORD)
 
 
 def write_coefficient_csv(path: str, field: CoefficientField, metadata: dict | None = None):

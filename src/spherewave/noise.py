@@ -223,21 +223,31 @@ def wiener_increment(ps: PowerSpectrum, kappa: int, dim: int, h: float,
 
 
 def sample_degree_wishart(l11: np.ndarray, l21: np.ndarray, l22: np.ndarray,
-                          dof: np.ndarray, rng: np.random.Generator):
-    """One Wishart_2(dof_ell, L_ell L_ell^T) matrix per degree (Bartlett decomposition).
+                          dof: np.ndarray, rngs):
+    """Wishart_2(dof_ell, L_ell L_ell^T) matrices per degree (Bartlett decomposition).
 
     With A = [[a11, 0], [a21, a22]], a11^2 ~ chi2(dof), a22^2 ~ chi2(dof - 1) and
     a21 ~ N(0, 1) independent, S = (L A)(L A)^T has the Wishart_2(dof, L L^T) law
-    for dof >= 1 (Bartlett 1933).  chi2(k) is drawn as gamma(k/2, 2), so dof = 1
+    for dof >= 1 (Bartlett 1933).  chi2(k) is drawn as 2 standard_gamma(k/2), the
+    bits of gamma(k/2, 2) with the generator left in the same state, so dof = 1
     gives a22 = 0, and dof = 0 gives S = 0.  L = [[l11, 0], [l21, l22]] per degree.
 
-    Draw order: a11^2 for every degree, then every a22^2, then every a21.
-    Returns the entries (s11, s12, s22), each with the shape of dof.
+    One independent draw per generator of the sequence `rngs`: each draws
+    a11^2 for every degree, then every a22^2, then every a21, into its own row,
+    and the algebra then runs once on all rows.  Returns the entries
+    (s11, s12, s22), each of shape (len(rngs), len(dof)).
     """
     dof = np.asarray(dof, dtype=float)
-    a11 = np.sqrt(rng.gamma(dof / 2.0, 2.0))
-    a22 = np.sqrt(rng.gamma(np.maximum(dof - 1.0, 0.0) / 2.0, 2.0))
-    a21 = np.where(dof > 0.0, rng.standard_normal(dof.shape), 0.0)
+    k11 = dof / 2.0
+    k22 = np.maximum(dof - 1.0, 0.0) / 2.0
+    g11, g22, a21 = (np.empty((len(rngs), len(dof))) for _ in range(3))
+    for row, rng in enumerate(rngs):
+        rng.standard_gamma(k11, out=g11[row])
+        rng.standard_gamma(k22, out=g22[row])
+        rng.standard_normal(out=a21[row])
+    a11 = np.sqrt(2.0 * g11)
+    a22 = np.sqrt(2.0 * g22)
+    a21 = np.where(dof > 0.0, a21, 0.0)
     # rows of L A: (p, 0) and (q, r), so S is a sum of squares entry by entry
     p = l11 * a11
     q = l21 * a11 + l22 * a21

@@ -7,7 +7,8 @@ values are summed mode by mode from scipy's spherical harmonics, and the
 Legendre table is built by the plain (ell, m) loop that the vectorized
 builder must reproduce bit for bit.  The CSV writers below are the
 line-by-line writers that the streaming writers in `spherewave.io` must
-reproduce byte for byte.
+reproduce byte for byte, and the one-generator Bartlett draw is the one the
+chunked Wishart sampler must reproduce bit for bit.
 """
 
 import math
@@ -129,6 +130,21 @@ def mode_labels(kappa: int, dim: int) -> list[tuple[int, int, int]]:
                 for m, comp in [(0, 0)] + [(m, c) for m in range(1, ell + 1) for c in (1, 2)]]
     return [(ell, j, 0) for ell in range(kappa + 1)
             for j in range(1, harmonic_dimension(ell, dim) + 1)]
+
+
+def bartlett_wishart(l11, l21, l22, dof, rng):
+    """(s11, s12, s22) per degree from one generator, chi2(k) drawn as gamma(k/2, 2).
+
+    Draws a11^2 for every degree, then every a22^2, then every a21.
+    """
+    dof = np.asarray(dof, dtype=float)
+    a11 = np.sqrt(rng.gamma(dof / 2.0, 2.0))
+    a22 = np.sqrt(rng.gamma(np.maximum(dof - 1.0, 0.0) / 2.0, 2.0))
+    a21 = np.where(dof > 0.0, rng.standard_normal(dof.shape), 0.0)
+    p = l11 * a11
+    q = l21 * a11 + l22 * a21
+    r = l22 * a22
+    return p * p, p * q, q * q + r * r
 
 
 def _float(x) -> str:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,8 @@ from spherewave import cli, harmonics, harness
 from spherewave import io as spherewave_io
 from spherewave.cli import PRESETS, build_parser, main, resolve_config
 from spherewave.io import read_coefficient_csv, write_coefficient_csv
-from spherewave.modes import CoefficientField, mode_count
+from spherewave.harness import ExperimentConfig
+from spherewave.modes import CoefficientField, mode_count, mode_degrees
 
 
 def run_cli(*argv):
@@ -351,6 +353,131 @@ def test_outputs_match_golden_hashes(tmp_path, argv, name, digest):
     assert run_cli(*argv, "--output", str(tmp_path)) == 0
     assert hashlib.sha256(read(tmp_path / name)).hexdigest() == digest
     assert not list(tmp_path.glob("*.part"))
+
+
+# Error tables of per-degree experiments, hashed (names and bytes of every file
+# written) before the per-degree sampler drew its samples in chunks.  The
+# coefficient files are written by _write_data_files.
+DATA_FILES = {"v1_d3.csv": (20, 3), "v2_d3.csv": (48, 3), "v1_d4.csv": (10, 4),
+              "v2_d4.csv": (30, 4)}
+DEGREE_GOLDEN = [
+    (("convergence", "--preset", "fig3", "--samples", "37"),
+     "d885b7462e3a69149fea610a49edcdbe4801c7cab45e430088193b82ae5ef52d"),
+    (("convergence", "--preset", "sch-fig7", "--samples", "37"),
+     "fb50a5905eff2be07a6234e9a146155b7aae19ccc5e1017d3b2c3f593b8ee812"),
+    (("convergence", "--preset", "dsphere-d4", "--samples", "37"),
+     "5f78dab22eda33a3f16d25cdc93c3df91dbc871ec75a18988cc46ea5ae72b6b2"),
+    (("weak", "--preset", "weak-norm2", "--samples", "37"),
+     "1ac160ad0593901bde5840729edcfed37650311e97d2542ba1f7f86e1045b7d9"),
+    (("weak", "--preset", "weak-expnorm2", "--samples", "37"),
+     "7c9369d7ae1d0882a5e3b0104e1501292bef1b7a253ffb603d1263bc080e6f8a"),
+    (("path-error", "--preset", "fig3"),
+     "50e4173a5a8dac8228a8576a025791599be3272df80f9c920d5a87b68f44a45c"),
+    (("convergence", "--initial-data", "file", "--v1-file", "v1_d3.csv", "--v2-file",
+      "v2_d3.csv", "--kappa-ref", "40", "--kappas", "2,4,8,16", "--samples", "37",
+      "--seed", "21"),
+     "b4144bd2d41b11c8a4aea9dc1eed48efd2b7c1d88323d88b799ff0cb57695ba8"),
+    (("weak", "--initial-data", "file", "--v1-file", "v1_d3.csv", "--kappa-ref", "40",
+      "--weak-functional", "exp-neg-squared-norm", "--kappas", "2,4,8,16", "--samples",
+      "37", "--seed", "21"),
+     "3a797410e8f756eadf95ed9c393361630cfc557c4f9f567fd40a6d1ceeb35f70"),
+    (("convergence", "--equation", "wave-dsphere", "--dim", "4", "--alpha", "4",
+      "--initial-data", "file", "--v1-file", "v1_d4.csv", "--v2-file", "v2_d4.csv",
+      "--kappa-ref", "24", "--kappas", "2,4,8,16", "--samples", "37", "--seed", "21"),
+     "91ca8f0a1362c6681686fdb7346aa10fd58afb87c762bf648b4ed7fea066c30d"),
+    (("path-error", "--equation", "wave-dsphere", "--dim", "4", "--alpha", "4",
+      "--initial-data", "file", "--v2-file", "v2_d4.csv", "--kappa-ref", "24",
+      "--kappas", "2,4,8,16", "--samples", "37", "--seed", "21"),
+     "d11d5d125d745a6ef9fe4fc1e1cf003455320fa1e3928d36c80760e851882be4"),
+    (("convergence", "--equation", "schrodinger", "--alpha", "4", "--initial-data",
+      "file", "--v1-file", "v1_d3.csv", "--v2-file", "v2_d3.csv", "--kappa-ref", "40",
+      "--kappas", "2,4,8,16", "--samples", "37", "--seed", "21"),
+     "9295c4510d214c3f4200219ffdff92ea1077711dc173a15c43d0276c9d82643f"),
+    (("convergence", "--alpha", "10", "--initial-data", "random-sobolev", "--beta", "2",
+      "--gamma", "1.5", "--kappa-ref", "64", "--kappas", "2,4,8,16", "--samples", "37",
+      "--seed", "21"),
+     "fa35b19b2b44cd11cc38776d29fbc5bbd3c16a0b1acbf4eb9b1c0747b855a6aa"),
+    (("convergence", "--equation", "schrodinger", "--alpha", "4", "--initial-data",
+      "random-sobolev", "--beta", "2", "--gamma", "2.5", "--kappa-ref", "64", "--kappas",
+      "2,4,8,16", "--samples", "37", "--seed", "21"),
+     "53376f444d6f93f1c32fc21ebd0b294a180234e75225cf01210c1fb4118e65ab"),
+    (("weak", "--alpha", "3", "--initial-data", "random-sobolev", "--beta", "2",
+      "--kappa-ref", "64", "--weak-functional", "exp-neg-squared-norm", "--kappas",
+      "2,4,8,16", "--samples", "37", "--seed", "21"),
+     "97404c1764888dd0bfa77002f0a731b7e7911253f53e570c04a42f044f724502"),
+    (("convergence", "--kappas", "2,4,8,63", "--kappa-ref", "64", "--samples", "37"),
+     "2233748b1fce6498b7306adf2b8db519ce50dca2bc6ed103f54ef1918fef5ce2"),
+    (("weak", "--kappas", "2,4,8,63", "--kappa-ref", "64", "--samples", "37"),
+     "edccbd1ad16ae888288ce6e27d8eb5c74a18601ff13ad9d76769aad546e67099"),
+]
+
+
+def _write_data_files(directory):
+    for name, (kappa, dim) in DATA_FILES.items():
+        n = mode_count(kappa, dim)
+        data = (np.cos(0.7 * np.arange(n) + len(name) * dim)
+                / (1.0 + mode_degrees(kappa, dim)) ** 2)
+        write_coefficient_csv(str(directory / name), CoefficientField(data, kappa, dim))
+
+
+def _directory_digest(directory):
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        digest.update(path.name.encode() + b"\0" + read(path))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("argv,digest", DEGREE_GOLDEN, ids=lambda v: "-".join(v)
+                         if isinstance(v, tuple) else None)
+def test_per_degree_outputs_match_golden_hashes(tmp_path, monkeypatch, argv, digest,
+                                                threads):
+    # file paths enter the metadata, so the data files are named relative to the run
+    monkeypatch.chdir(tmp_path)
+    _write_data_files(tmp_path)
+    assert run_cli(*argv, "--threads", threads, "--output", "out") == 0
+    assert _directory_digest(tmp_path / "out") == digest
+
+
+def test_successive_main_calls_do_not_share_flag_values(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "convergence", (lambda cfg: seen.append(cfg) or [], ""))
+    assert build_parser() is build_parser()
+    assert run_cli("convergence", "--alpha", "2.5", "--samples", "3", "--kappas", "1,2",
+                   "--equation", "schrodinger", "--output", str(tmp_path)) == 0
+    assert run_cli("convergence") == 0
+    assert seen == [ExperimentConfig(alpha=2.5, samples=3, kappas=[1, 2],
+                                     equation="schrodinger", output=str(tmp_path)),
+                    ExperimentConfig()]
+    assert build_parser().parse_args(["weak", "--debug"]).debug
+    assert not build_parser().parse_args(["weak"]).debug
+
+
+def _parser_with_flags_per_subcommand():
+    """The parser built as before the flags moved to a shared parent parser:
+    every subcommand adds each flag itself."""
+    shared = build_parser()
+    parser = argparse.ArgumentParser(prog=shared.prog, description=shared.description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text) in cli._COMMANDS.items():
+        cli._add_flags(sub.add_parser(name, help=help_text))
+    return parser
+
+
+@pytest.mark.parametrize("columns", ["80", "132"])
+def test_help_screens_match_a_parser_with_flags_per_subcommand(monkeypatch, capsys,
+                                                               columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    screens = []
+    for parser in (build_parser(), _parser_with_flags_per_subcommand()):
+        texts = []
+        for command in ([], *([name] for name in cli._COMMANDS)):
+            with pytest.raises(SystemExit):
+                parser.parse_args([*command, "--help"])
+            texts.append(capsys.readouterr().out)
+        screens.append(texts)
+    assert len(screens[0]) == 6 and screens[0] == screens[1]
+    assert all("--kappa-ref" in text and "--debug" in text for text in screens[0][1:])
 
 
 @pytest.mark.parametrize("command", ["simulate", "sample-field"])

@@ -10,12 +10,17 @@ reference variance is exactly zero must match exactly.
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from spherewave.harness import ExperimentConfig, _DegreeSampler, analytic_second_moment
+import oracles
+from spherewave import harness
+from spherewave.harness import (ExperimentConfig, _DegreeSampler, analytic_second_moment,
+                                pathwise_error_experiment, strong_error_experiment,
+                                weak_error_experiment)
 from spherewave.io import write_coefficient_csv
 from spherewave.modes import CoefficientField, degree_sizes, laplacian_eigenvalue, mode_count
 from spherewave.noise import (sample_degree_wishart, schrodinger_conv_covariance,
@@ -28,8 +33,7 @@ Z_LIMIT = 4.0
 
 def _draws(cfg, n):
     """Per-sample (S11, S12, S22) per degree, shape (n, 3, kappa_ref + 1)."""
-    sampler = _DegreeSampler(cfg)
-    return np.array([np.stack(sampler(i)) for i in range(n)])
+    return np.stack(_DegreeSampler(cfg).draw(range(n)), axis=1)
 
 
 def _assert_means(samples, expected, label):
@@ -196,7 +200,8 @@ def test_random_sobolev_mean_power_matches_propagated_variance(equation):
 def test_bartlett_degenerate_degrees_of_freedom():
     rng = np.random.default_rng(0)
     one = np.ones(4)
-    s11, s12, s22 = sample_degree_wishart(one, 0.5 * one, one, np.array([0, 1, 2, 7]), rng)
+    s11, s12, s22 = (s[0] for s in sample_degree_wishart(one, 0.5 * one, one,
+                                                         np.array([0, 1, 2, 7]), [rng]))
     assert (s11[0], s12[0], s22[0]) == (0.0, 0.0, 0.0)       # no modes, no power
     assert s11[1] * s22[1] - s12[1] ** 2 == pytest.approx(0.0, abs=1e-12)  # rank one
 
@@ -251,21 +256,26 @@ configs = st.fixed_dictionaries({
 })
 
 
+def _config(params, tmp, **extra):
+    """ExperimentConfig from drawn parameters; file data is written under tmp."""
+    if params["equation"] != "wave-dsphere":
+        params["dim"] = 3
+    if params["initial_data"] == "file":
+        # the file holds every mode, so keep the mode count small
+        params["dim"] = min(params["dim"], 4)
+        params["kappa_ref"] = min(params["kappa_ref"], 12)
+        params["v1_file"] = str(Path(tmp) / "v1.csv")
+        _write_field(params["v1_file"], params["kappa_ref"], params["dim"],
+                     params["seed"] % 1000, 0.5)
+    return ExperimentConfig(kappas=[0], **params, **extra)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(configs)
 def test_factor_reproduces_sigma_and_draws_are_psd(params):
-    if params["equation"] != "wave-dsphere":
-        params["dim"] = 3
     with tempfile.TemporaryDirectory() as tmp:
-        if params["initial_data"] == "file":
-            # the file holds every mode, so keep the mode count small
-            params["dim"] = min(params["dim"], 4)
-            params["kappa_ref"] = min(params["kappa_ref"], 12)
-            params["v1_file"] = str(Path(tmp) / "v1.csv")
-            _write_field(params["v1_file"], params["kappa_ref"], params["dim"],
-                         params["seed"] % 1000, 0.5)
-        cfg = ExperimentConfig(kappas=[0], **params)
+        cfg = _config(params, tmp)
         sampler = _DegreeSampler(cfg)
         draws = [sampler(i) for i in range(3)]
 
@@ -280,3 +290,51 @@ def test_factor_reproduces_sigma_and_draws_are_psd(params):
         eig = np.linalg.eigvalsh(np.stack([np.stack([s11, s12], -1),
                                            np.stack([s12, s22], -1)], -2))
         assert np.all(eig[:, 0] >= -1e-12 * np.maximum(eig[:, 1], 0.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.integers(0, 600) | st.sampled_from([0, 1, 2, 3]), min_size=1, max_size=40),
+       st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_chunked_wishart_matches_one_generator_gamma_reference(dof, seed, rows):
+    dof = np.array(dof, dtype=float)
+    l11, l21, l22 = np.random.default_rng(seed).uniform(-2.0, 2.0, (3, dof.size))
+    chunk = [np.random.default_rng([seed, r]) for r in range(rows)]
+    got = sample_degree_wishart(l11, l21, l22, dof, chunk)
+    for r, rng in enumerate(chunk):
+        ref = np.random.default_rng([seed, r])
+        expected = oracles.bartlett_wishart(l11, l21, l22, dof, ref)
+        for g, e in zip(got, expected):
+            assert g.shape == (rows, dof.size)
+            assert np.array_equal(g[r], e)
+        # the generator is left where the gamma(k/2, 2) draws leave it
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _experiment_arrays(cfg):
+    """Every per-degree table's errors and stderrs, for bit-for-bit comparison."""
+    tables = [strong_error_experiment(cfg), pathwise_error_experiment(cfg),
+              weak_error_experiment(cfg, "squared-norm"),
+              weak_error_experiment(cfg, "exp-neg-squared-norm")]
+    return [a for t in tables for table in t.values() for a in (table.errors, table.stderrs)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs, st.integers(1, 7))
+def test_per_degree_results_do_not_depend_on_the_chunk_size(params, samples):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _config(params, tmp, samples=samples)
+        rows = [_DegreeSampler(cfg)(i) for i in range(samples)]
+        runs = []
+        for chunk in (1, 3, samples):
+            budget = chunk * 8 * (cfg.kappa_ref + 1)
+            with mock.patch.object(harness, "DEGREE_CHUNK_BYTES", budget):
+                sampler = _DegreeSampler(cfg)
+                assert sampler.chunk == chunk
+                for drawn, one in zip(sampler.draw(range(samples)), zip(*rows)):
+                    assert np.array_equal(drawn, np.stack(one))
+                runs.append(_experiment_arrays(cfg))
+    for run in runs[1:]:
+        for a, b in zip(runs[0], run):
+            assert np.array_equal(a, b)

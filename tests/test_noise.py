@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spherewave.modes import CoefficientField, mode_count, mode_degrees
 from spherewave.noise import (SMALL_X, ConvFactorTable, sample_isotropic_grf,
@@ -285,3 +286,43 @@ def test_draw_order_is_two_normals_per_mode_in_storage_order():
     assert np.allclose(w1.data, sa * factors.d11[deg] * x[:, 0], atol=0, rtol=0)
     assert np.allclose(w2.data, sa * (factors.d12[deg] * x[:, 0] + factors.d22[deg] * x[:, 1]),
                        atol=0, rtol=0)
+
+
+def _mp_covariance(kind, lam, t):
+    """2x2 covariance from the direct formulas in 40-digit arithmetic (no series)."""
+    t = mp.mpf(t)
+    if lam == 0:
+        if kind == "wave":
+            return mp.matrix([[t**3 / 3, t**2 / 2], [t**2 / 2, t]])
+        return mp.matrix([[0, 0], [0, t]])
+    sq = mp.sqrt(lam)
+    x = sq * t
+    r = 1 / sq if kind == "wave" else 1  # amplitude of the sine kernel
+    c11 = r**2 * (2 * x - mp.sin(2 * x)) / (4 * sq)
+    c12 = r * mp.sin(x) ** 2 / (2 * sq)
+    c22 = (2 * x + mp.sin(2 * x)) / (4 * sq)
+    return mp.matrix([[c11, c12], [c12, c22]])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([("wave", 3), ("wave", 4), ("wave", 5), ("wave", 6),
+                        ("schrodinger", 3)]),
+       st.integers(0, 800), st.floats(-6.0, 1.0), st.lists(st.floats(0.0, 1.0), max_size=3))
+def test_factor_table_reproduces_the_covariance(kind_dim, kappa, log_h, picks):
+    kind, dim = kind_dim
+    h = 10.0 ** log_h
+    if kind == "wave":
+        table = ConvFactorTable.for_wave(kappa, dim, h)
+        scalar = [wave_conv_covariance(ell, dim, h) for ell in range(kappa + 1)]
+    else:
+        table = ConvFactorTable.for_schrodinger(kappa, h)
+        scalar = [schrodinger_conv_covariance(ell, h) for ell in range(kappa + 1)]
+    rebuilt = table.covariance_matrices()  # D^T D per degree
+    cov = np.array([c.matrix() for c in scalar])
+    defect = np.linalg.norm(rebuilt - cov, axis=(1, 2))
+    assert np.all(defect <= 1e-12 * np.linalg.norm(cov, axis=(1, 2)))
+    # against the covariance in high precision at a few degrees, both ends included
+    for ell in {0, kappa, *(round(p * kappa) for p in picks)}:
+        exact = _mp_covariance(kind, ell * (ell + dim - 2), h)
+        ref = np.array(exact.tolist(), dtype=float)
+        assert np.linalg.norm(rebuilt[ell] - ref) <= 1e-12 * np.linalg.norm(ref)

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spherewave.harness import ExperimentConfig, _rotation
 from spherewave.modes import CoefficientField, mode_count
 from spherewave.noise import ConvFactorTable, wave_conv_covariance
 from spherewave.spectrum import PowerSpectrum, random_sobolev_data, sobolev_norm
@@ -263,3 +265,18 @@ def test_run_path_yields_the_stored_states_lazily():
     states = run_path(PowerSpectrum(alpha=3.0), v, v, kappa, 3, 1.0, 7, seed=2, store_every=3)
     assert next(states).t == 0.0
     assert [s.t for s in states] == pytest.approx([3 / 7, 6 / 7, 1.0])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["wave", "wave-dsphere", "schrodinger"]), st.integers(3, 6),
+       st.integers(0, 2000), st.floats(-6.0, 1.5))
+def test_per_degree_maps_have_determinant_one(equation, dim, kappa, log_h):
+    # the noise-free step over h is a symplectic map of each degree's 2-vector
+    dim = dim if equation == "wave-dsphere" else 3
+    h = 10.0 ** log_h
+    rot = _rotation(ExperimentConfig(equation=equation, dim=dim, kappa_ref=kappa, T=h))
+    det = rot[:, 0, 0] * rot[:, 1, 1] - rot[:, 0, 1] * rot[:, 1, 0]
+    assert np.max(np.abs(det - 1.0)) < 1e-12
+    if equation != "schrodinger":
+        prop = Propagator.build(kappa, dim, h)
+        assert np.max(np.abs(prop.determinants() - 1.0)) < 1e-12
