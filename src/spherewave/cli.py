@@ -195,12 +195,12 @@ def _simulate_initial(cfg):
     return v1 or zero, v2 or zero
 
 
-# Peak resident bytes per mode of simulate and sample-field (states, noise and
-# the mode labels of the row prefixes): the growth of peak RSS between 87k and
-# 609k modes of `simulate --equation wave-dsphere --dim 5 --steps 2` was 99.6 to
-# 100.0 B per mode in three fresh processes, and 49.1 to 49.4 B for
-# `sample-field`.
-BYTES_PER_MODE = 101
+# Peak resident bytes per mode of simulate and sample-field (states, noise, the
+# path's per-mode step arrays and the mode labels of the row prefixes): the
+# growth of peak RSS between 87k and 609k modes of `simulate --equation
+# wave-dsphere --dim 5 --steps 2` was 139.9 to 140.1 B per mode in three fresh
+# processes, and 49.2 to 50.0 B for `sample-field`.
+BYTES_PER_MODE = 141
 
 
 def _check_state_memory(cfg: ExperimentConfig):

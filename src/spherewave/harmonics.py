@@ -138,7 +138,8 @@ def normalized_legendre_table(kappa: int, theta: np.ndarray, m0: int = 0,
     (ell, m).  By default m1 = kappa + 1, the full table.  The diagonal seeds
     Lbar_{m,m} are products over the orders from 0 up, so every order range
     gets the entries of the full table bit for bit; the three-term recurrence
-    then runs degree by degree over all orders of the range at once.
+    then runs degree by degree over all orders of the range at once, with the
+    coefficients a(n, m) and b(n, m) of the whole range formed in one pass.
     """
     m1 = kappa + 1 if m1 is None else m1
     if not 0 <= m0 < m1 <= kappa + 1:
@@ -160,27 +161,45 @@ def normalized_legendre_table(kappa: int, theta: np.ndarray, m0: int = 0,
     inner = orders < kappa  # Lbar_{m+1,m} exists
     table[offsets[:-1][inner] + 1] = (np.sqrt(2 * orders[inner] + 3.0)[:, None] * cos_t
                                       * diag[inner])
+    del factors, diag  # the seeds are in the table; free them before it fills
+    counts, a_nm, b_nm = _recurrence_coefficients(kappa, m0, m1)
+    base = offsets[:-1] - orders  # row of (n, m) is base + n
     # prev[i], prev2[i]: Lbar_{n-1,m} and Lbar_{n-2,m} of order m = m0 + i while
     # degree n is built
     prev, prev2, work = np.empty((3, m1 - m0, theta.size))
-    for n in range(m0 + 2, kappa + 1):
+    start = 0
+    for n, k in zip(range(m0 + 2, kappa + 1), counts.tolist()):
         j = n - 2 - m0  # order n - 2 joins from its two seeds
         if j < m1 - m0:
             prev[j] = table[offsets[j] + 1]
             prev2[j] = table[offsets[j]]
-        k = min(j + 1, m1 - m0)  # orders m0 .. m0 + k - 1 recur
-        m = orders[:k]
-        a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
-        b = np.sqrt((2.0 * n + 1.0) / (2.0 * n - 3.0)
-                    * ((n - 1.0) ** 2 - m * m) / (n * n - m * m))
+        # orders m0 .. m0 + k - 1 recur
+        a, b = a_nm[start:start + k], b_nm[start:start + k]
+        start += k
         row = np.multiply(a[:, None], cos_t, out=work[:k])
         row *= prev[:k]
         older = prev2[:k]
         older *= b[:, None]
         np.subtract(row, older, out=older)  # a cos(theta) Lbar_{n-1,m} - b Lbar_{n-2,m}
-        table[offsets[:k] + n - m] = older
+        table[base[:k] + n] = older
         prev, prev2 = prev2, prev  # degree n becomes n - 1
     return table
+
+
+def _recurrence_coefficients(kappa: int, m0: int, m1: int):
+    """a(n, m) and b(n, m) of every degree n >= m + 2 of the orders [m0, m1).
+
+    Degree-major: degree n has the orders m0 .. m0 + counts[n - m0 - 2] - 1.
+    Returns (counts, a, b).
+    """
+    degrees = np.arange(m0 + 2, kappa + 1)
+    counts = np.minimum(degrees - 1 - m0, m1 - m0)
+    n = np.repeat(degrees, counts)
+    m = np.arange(n.size) - np.repeat(np.cumsum(counts) - counts, counts) + m0
+    a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
+    b = np.sqrt((2.0 * n + 1.0) / (2.0 * n - 3.0)
+                * ((n - 1.0) ** 2 - m * m) / (n * n - m * m))
+    return counts, a, b
 
 
 def _legendre_blocks(kappa: int, theta: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -408,6 +427,7 @@ def _theta_profiles(data, kappa, grid, shells) -> list[np.ndarray]:
                 np.add(even, odd, out=out[:, :n_north])
                 # southern row n_theta - 1 - i mirrors northern row i
                 np.subtract(even[:, :n_south], odd[:, :n_south], out=out[:, n_north:][:, ::-1])
+        del block, rows  # freed before the next block is built
     return profiles
 
 

@@ -13,7 +13,10 @@ the terminal state:
 * per-degree (`_DegreeSampler`): coefficient-space errors and weak errors see a
   sample only through its per-degree sums of squares, which are drawn directly
   from their exact (Wishart) law at O(kappa_ref) cost, whatever the dimension;
-* per-mode (`_TerminalSampler`): grid errors need every coefficient.
+* per-mode (`_TerminalSampler`): grid errors need every coefficient.  Its
+  per-mode increment factors are expanded once per chunk and fixed data is
+  propagated once per run, so a sample costs its normal draws and a few
+  array operations.
 
 Both run in chunks of consecutive samples whose size depends on kappa_ref (and
 the grid) only: a per-degree chunk makes each sample's draws into a row of one
@@ -33,11 +36,12 @@ import numpy as np
 
 from .harmonics import SphereGrid, synthesis_field_bytes, synthesize_tails
 from .modes import (CoefficientField, degree_offsets, degree_sizes, laplacian_eigenvalue,
-                    mode_count, mode_degrees)
-from .noise import ConvFactorTable, _factor_entries, _wave_entries, sample_degree_wishart
-from .schrodinger import SchrodingerState, schrodinger_step
+                    mode_count)
+from .noise import (ConvFactorTable, ModeFactors, _factor_entries, _wave_entries,
+                    sample_degree_wishart)
+from .schrodinger import rotation as schrodinger_rotation
 from .spectrum import PowerSpectrum, random_sobolev_data, sobolev_scale
-from .wave import Propagator, WaveState, propagate, step as wave_step
+from .wave import Propagator, WaveState, expand, propagate, rotate
 
 EQUATIONS = ("wave", "wave-dsphere", "schrodinger")
 ERROR_KINDS = ("l2-coefficients", "l2-grid", "max-grid")
@@ -258,6 +262,15 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
 class _TerminalSampler:
     """Draws coupled (component1, component2) coefficient arrays at kappa_ref.
 
+    Per mode the terminal state is M u0 + (W1, W2) (the Schrodinger W2 with a
+    minus sign): u0 is the initial data, M the noise-free step over T and W
+    the convolution increment.  Data from files is propagated once per run.
+    `draw` expands the per-mode increment factors once per chunk, with the
+    rotation for random-sobolev data or M 0 for zero data (the sum keeps its
+    signed zeros), and drops them on return, before the chunk is synthesized.
+    Per sample it then draws the data (if random) and the normals and adds
+    M u0.
+
     Draw order per sample: first component data (if random), second component
     data (if random), then the convolution increments; this pins reproducibility.
     """
@@ -268,44 +281,67 @@ class _TerminalSampler:
         self.ps = cfg.power_spectrum()
         self.kref = cfg.kappa_ref
         self.dim = cfg.dim
-        self.fixed_v1, self.fixed_v2 = _load_initial_fields(cfg)
         if cfg.equation == "schrodinger":
             self.factors = ConvFactorTable.for_schrodinger(self.kref, cfg.T)
-            self.prop = None
         else:
             self.factors = ConvFactorTable.for_wave(self.kref, self.dim, cfg.T)
-            self.prop = Propagator.build(self.kref, self.dim, cfg.T)
+        self.rotation = _rotation_entries(cfg)
+        self.random = cfg.initial_data == "random-sobolev"
+        self.mean = _propagated_file_data(cfg)
 
-    def _initial(self, rng, fixed, exponent):
-        if self.cfg.initial_data == "random-sobolev" and exponent is not None:
-            return random_sobolev_data(exponent, self.kref, rng, self.dim)
-        if fixed is not None:
-            return fixed
-        return CoefficientField.zeros(self.kref, self.dim)
+    def _initial(self, rng, exponent):
+        if exponent is None:
+            return 0.0
+        return random_sobolev_data(exponent, self.kref, rng, self.dim).data
+
+    def draw(self, indices) -> np.ndarray:
+        """Terminal states of the samples `indices`, shape (2 len(indices), n_modes):
+        row 2k is sample indices[k]'s first component, row 2k + 1 its second."""
+        cfg = self.cfg
+        data = np.empty((2 * len(indices), mode_count(self.kref, self.dim)))
+        noise = ModeFactors.expand(self.ps, self.factors)
+        if self.random:
+            rotation = expand(self.rotation, self.kref, self.dim)
+        elif self.mean is None:  # zero data
+            mean = expand(rotate(self.rotation, 0.0, 0.0), self.kref, self.dim)
+        else:
+            mean = self.mean
+        minus = cfg.equation == "schrodinger"
+        for k, i in enumerate(indices):
+            rng = _sample_rng(cfg.seed, i)
+            if self.random:
+                u1 = self._initial(rng, cfg.beta)
+                mean = rotate(rotation, u1, self._initial(rng, cfg.gamma))
+            data[2 * k], data[2 * k + 1] = noise.add(*mean, rng, minus)
+        return data
 
     def __call__(self, index: int):
-        cfg = self.cfg
-        rng = _sample_rng(cfg.seed, index)
-        v1 = self._initial(rng, self.fixed_v1, cfg.beta)
-        v2 = self._initial(rng, self.fixed_v2, cfg.gamma)
-        if cfg.equation == "schrodinger":
-            state = SchrodingerState(v1, v2)
-            state = schrodinger_step(state, cfg.T, self.ps, rng, self.factors)
-            return state.real.data, state.imag.data
-        state = WaveState(v1, v2)
-        state = wave_step(state, cfg.T, self.ps, rng, self.factors, self.prop)
-        return state.position.data, state.velocity.data
+        """(component1, component2) arrays of sample `index`."""
+        return tuple(self.draw([index]))
+
+
+def _rotation_entries(cfg: ExperimentConfig):
+    """Per-degree (diagonal, upper, lower) entries of the noise-free step over T."""
+    if cfg.equation == "schrodinger":
+        return schrodinger_rotation(cfg.kappa_ref, cfg.T)
+    return Propagator.build(cfg.kappa_ref, cfg.dim, cfg.T).rotation()
+
+
+def _propagated_file_data(cfg: ExperimentConfig):
+    """M u0 per mode for initial data from files (a missing file is zero data),
+    or None without file data: the mean of the terminal state."""
+    v1, v2 = _load_initial_fields(cfg)
+    if v1 is None and v2 is None:
+        return None
+    zero = np.zeros(mode_count(cfg.kappa_ref, cfg.dim))
+    return rotate(expand(_rotation_entries(cfg), cfg.kappa_ref, cfg.dim),
+                  zero if v1 is None else v1.data, zero if v2 is None else v2.data)
 
 
 def _rotation(cfg: ExperimentConfig) -> np.ndarray:
     """Per-degree 2x2 map of the noise-free step over T, shape (kappa_ref + 1, 2, 2)."""
-    if cfg.equation == "schrodinger":
-        lam = np.array([-laplacian_eigenvalue(ell, 3) for ell in range(cfg.kappa_ref + 1)])
-        x = np.sqrt(lam) * cfg.T
-        rows = ((np.cos(x), np.sin(x)), (-np.sin(x), np.cos(x)))
-    else:
-        prop = Propagator.build(cfg.kappa_ref, cfg.dim, cfg.T)
-        rows = ((prop.r2, prop.r1), (-prop.lam * prop.r1, prop.r2))
+    diag, upper, lower = _rotation_entries(cfg)
+    rows = ((diag, upper), (lower, diag))
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
@@ -348,10 +384,8 @@ class _DegreeSampler:
         else:
             cov = ConvFactorTable.for_wave(kref, dim, cfg.T).covariance_matrices()
         sigma = cfg.power_spectrum().values(kref)[:, None, None] * cov
-        v1, v2 = _load_initial_fields(cfg)
-        has_fixed = v1 is not None or v2 is not None
-        rot = _rotation(cfg) if cfg.initial_data == "random-sobolev" or has_fixed else None
         if cfg.initial_data == "random-sobolev":
+            rot = _rotation(cfg)
             var = np.zeros((kref + 1, 2))
             for j, exponent in enumerate((cfg.beta, cfg.gamma)):
                 if exponent is not None:
@@ -362,19 +396,14 @@ class _DegreeSampler:
         self.chunk = max(1, DEGREE_CHUNK_BYTES // (8 * (kref + 1)))
         self.dof = sizes.astype(float)
         self.means = None
-        if has_fixed:
-            self.means, self.present = self._explicit_modes(v1, v2, rot, sizes)
+        mean = _propagated_file_data(cfg)
+        if mean is not None:
+            self.means, self.present = self._explicit_modes(*mean, sizes)
             self.dof = np.maximum(sizes - 2, 0).astype(float)
 
-    def _explicit_modes(self, v1, v2, rot, sizes):
+    def _explicit_modes(self, mu1, mu2, sizes):
         """Means (degree, mode, component) of the two explicit modes, and which exist."""
         kref, dim = self.cfg.kappa_ref, self.cfg.dim
-        zero = np.zeros(mode_count(kref, dim))
-        x1 = zero if v1 is None else v1.data
-        x2 = zero if v2 is None else v2.data
-        deg = mode_degrees(kref, dim)
-        mu1 = rot[deg, 0, 0] * x1 + rot[deg, 0, 1] * x2
-        mu2 = rot[deg, 1, 0] * x1 + rot[deg, 1, 1] * x2
         offsets = degree_offsets(kref, dim)
         n11, n12, n22 = _factor_entries(np.add.reduceat(mu1 * mu1, offsets),
                                         np.add.reduceat(mu1 * mu2, offsets),
@@ -506,10 +535,7 @@ def _sample_tail_errors(cfg: ExperimentConfig, n: int):
     terminal = _TerminalSampler(cfg)
 
     def per_mode(indices):
-        data = np.empty((2 * len(indices), mode_count(cfg.kappa_ref, cfg.dim)))
-        for k, i in enumerate(indices):
-            data[2 * k], data[2 * k + 1] = terminal(i)
-        errors = tails(data)
+        errors = tails(terminal.draw(indices))
         return list(zip(errors[0::2], errors[1::2]))
 
     return (_map_chunks(cfg, per_mode, n, tails.chunk, "per-mode"), "per-mode",

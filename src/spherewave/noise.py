@@ -255,17 +255,50 @@ def sample_degree_wishart(l11: np.ndarray, l21: np.ndarray, l22: np.ndarray,
     return p * p, p * q, q * q + r * r
 
 
-def _sample_conv_increments(ps, factors, rng):
-    """Common increment sampler: per mode (W1, W2) = sqrt(A_ell) D^T X.
+@dataclass(frozen=True, eq=False)
+class ModeFactors:
+    """Per-mode increment factors of one factor table and spectrum, expanded once.
 
-    Normals are consumed in storage order, two per mode (X1 then X2), so runs
-    are bit-reproducible for a given generator state.
+    Per mode (W1, W2) = sqrt(A_ell) D_ell^T X, evaluated as W1 = f11 X1 and
+    W2 = sa (d12 X1 + d22 X2) with f11 = sqrt(A_ell) d11 and sa = sqrt(A_ell);
+    keeping sa a separate factor of W2 fixes the rounding of every increment.
+    Each array costs 8 bytes per mode: a path holds them for all its steps,
+    the grid sampler only while it draws a chunk.
     """
-    degrees = mode_degrees(factors.kappa, factors.dim)
-    sa = np.sqrt(ps.values(factors.kappa))[degrees]
-    x = rng.standard_normal((degrees.size, 2))
-    w1 = sa * factors.d11[degrees] * x[:, 0]
-    w2 = sa * (factors.d12[degrees] * x[:, 0] + factors.d22[degrees] * x[:, 1])
+
+    f11: np.ndarray
+    sa: np.ndarray
+    d12: np.ndarray
+    d22: np.ndarray
+
+    @classmethod
+    def expand(cls, ps: PowerSpectrum, factors: ConvFactorTable) -> "ModeFactors":
+        degrees = mode_degrees(factors.kappa, factors.dim)
+        sa = np.sqrt(ps.values(factors.kappa))
+        return cls((sa * factors.d11)[degrees], sa[degrees], factors.d12[degrees],
+                   factors.d22[degrees])
+
+    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """(W1, W2) arrays.  Normals are consumed in storage order, two per mode
+        (X1 then X2), so runs are bit-reproducible for a given generator state."""
+        x = rng.standard_normal((self.sa.size, 2))
+        w1 = self.f11 * x[:, 0]
+        w2 = self.d12 * x[:, 0]
+        w2 += self.d22 * x[:, 1]
+        w2 *= self.sa
+        return w1, w2
+
+    def add(self, u1, u2, rng: np.random.Generator, minus: bool = False):
+        """(u1 + W1, u2 + W2), or u2 - W2 with `minus`, for one fresh draw."""
+        w1, w2 = self.draw(rng)
+        np.add(u1, w1, out=w1)
+        (np.subtract if minus else np.add)(u2, w2, out=w2)
+        return w1, w2
+
+
+def _sample_conv_increments(ps, factors, rng):
+    """Common increment sampler: per mode (W1, W2) = sqrt(A_ell) D^T X."""
+    w1, w2 = ModeFactors.expand(ps, factors).draw(rng)
     return (CoefficientField(w1, factors.kappa, factors.dim),
             CoefficientField(w2, factors.kappa, factors.dim))
 

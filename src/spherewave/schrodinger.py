@@ -17,10 +17,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .modes import CoefficientField, laplacian_eigenvalue, mode_degrees
+from .modes import CoefficientField, laplacian_eigenvalue
 from .noise import ConvFactorTable, sample_schrodinger_conv_increments
 from .spectrum import PowerSpectrum
-from .wave import check_path_args, stored_states
+from .wave import check_path_args, expand, mode_stepper, rotate, stored_states
 
 
 @dataclass(eq=False)
@@ -45,20 +45,23 @@ def init_schrodinger_state(vr: CoefficientField, vi: CoefficientField,
     return SchrodingerState(vr.truncated(kappa), vi.truncated(kappa), t=0.0)
 
 
+def rotation(kappa: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-degree (diagonal, upper, lower) entries (cos x, sin x, -sin x); see wave.rotate."""
+    lam = np.array([-laplacian_eigenvalue(ell, 3) for ell in range(kappa + 1)])
+    x = np.sqrt(lam) * h
+    s = np.sin(x)
+    return np.cos(x), s, -s
+
+
 def schrodinger_step(state: SchrodingerState, h: float, ps: PowerSpectrum,
                      rng: np.random.Generator, factors: ConvFactorTable) -> SchrodingerState:
     factors.require("schrodinger", state.kappa, 3, h)
     kappa = state.kappa
-    lam = np.array([-laplacian_eigenvalue(ell, 3) for ell in range(kappa + 1)])
-    x = np.sqrt(lam) * h
-    deg = mode_degrees(kappa, 3)
-    c, s = np.cos(x)[deg], np.sin(x)[deg]
-    ur, ui = state.real.data, state.imag.data
+    new_r, new_i = rotate(expand(rotation(kappa, h), kappa, 3), state.real.data,
+                          state.imag.data)
     w1, w2 = sample_schrodinger_conv_increments(ps, factors, rng)
-    new_r = c * ur + s * ui + w1.data
-    new_i = -s * ur + c * ui - w2.data
-    return SchrodingerState(CoefficientField(new_r, kappa, 3),
-                            CoefficientField(new_i, kappa, 3),
+    return SchrodingerState(CoefficientField(new_r + w1.data, kappa, 3),
+                            CoefficientField(new_i - w2.data, kappa, 3),
                             t=state.t + h)
 
 
@@ -72,9 +75,13 @@ def run_path_schrodinger(ps: PowerSpectrum, vr: CoefficientField, vi: Coefficien
     h = T / steps
     factors = ConvFactorTable.for_schrodinger(kappa, h)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return stored_states(init_schrodinger_state(vr, vi, kappa),
-                         lambda state: schrodinger_step(state, h, ps, rng, factors),
-                         steps, store_every)
+    advance = mode_stepper(rotation(kappa, h), ps, factors, rng, minus=True)
+
+    def next_state(state):
+        ur, ui = advance(state.real.data, state.imag.data)
+        return SchrodingerState(CoefficientField(ur, kappa, 3), CoefficientField(ui, kappa, 3),
+                                t=state.t + h)
+    return stored_states(init_schrodinger_state(vr, vi, kappa), next_state, steps, store_every)
 
 
 def mode_modulus(state: SchrodingerState) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .modes import CoefficientField, laplacian_eigenvalue, mode_degrees
-from .noise import ConvFactorTable, sample_wave_conv_increments
+from .noise import ConvFactorTable, ModeFactors, sample_wave_conv_increments
 from .spectrum import PowerSpectrum
 
 
@@ -65,6 +65,10 @@ class Propagator:
         r2[1:] = np.cos(sq * h)
         return cls(kappa, dim, h, lam, r1, r2)
 
+    def rotation(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-degree (diagonal, upper, lower) entries of the map; see rotate."""
+        return self.r2, self.r1, -self.lam * self.r1
+
     def matrix(self, ell: int) -> np.ndarray:
         return np.array([[self.r2[ell], self.r1[ell]],
                          [-self.lam[ell] * self.r1[ell], self.r2[ell]]])
@@ -80,13 +84,39 @@ def init_state(v1: CoefficientField, v2: CoefficientField, kappa: int, dim: int 
     return WaveState(v1.truncated(kappa), v2.truncated(kappa), t=0.0)
 
 
+def rotate(rotation, u1, u2):
+    """(diag u1 + upper u2, lower u1 + diag u2) for rotation = (diag, upper, lower).
+
+    The noise-free step of both equations has equal diagonal entries.  The
+    entries are per mode, or per degree with per-degree (or scalar) u.
+    """
+    diag, upper, lower = rotation
+    return diag * u1 + upper * u2, lower * u1 + diag * u2
+
+
+def expand(per_degree, kappa: int, dim: int) -> tuple[np.ndarray, ...]:
+    """Per-mode copies of per-degree arrays, 8 bytes per mode each."""
+    degrees = mode_degrees(kappa, dim)
+    return tuple(a[degrees] for a in per_degree)
+
+
+def mode_stepper(rotation, ps: PowerSpectrum, factors: ConvFactorTable,
+                 rng: np.random.Generator, minus: bool = False) -> Callable:
+    """advance(u1, u2): one exact step of every mode, M u + (W1, +-W2).
+
+    The per-degree rotation entries and the increment factors are expanded to
+    every mode once, here, not on every step.  The second increment enters
+    with a minus sign for the Schrodinger equation.
+    """
+    rotation = expand(rotation, factors.kappa, factors.dim)
+    noise = ModeFactors.expand(ps, factors)
+    return lambda u1, u2: noise.add(*rotate(rotation, u1, u2), rng, minus)
+
+
 def propagate(state: WaveState, prop: Propagator) -> WaveState:
     """Deterministic part of one step (exact rotation, zero noise)."""
-    deg = mode_degrees(state.kappa, state.dim)
-    r1, r2, lam = prop.r1[deg], prop.r2[deg], prop.lam[deg]
-    u1, u2 = state.position.data, state.velocity.data
-    new1 = r2 * u1 + r1 * u2
-    new2 = -lam * r1 * u1 + r2 * u2
+    new1, new2 = rotate(expand(prop.rotation(), state.kappa, state.dim),
+                        state.position.data, state.velocity.data)
     return WaveState(CoefficientField(new1, state.kappa, state.dim),
                      CoefficientField(new2, state.kappa, state.dim),
                      t=state.t + prop.h)
@@ -123,11 +153,14 @@ def run_path(ps: PowerSpectrum, v1: CoefficientField, v2: CoefficientField,
     check_path_args(T, steps, store_every)
     h = T / steps
     factors = ConvFactorTable.for_wave(kappa, dim, h)
-    prop = Propagator.build(kappa, dim, h)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return stored_states(init_state(v1, v2, kappa, dim),
-                         lambda state: step(state, h, ps, rng, factors, prop),
-                         steps, store_every)
+    advance = mode_stepper(Propagator.build(kappa, dim, h).rotation(), ps, factors, rng)
+
+    def next_state(state):
+        u1, u2 = advance(state.position.data, state.velocity.data)
+        return WaveState(CoefficientField(u1, kappa, dim), CoefficientField(u2, kappa, dim),
+                         t=state.t + h)
+    return stored_states(init_state(v1, v2, kappa, dim), next_state, steps, store_every)
 
 
 def check_path_args(T: float, steps: int, store_every: int):

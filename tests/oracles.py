@@ -1,6 +1,7 @@
 """Independent reference computations used across the test suite.
 
-Nothing here shares code with the package: Legendre values come from symbolic
+Apart from the per-step references at the end, nothing here shares code with
+the package: Legendre values come from symbolic
 differentiation of the generating polynomial, covariance entries from adaptive
 quadrature of the kernel products, and norms from plain dense sums.  Grid
 values are summed mode by mode from scipy's spherical harmonics, and the
@@ -9,6 +10,13 @@ builder must reproduce bit for bit.  The CSV writers below are the
 line-by-line writers that the streaming writers in `spherewave.io` must
 reproduce byte for byte, and the one-generator Bartlett draw is the one the
 chunked Wishart sampler must reproduce bit for bit.
+
+The per-step samplers below gather every per-degree entry through the mode
+degrees on every step, and the Legendre table builds its recurrence
+coefficients degree by degree: the samplers and the Legendre table that
+expand or tabulate these once per run, chunk or block must reproduce them
+bit for bit.  They take the per-degree tables (factor tables, propagators,
+spectra) from the package.
 """
 
 import math
@@ -17,6 +25,12 @@ import numpy as np
 import sympy as sp
 from scipy import integrate
 from scipy.special import sph_harm_y
+
+from spherewave.harness import _load_initial_fields
+from spherewave.modes import mode_count, mode_degrees
+from spherewave.noise import ConvFactorTable
+from spherewave.spectrum import random_sobolev_data
+from spherewave.wave import Propagator
 
 
 def rodrigues_legendre(ell: int, mu: float) -> float:
@@ -95,6 +109,48 @@ def loop_legendre_table(kappa: int, theta) -> np.ndarray:
                           * ((n - 1.0) ** 2 - m * m) / (n * n - m * m))
             row = base + n - m
             table[row] = a * cos_t * table[row - 1] - b * table[row - 2]
+    return table
+
+
+def degree_recurrence_legendre_table(kappa: int, theta, m0: int = 0, m1=None) -> np.ndarray:
+    """Lbar_{ell,m} for the orders m0 <= m < m1, packed m-major; the three-term
+    recurrence runs degree by degree and forms a(n, m) and b(n, m) per degree."""
+    m1 = kappa + 1 if m1 is None else m1
+    theta = np.asarray(theta, dtype=float)
+    cos_t = np.cos(theta)
+    sin_t = np.sin(theta)
+    all_orders = np.arange(kappa + 2)
+    offsets = (all_orders * (kappa + 1) - all_orders * (all_orders - 1) // 2)[m0:m1 + 1]
+    offsets = offsets - offsets[0]
+    table = np.empty((offsets[-1], theta.size))
+    factors = np.empty((m1, theta.size))
+    factors[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    up = np.arange(1, m1)
+    np.multiply(-np.sqrt((2 * up + 1) / (2.0 * up))[:, None], sin_t, out=factors[1:])
+    diag = np.cumprod(factors, axis=0)[m0:]
+    orders = np.arange(m0, m1)
+    table[offsets[:-1]] = diag
+    inner = orders < kappa
+    table[offsets[:-1][inner] + 1] = (np.sqrt(2 * orders[inner] + 3.0)[:, None] * cos_t
+                                      * diag[inner])
+    prev, prev2, work = np.empty((3, m1 - m0, theta.size))
+    for n in range(m0 + 2, kappa + 1):
+        j = n - 2 - m0
+        if j < m1 - m0:
+            prev[j] = table[offsets[j] + 1]
+            prev2[j] = table[offsets[j]]
+        k = min(j + 1, m1 - m0)
+        m = orders[:k]
+        a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
+        b = np.sqrt((2.0 * n + 1.0) / (2.0 * n - 3.0)
+                    * ((n - 1.0) ** 2 - m * m) / (n * n - m * m))
+        row = np.multiply(a[:, None], cos_t, out=work[:k])
+        row *= prev[:k]
+        older = prev2[:k]
+        older *= b[:, None]
+        np.subtract(row, older, out=older)
+        table[offsets[:k] + n - m] = older
+        prev, prev2 = prev2, prev
     return table
 
 
@@ -185,3 +241,65 @@ def trajectory_csv_text(snapshots, kappa: int, dim: int, seed: int, metadata: di
             for (ell, m, comp), value in zip(labels, data):
                 lines.append(f"{ell},{m},{comp},{_float(value)}")
     return "\n".join(lines) + "\n"
+
+
+def _increments_by_gathers(ps, factors, rng):
+    degrees = mode_degrees(factors.kappa, factors.dim)
+    sa = np.sqrt(ps.values(factors.kappa))[degrees]
+    x = rng.standard_normal((degrees.size, 2))
+    w1 = sa * factors.d11[degrees] * x[:, 0]
+    w2 = sa * (factors.d12[degrees] * x[:, 0] + factors.d22[degrees] * x[:, 1])
+    return w1, w2
+
+
+def step_by_gathers(equation, u1, u2, h, ps, factors, rng):
+    """One exact step of the coefficient arrays (u1, u2), every per-degree entry
+    gathered per mode on the spot."""
+    kappa, dim = factors.kappa, factors.dim
+    degrees = mode_degrees(kappa, dim)
+    w1, w2 = _increments_by_gathers(ps, factors, rng)
+    if equation == "schrodinger":
+        x = np.sqrt(np.array([float(ell * (ell + 1)) for ell in range(kappa + 1)])) * h
+        c, s = np.cos(x)[degrees], np.sin(x)[degrees]
+        return c * u1 + s * u2 + w1, -s * u1 + c * u2 - w2
+    prop = Propagator.build(kappa, dim, h)
+    r1, r2, lam = prop.r1[degrees], prop.r2[degrees], prop.lam[degrees]
+    return (r2 * u1 + r1 * u2) + w1, (-lam * r1 * u1 + r2 * u2) + w2
+
+
+def _factor_table(equation, kappa, dim, h):
+    if equation == "schrodinger":
+        return ConvFactorTable.for_schrodinger(kappa, h)
+    return ConvFactorTable.for_wave(kappa, dim, h)
+
+
+def terminal_state_by_steps(cfg, index):
+    """Both components at T of grid-error sample `index`: draw the data of the
+    sample from its own generator, then take one step of size T."""
+    kappa, dim = cfg.kappa_ref, cfg.dim
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
+    data = []
+    for fixed, exponent in zip(_load_initial_fields(cfg), (cfg.beta, cfg.gamma)):
+        if cfg.initial_data == "random-sobolev" and exponent is not None:
+            data.append(random_sobolev_data(exponent, kappa, rng, dim).data)
+        elif fixed is not None:
+            data.append(fixed.data)
+        else:
+            data.append(np.zeros(mode_count(kappa, dim)))
+    factors = _factor_table(cfg.equation, kappa, dim, cfg.T)
+    return step_by_gathers(cfg.equation, *data, cfg.T, cfg.power_spectrum(), factors, rng)
+
+
+def path_by_steps(equation, ps, u1, u2, kappa, dim, T, steps, seed, store_every):
+    """(t, u1, u2) of the stored states of one path, step by step from one generator."""
+    h = T / steps
+    factors = _factor_table(equation, kappa, dim, h)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    t = 0.0
+    stored = [(t, u1, u2)]
+    for j in range(1, steps + 1):
+        u1, u2 = step_by_gathers(equation, u1, u2, h, ps, factors, rng)
+        t = t + h
+        if j % store_every == 0 or j == steps:
+            stored.append((t, u1, u2))
+    return stored

@@ -317,6 +317,28 @@ def test_synthesis_fails_before_allocating_beyond_physical_memory(monkeypatch):
     assert synthesize(coeffs, grid).values.shape == (65, 2000)
 
 
+def test_theta_profiles_hold_one_legendre_block_at_a_time(monkeypatch):
+    kappa, n_fields = 96, 2
+    grid = SphereGrid(kappa + 1, 2 * kappa + 2)
+    north = grid.theta[:(grid.n_theta + 1) // 2]
+    budget = 512 * 2**10
+    monkeypatch.setattr(harmonics, "LEGENDRE_BLOCK_BYTES", budget)
+    assert len(list(_legendre_blocks(kappa, north))) >= 3
+    data = np.random.default_rng(1).standard_normal((n_fields, mode_count(kappa, 3)))
+    shells = [(4, 20), (20, kappa)]
+    profiles = 8 * sum(2 * (hi + 1) * n_fields * grid.n_theta for _, hi in shells)
+    packed = 8 * 2 * n_fields * _pair_offsets(kappa)[-1]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        harmonics._theta_profiles(data, kappa, grid, shells)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the slack covers a block's seeds and recurrence rows and the packing indices
+    assert peak <= budget + profiles + packed + 256 * 2**10
+
+
 def test_synthesis_field_bytes_bound_each_fields_working_set():
     kappa = 48
     grid = SphereGrid(kappa + 1, 2 * kappa + 2)
