@@ -244,15 +244,23 @@ def _make_table(cfg, kind, component, kappas, errors, stderrs, sampler,
 # ---------------------------------------------------------------------------
 
 def _load_initial_fields(cfg):
-    """Fixed (non-random) initial data, or None per component when absent."""
-    v1 = v2 = None
-    if cfg.initial_data == "file":
-        from .io import read_coefficient_csv
-        if cfg.v1_file:
-            v1 = read_coefficient_csv(cfg.v1_file).truncated(cfg.kappa_ref)
-        if cfg.v2_file:
-            v2 = read_coefficient_csv(cfg.v2_file).truncated(cfg.kappa_ref)
-    return v1, v2
+    """Fixed (non-random) initial data, or None per component when absent.
+
+    A file whose dimension differs from cfg.dim is rejected, naming the file.
+    """
+    if cfg.initial_data != "file":
+        return None, None
+    from .io import read_coefficient_csv
+
+    def load(path):
+        if not path:
+            return None
+        v = read_coefficient_csv(path)
+        if v.dim != cfg.dim:
+            raise ValueError(f"{path}: initial data has dim={v.dim}, "
+                             f"the experiment needs dim={cfg.dim}")
+        return v.truncated(cfg.kappa_ref)
+    return load(cfg.v1_file), load(cfg.v2_file)
 
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:

@@ -18,9 +18,9 @@ from typing import Iterator
 import numpy as np
 
 from .modes import CoefficientField, laplacian_eigenvalue
-from .noise import ConvFactorTable, sample_schrodinger_conv_increments
+from .noise import ConvFactorTable
 from .spectrum import PowerSpectrum
-from .wave import check_path_args, expand, mode_stepper, rotate, stored_states
+from .wave import check_path_args, mode_stepper, stored_states
 
 
 @dataclass(eq=False)
@@ -57,11 +57,9 @@ def schrodinger_step(state: SchrodingerState, h: float, ps: PowerSpectrum,
                      rng: np.random.Generator, factors: ConvFactorTable) -> SchrodingerState:
     factors.require("schrodinger", state.kappa, 3, h)
     kappa = state.kappa
-    new_r, new_i = rotate(expand(rotation(kappa, h), kappa, 3), state.real.data,
-                          state.imag.data)
-    w1, w2 = sample_schrodinger_conv_increments(ps, factors, rng)
-    return SchrodingerState(CoefficientField(new_r + w1.data, kappa, 3),
-                            CoefficientField(new_i - w2.data, kappa, 3),
+    ur, ui = mode_stepper(rotation(kappa, h), ps, factors, rng, minus=True)(state.real.data,
+                                                                            state.imag.data)
+    return SchrodingerState(CoefficientField(ur, kappa, 3), CoefficientField(ui, kappa, 3),
                             t=state.t + h)
 
 

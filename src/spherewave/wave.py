@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .modes import CoefficientField, laplacian_eigenvalue, mode_degrees
-from .noise import ConvFactorTable, ModeFactors, sample_wave_conv_increments
+from .noise import ConvFactorTable, ModeFactors
 from .spectrum import PowerSpectrum
 
 
@@ -136,8 +136,10 @@ def step(state: WaveState, h: float, ps: PowerSpectrum, rng: np.random.Generator
         prop = Propagator.build(state.kappa, state.dim, h)
     elif (prop.kappa, prop.dim, prop.h) != (state.kappa, state.dim, h):
         raise ValueError("propagator does not match state and step size")
-    w1, w2 = sample_wave_conv_increments(ps, factors, rng)
-    return add_increments(propagate(state, prop), w1, w2)
+    u1, u2 = mode_stepper(prop.rotation(), ps, factors, rng)(state.position.data,
+                                                               state.velocity.data)
+    return WaveState(CoefficientField(u1, state.kappa, state.dim),
+                     CoefficientField(u2, state.kappa, state.dim), t=state.t + h)
 
 
 def run_path(ps: PowerSpectrum, v1: CoefficientField, v2: CoefficientField,

@@ -12,9 +12,10 @@ from spherewave.harmonics import normalized_legendre_table
 from spherewave.harness import ExperimentConfig, _TailErrors, _TerminalSampler
 from spherewave.io import write_coefficient_csv
 from spherewave.modes import CoefficientField, mode_count
-from spherewave.schrodinger import run_path_schrodinger
+from spherewave.noise import ConvFactorTable
+from spherewave.schrodinger import SchrodingerState, run_path_schrodinger, schrodinger_step
 from spherewave.spectrum import PowerSpectrum
-from spherewave.wave import run_path
+from spherewave.wave import WaveState, run_path, step
 
 DATA = ["zero", "file-v1", "file-v2", "file-both", "random-beta", "random-gamma",
         "random-both"]
@@ -89,6 +90,32 @@ def test_paths_equal_the_step_loop(equation, dim, kappa, fixed, steps, store_eve
     assert len(states) == len(expected)
     for (t, a1, a2), (t_ref, b1, b2) in zip(states, expected):
         assert t == t_ref and _same_bits(a1, b1) and _same_bits(a2, b2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["wave", "wave-dsphere", "schrodinger"]), st.integers(3, 5),
+       st.integers(0, 40), st.booleans(), st.floats(0.05, 4.0), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 1.0]))
+def test_one_step_equals_the_per_step_reference(equation, dim, kappa, fixed, h, seed, scale):
+    dim = dim if equation == "wave-dsphere" else 3
+    ps = PowerSpectrum(alpha=3.0, scale=scale)
+    rng = np.random.default_rng(seed)
+    n = mode_count(kappa, dim)
+    u1, u2 = (rng.standard_normal(n), rng.standard_normal(n)) if fixed else (
+        np.zeros(n), np.zeros(n))
+    v1, v2 = CoefficientField(u1, kappa, dim), CoefficientField(u2, kappa, dim)
+    if equation == "schrodinger":
+        factors = ConvFactorTable.for_schrodinger(kappa, h)
+        out = schrodinger_step(SchrodingerState(v1, v2, t=0.5), h, ps,
+                               np.random.default_rng(seed), factors)
+        t, a1, a2 = out.t, out.real.data, out.imag.data
+    else:
+        factors = ConvFactorTable.for_wave(kappa, dim, h)
+        out = step(WaveState(v1, v2, t=0.5), h, ps, np.random.default_rng(seed), factors)
+        t, a1, a2 = out.t, out.position.data, out.velocity.data
+    b1, b2 = oracles.step_by_gathers(equation, u1, u2, h, ps, factors,
+                                     np.random.default_rng(seed))
+    assert t == 0.5 + h and _same_bits(a1, b1) and _same_bits(a2, b2)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

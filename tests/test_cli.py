@@ -498,3 +498,13 @@ def test_state_larger_than_memory_fails_before_allocating(tmp_path, monkeypatch,
     monkeypatch.setattr(harmonics, "_physical_memory", lambda: None)  # unknown: no check
     cli._check_state_memory(resolve_config(build_parser().parse_args(
         [command, "--equation", "wave-dsphere", "--dim", "8", "--kappa-ref", "64"])))
+
+
+def test_simulate_rejects_initial_data_of_another_dimension(tmp_path, capsys):
+    # at kappa_ref 0 every dimension has one mode, so only the check tells them apart
+    path = tmp_path / "v2.csv"
+    write_coefficient_csv(str(path), CoefficientField(np.ones(mode_count(0, 4)), 0, 4))
+    assert run_cli("simulate", "--kappa-ref", "0", "--steps", "2", "--initial-data", "file",
+                   "--v2-file", str(path), "--output", str(tmp_path / "out")) == 1
+    assert "v2.csv: initial data has dim=4, the experiment needs dim=3" in (
+        capsys.readouterr().err)

@@ -375,3 +375,22 @@ def test_grid_error_memory_does_not_grow_with_the_samples():
 
     # the smaller run fills one chunk; the larger runs four
     assert traced_peak(4 * chunk) <= 1.3 * traced_peak(chunk)
+
+
+@pytest.mark.parametrize("equation,kind,experiment", [
+    ("wave", "max-grid", strong_error_experiment),
+    ("wave", "l2-grid", pathwise_error_experiment),
+    ("wave", "l2-coefficients", strong_error_experiment),
+    ("schrodinger", "max-grid", strong_error_experiment),
+    ("wave", "l2-coefficients", analytic_weak_error_experiment)])
+def test_initial_data_file_of_another_dimension_is_rejected(tmp_path, equation, kind,
+                                                            experiment):
+    from spherewave.io import write_coefficient_csv
+    path = tmp_path / "v1-dim4.csv"
+    write_coefficient_csv(str(path), CoefficientField(np.ones(mode_count(2, 4)), 2, 4))
+    cfg = ExperimentConfig(equation=equation, alpha=3.0, kappas=[1, 2, 4], kappa_ref=8,
+                           samples=2, seed=1, error_kind=kind, initial_data="file",
+                           v1_file=str(path))
+    with pytest.raises(ValueError, match=r"v1-dim4\.csv: initial data has dim=4, "
+                                         r"the experiment needs dim=3"):
+        experiment(cfg)
