@@ -1,22 +1,17 @@
 """Spectral solver and convergence lab for stochastic wave and Schrodinger
 equations on spheres driven by isotropic Q-Wiener noise."""
 
-from .harmonics import (GridField, SphereGrid, assoc_legendre, grid_l2_norm,
-                        grid_max_abs, legendre, normalized_legendre, synthesize)
+from .harmonics import GridField, SphereGrid, legendre, normalized_legendre, synthesize
 from .harness import (ErrorTable, ExperimentConfig, analytic_second_moment,
                       analytic_weak_error_experiment, fit_rate,
                       pathwise_error_experiment, strong_error_experiment,
                       theoretical_rates, weak_error_experiment)
 from .modes import (CoefficientField, harmonic_dimension, laplacian_eigenvalue,
                     mode_count)
-from .noise import (ConvCovariance, ConvFactorTable, sample_isotropic_grf,
-                    sample_schrodinger_conv_increments, sample_wave_conv_increments,
-                    schrodinger_conv_cholesky, schrodinger_conv_covariance,
-                    wave_conv_cholesky, wave_conv_covariance, wiener_increment)
-from .schrodinger import (SchrodingerState, init_schrodinger_state, mode_modulus,
-                          run_path_schrodinger, schrodinger_step)
-from .spectrum import (PowerSpectrum, random_sobolev_data, sobolev_norm,
-                       spectrum_eval)
-from .wave import (Propagator, WaveState, init_state, mode_energy, run_path, step)
+from .noise import (ConvFactorTable, Propagator, sample_isotropic_grf,
+                    sample_schrodinger_conv_increments, sample_wave_conv_increments)
+from .schrodinger import run_path_schrodinger, schrodinger_step
+from .spectrum import PowerSpectrum, random_sobolev_data
+from .wave import State, init_state, run_path, step
 
 __version__ = "0.1.0"

@@ -24,11 +24,9 @@ from .harness import (ExperimentConfig, analytic_weak_error_experiment,
                       pathwise_error_experiment, strong_error_experiment,
                       theoretical_rates, weak_error_experiment)
 from .io import (ensure_dir, write_coefficient_csv, write_error_table_csv,
-                 write_error_table_json, write_grid_field_csv,
-                 write_schrodinger_trajectory_csv, write_wave_trajectory_csv)
+                 write_error_table_json, write_grid_field_csv, write_wave_trajectory_csv)
 from .modes import mode_count
 from .noise import sample_isotropic_grf
-from .schrodinger import run_path_schrodinger
 from .wave import run_path
 
 PRESETS: dict[str, dict] = {
@@ -107,7 +105,7 @@ def _add_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--samples", type=int, help="Monte Carlo samples")
     parser.add_argument("--seed", type=int, help="base seed")
     parser.add_argument("--error-kind", dest="error_kind",
-                        choices=["l2-coefficients", "l2-grid", "max-grid"])
+                        choices=["l2-coefficients", "max-grid"])
     parser.add_argument("--n-theta", dest="n_theta", type=int, help="grid colatitudes")
     parser.add_argument("--n-phi", dest="n_phi", type=int, help="grid longitudes")
     parser.add_argument("--weak-functional", dest="weak_functional",
@@ -223,14 +221,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     meta = cfg.resolved()
     written = []
     traj_path = os.path.join(cfg.output, "trajectory.csv")
-    if cfg.equation == "schrodinger":
-        states = run_path_schrodinger(ps, v1, v2, cfg.kappa_ref, cfg.T, cfg.steps,
-                                      cfg.seed, cfg.store_every)
-        final = write_schrodinger_trajectory_csv(traj_path, states, cfg.seed, meta).real
-    else:
-        states = run_path(ps, v1, v2, cfg.kappa_ref, cfg.dim, cfg.T, cfg.steps,
-                          cfg.seed, cfg.store_every)
-        final = write_wave_trajectory_csv(traj_path, states, cfg.seed, meta).position
+    states = run_path(ps, v1, v2, cfg.kappa_ref, cfg.dim, cfg.T, cfg.steps, cfg.seed,
+                      cfg.store_every, cfg.equation)
+    final = write_wave_trajectory_csv(traj_path, states, cfg.seed, meta,
+                                      cfg.component_names()).u1
     written.append(traj_path)
     if cfg.dim == 3:
         field = synthesize(final, cfg.grid())

@@ -60,34 +60,6 @@ def legendre(ell: int, mu):
     return p if p.ndim else float(p)
 
 
-def assoc_legendre(ell: int, m: int, mu):
-    """Associated Legendre function P_{ell,m}(mu) with the (-1)^m phase.
-
-    Stable recurrence in ell at fixed m.  Unnormalized, so the seed
-    (2m-1)!! overflows double precision around m = 150; use
-    normalized_legendre for large orders.
-    """
-    if ell < 0 or not 0 <= m <= ell:
-        raise ValueError(f"need 0 <= m <= ell, got ell={ell}, m={m}")
-    mu = np.asarray(mu, dtype=float)
-    if np.any(np.abs(mu) > 1.0):
-        raise ValueError("argument must lie in [-1, 1]")
-    # P_{m,m} = (-1)^m (2m-1)!! (1 - mu^2)^(m/2)
-    pmm = np.ones_like(mu)
-    if m > 0:
-        s = np.sqrt((1.0 - mu) * (1.0 + mu))
-        for k in range(1, m + 1):
-            pmm = -pmm * (2 * k - 1) * s
-    if ell == m:
-        return pmm if pmm.ndim else float(pmm)
-    pm1 = mu * (2 * m + 1) * pmm
-    if ell == m + 1:
-        return pm1 if pm1.ndim else float(pm1)
-    for n in range(m + 2, ell + 1):
-        pm1, pmm = ((2 * n - 1) * mu * pm1 - (n + m - 1) * pmm) / (n - m), pm1
-    return pm1 if pm1.ndim else float(pm1)
-
-
 def _normalized_diag_seed(m: int, sin_t, prev):
     """Lbar_{m,m} from Lbar_{m-1,m-1}; carries normalization and phase."""
     return -math.sqrt((2 * m + 1) / (2.0 * m)) * sin_t * prev
@@ -429,12 +401,3 @@ def _theta_profiles(data, kappa, grid, shells) -> list[np.ndarray]:
                 np.subtract(even[:, :n_south], odd[:, :n_south], out=out[:, n_north:][:, ::-1])
         del block, rows  # freed before the next block is built
     return profiles
-
-
-def grid_l2_norm(f: GridField) -> float:
-    """L^2 norm via the grid quadrature weights."""
-    return math.sqrt(max(f.grid.integrate(f.values**2), 0.0))
-
-
-def grid_max_abs(f: GridField) -> float:
-    return float(np.max(np.abs(f.values)))

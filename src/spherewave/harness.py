@@ -4,7 +4,8 @@ Every experiment couples the coarse approximation to the reference through the
 same noise realization: the band-kappa solution is by construction the
 projection of the band-kappa_ref solution, because modes evolve independently.
 The per-sample error is therefore exactly the norm of the reference tail above
-degree kappa (computed in coefficient space via Parseval, or on a grid).
+degree kappa (the L^2 norm in coefficient space via Parseval, or the max norm
+on a grid).
 
 Since the sampling is exact in distribution, experiments take a single step of
 size T; the number of time steps does not enter the error.  Two samplers draw
@@ -36,15 +37,14 @@ import numpy as np
 
 from .harmonics import SphereGrid, synthesis_field_bytes, synthesize_tails
 from .modes import (CoefficientField, degree_offsets, degree_sizes, laplacian_eigenvalue,
-                    mode_count)
-from .noise import (ConvFactorTable, ModeFactors, _factor_entries, _wave_entries,
+                    mode_count, mode_degrees)
+from .noise import (ConvFactorTable, ModeFactors, Propagator, _factor_entries, _wave_entries,
                     sample_degree_wishart)
-from .schrodinger import rotation as schrodinger_rotation
-from .spectrum import PowerSpectrum, random_sobolev_data, sobolev_scale
-from .wave import Propagator, WaveState, expand, propagate, rotate
+from .spectrum import PowerSpectrum, sobolev_scale
+from .wave import State, expand, propagate, rotate
 
 EQUATIONS = ("wave", "wave-dsphere", "schrodinger")
-ERROR_KINDS = ("l2-coefficients", "l2-grid", "max-grid")
+ERROR_KINDS = ("l2-coefficients", "max-grid")
 INITIAL_DATA_MODES = ("zero", "random-sobolev", "file")
 WEAK_METHODS = ("mc", "analytic")
 
@@ -89,7 +89,8 @@ class ExperimentConfig:
         if self.equation not in EQUATIONS:
             raise ValueError(f"unknown equation {self.equation!r}, expected one of {EQUATIONS}")
         if self.error_kind not in ERROR_KINDS:
-            raise ValueError(f"unknown error kind {self.error_kind!r}")
+            raise ValueError(f"unknown error kind {self.error_kind!r}, expected one of "
+                             f"{ERROR_KINDS} (grid L^2 errors equal l2-coefficients)")
         if self.initial_data not in INITIAL_DATA_MODES:
             raise ValueError(f"unknown initial data mode {self.initial_data!r}")
         if self.weak_functional not in FUNCTIONALS:
@@ -127,14 +128,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"kappa_ref ({self.kappa_ref}) must exceed every tested kappa "
                 f"(max {max(self.kappas)})")
-        n_theta, n_phi = self.grid_shape()
-        if self.error_kind == "l2-grid" and (n_theta < self.kappa_ref + 1
-                                             or n_phi < 2 * self.kappa_ref + 1):
-            # max-grid stays allowed: point values are exact on any grid
-            raise ValueError(
-                f"l2-grid errors need n_theta >= {self.kappa_ref + 1} and n_phi >= "
-                f"{2 * self.kappa_ref + 1} (kappa_ref + 1 and 2 kappa_ref + 1) for the "
-                f"quadrature of the squared tail to be exact, got {n_theta} x {n_phi}")
 
     def power_spectrum(self) -> PowerSpectrum:
         return PowerSpectrum(self.alpha, self.scale, self.ell0, self.head_value)
@@ -270,14 +263,14 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
 class _TerminalSampler:
     """Draws coupled (component1, component2) coefficient arrays at kappa_ref.
 
-    Per mode the terminal state is M u0 + (W1, W2) (the Schrodinger W2 with a
-    minus sign): u0 is the initial data, M the noise-free step over T and W
-    the convolution increment.  Data from files is propagated once per run.
+    Per mode the terminal state is M u0 + (W1, sign * W2) under the law of
+    one step over T: u0 is the initial data, M the noise-free step and W the
+    convolution increment.  Data from files is propagated once per run.
     `draw` expands the per-mode increment factors once per chunk, with the
-    rotation for random-sobolev data or M 0 for zero data (the sum keeps its
-    signed zeros), and drops them on return, before the chunk is synthesized.
-    Per sample it then draws the data (if random) and the normals and adds
-    M u0.
+    rotation and the Sobolev scales for random-sobolev data or M 0 for zero
+    data (the sum keeps its signed zeros), and drops them on return, before
+    the chunk is synthesized.  Per sample it then draws the data (if random)
+    and the normals and adds M u0.
 
     Draw order per sample: first component data (if random), second component
     data (if random), then the convolution increments; this pins reproducibility.
@@ -289,38 +282,32 @@ class _TerminalSampler:
         self.ps = cfg.power_spectrum()
         self.kref = cfg.kappa_ref
         self.dim = cfg.dim
-        if cfg.equation == "schrodinger":
-            self.factors = ConvFactorTable.for_schrodinger(self.kref, cfg.T)
-        else:
-            self.factors = ConvFactorTable.for_wave(self.kref, self.dim, cfg.T)
-        self.rotation = _rotation_entries(cfg)
+        self.law = ConvFactorTable.for_equation(cfg.equation, self.kref, self.dim, cfg.T)
         self.random = cfg.initial_data == "random-sobolev"
-        self.mean = _propagated_file_data(cfg)
-
-    def _initial(self, rng, exponent):
-        if exponent is None:
-            return 0.0
-        return random_sobolev_data(exponent, self.kref, rng, self.dim).data
+        self.mean = _propagated_file_data(cfg, self.law)
 
     def draw(self, indices) -> np.ndarray:
         """Terminal states of the samples `indices`, shape (2 len(indices), n_modes):
         row 2k is sample indices[k]'s first component, row 2k + 1 its second."""
-        cfg = self.cfg
-        data = np.empty((2 * len(indices), mode_count(self.kref, self.dim)))
-        noise = ModeFactors.expand(self.ps, self.factors)
+        cfg, kref, dim = self.cfg, self.kref, self.dim
+        data = np.empty((2 * len(indices), mode_count(kref, dim)))
+        noise = ModeFactors.expand(self.ps, self.law)
         if self.random:
-            rotation = expand(self.rotation, self.kref, self.dim)
+            rotation = expand(self.law.rotation, kref, dim)
+            degrees = mode_degrees(kref, dim)
+            scales = [None if exponent is None else sobolev_scale(exponent, kref, dim)[degrees]
+                      for exponent in (cfg.beta, cfg.gamma)]
         elif self.mean is None:  # zero data
-            mean = expand(rotate(self.rotation, 0.0, 0.0), self.kref, self.dim)
+            mean = expand(rotate(self.law.rotation, 0.0, 0.0), kref, dim)
         else:
             mean = self.mean
-        minus = cfg.equation == "schrodinger"
         for k, i in enumerate(indices):
             rng = _sample_rng(cfg.seed, i)
-            if self.random:
-                u1 = self._initial(rng, cfg.beta)
-                mean = rotate(rotation, u1, self._initial(rng, cfg.gamma))
-            data[2 * k], data[2 * k + 1] = noise.add(*mean, rng, minus)
+            if self.random:  # the data of random_sobolev_data, from the expanded scales
+                mean = rotate(rotation, *(0.0 if scale is None
+                                          else scale * rng.standard_normal(scale.size)
+                                          for scale in scales))
+            data[2 * k], data[2 * k + 1] = noise.add(*mean, rng)
         return data
 
     def __call__(self, index: int):
@@ -328,29 +315,15 @@ class _TerminalSampler:
         return tuple(self.draw([index]))
 
 
-def _rotation_entries(cfg: ExperimentConfig):
-    """Per-degree (diagonal, upper, lower) entries of the noise-free step over T."""
-    if cfg.equation == "schrodinger":
-        return schrodinger_rotation(cfg.kappa_ref, cfg.T)
-    return Propagator.build(cfg.kappa_ref, cfg.dim, cfg.T).rotation()
-
-
-def _propagated_file_data(cfg: ExperimentConfig):
+def _propagated_file_data(cfg: ExperimentConfig, law: ConvFactorTable):
     """M u0 per mode for initial data from files (a missing file is zero data),
     or None without file data: the mean of the terminal state."""
     v1, v2 = _load_initial_fields(cfg)
     if v1 is None and v2 is None:
         return None
     zero = np.zeros(mode_count(cfg.kappa_ref, cfg.dim))
-    return rotate(expand(_rotation_entries(cfg), cfg.kappa_ref, cfg.dim),
+    return rotate(expand(law.rotation, cfg.kappa_ref, cfg.dim),
                   zero if v1 is None else v1.data, zero if v2 is None else v2.data)
-
-
-def _rotation(cfg: ExperimentConfig) -> np.ndarray:
-    """Per-degree 2x2 map of the noise-free step over T, shape (kappa_ref + 1, 2, 2)."""
-    diag, upper, lower = _rotation_entries(cfg)
-    rows = ((diag, upper), (lower, diag))
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 class _DegreeSampler:
@@ -359,10 +332,10 @@ class _DegreeSampler:
     Within degree ell the h(ell, dim) modes u_m of the state at T are i.i.d.
     2-vectors u_m = mu_m + L_ell z_m: mu_m is the propagated fixed data, z_m is
     standard normal, and L_ell L_ell^T = Sigma_ell.  Sigma_ell = A_ell C_ell(T)
-    for the noise (the Schrodinger increment enters as (W1, -W2), which flips
-    the sign of c12), plus M_ell diag(s1^2, s2^2) M_ell^T for random-sobolev
-    data, where M_ell is the noise-free step and s the data scale.  S_ell is
-    therefore Wishart_2(h, Sigma_ell), drawn by the Bartlett decomposition.
+    for the noise, with C_ell the law's covariance of (W1, sign * W2), plus
+    M_ell diag(s1^2, s2^2) M_ell^T for random-sobolev data, where M_ell is the
+    law's noise-free step and s the data scale.  S_ell is therefore
+    Wishart_2(h, Sigma_ell), drawn by the Bartlett decomposition.
 
     With fixed data the law is noncentral, but only through the mean Gram
     G_ell = sum_m mu_m mu_m^T, which has rank <= 2: rotating the h modes so
@@ -385,15 +358,10 @@ class _DegreeSampler:
         self.cfg = cfg
         kref, dim = cfg.kappa_ref, cfg.dim
         sizes = degree_sizes(kref, dim)
-        if cfg.equation == "schrodinger":
-            cov = ConvFactorTable.for_schrodinger(kref, cfg.T).covariance_matrices()
-            cov[:, 0, 1] *= -1.0
-            cov[:, 1, 0] *= -1.0
-        else:
-            cov = ConvFactorTable.for_wave(kref, dim, cfg.T).covariance_matrices()
-        sigma = cfg.power_spectrum().values(kref)[:, None, None] * cov
+        law = ConvFactorTable.for_equation(cfg.equation, kref, dim, cfg.T)
+        sigma = cfg.power_spectrum().values(kref)[:, None, None] * law.covariance_matrices()
         if cfg.initial_data == "random-sobolev":
-            rot = _rotation(cfg)
+            rot = law.rotation_matrices()
             var = np.zeros((kref + 1, 2))
             for j, exponent in enumerate((cfg.beta, cfg.gamma)):
                 if exponent is not None:
@@ -404,7 +372,7 @@ class _DegreeSampler:
         self.chunk = max(1, DEGREE_CHUNK_BYTES // (8 * (kref + 1)))
         self.dof = sizes.astype(float)
         self.means = None
-        mean = _propagated_file_data(cfg)
+        mean = _propagated_file_data(cfg, law)
         if mean is not None:
             self.means, self.present = self._explicit_modes(*mean, sizes)
             self.dof = np.maximum(sizes - 2, 0).astype(float)
@@ -471,11 +439,11 @@ SAMPLE_CHUNK_BYTES = 64 * 2**20
 
 
 class _TailErrors:
-    """Grid errors of the tails above every tested kappa, for a stack of fields.
+    """Max-norm errors of the tails above every tested kappa, for a stack of fields.
 
     One batched synthesis pass (synthesize_tails) serves the whole stack: the
-    tails are built shell by shell from the top, and each is reduced (max-abs
-    or quadrature L^2) before the next shell is added, so no tail field is
+    tails are built shell by shell from the top, and each is reduced to its
+    largest absolute value before the next shell is added, so no tail field is
     stored.  `chunk` is the number of samples (two fields each) whose working
     set fits SAMPLE_CHUNK_BYTES; it depends on kappa_ref and the grid shape
     only, so a run's results do not depend on --threads.
@@ -489,15 +457,9 @@ class _TailErrors:
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
         """Errors of the (B, n_modes) stack `data`, shape (B, len(kappas)), kappas ascending."""
-        cfg, grid = self.cfg, self.grid
-        largest_first = []
-        for values in synthesize_tails(data, cfg.kappa_ref, grid, cfg.kappas):
-            if cfg.error_kind == "max-grid":
-                largest_first.append(np.maximum(values.max(axis=(1, 2)),
-                                                -values.min(axis=(1, 2))))
-            else:
-                squares = np.einsum("btp,btp->bt", values, values) @ grid.theta_weights
-                largest_first.append(np.sqrt(np.maximum(squares * grid.phi_weight, 0.0)))
+        largest_first = [np.maximum(values.max(axis=(1, 2)), -values.min(axis=(1, 2)))
+                         for values in synthesize_tails(data, self.cfg.kappa_ref, self.grid,
+                                                        self.cfg.kappas)]
         return np.stack(largest_first[::-1], axis=1)
 
 
@@ -635,10 +597,9 @@ def analytic_second_moment(ps: PowerSpectrum, kappa: int, t: float, dim: int = 3
     if v1 is not None or v2 is not None:
         prop = Propagator.build(kappa, dim, t)
         z = CoefficientField.zeros(kappa, dim)
-        state = WaveState((v1 or z).truncated(kappa), (v2 or z).truncated(kappa))
-        moved = propagate(state, prop)
-        pos += float(np.sum(moved.position.data**2))
-        vel += float(np.sum(moved.velocity.data**2))
+        moved = propagate(State((v1 or z).truncated(kappa), (v2 or z).truncated(kappa)), prop)
+        pos += float(np.sum(moved.u1.data**2))
+        vel += float(np.sum(moved.u2.data**2))
     return pos, vel
 
 

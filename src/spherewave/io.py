@@ -337,8 +337,10 @@ def write_grid_field_csv(path: str, field: GridField, metadata: dict | None = No
         _write_rows(fh, field.values.ravel(), prefix)
 
 
-def _write_trajectory_csv(path, states, seed, metadata, names):
-    """Write each state's fields `names` as it arrives; return the last state.
+def write_wave_trajectory_csv(path: str, states, seed: int, metadata: dict | None = None,
+                              names: tuple[str, str] = ("position", "velocity")):
+    """Stream each state's two components to path as it arrives, under `names`;
+    return the last state.  The trajectory writer of both equations.
 
     The file is written under a temporary name in the same directory and
     renamed to `path` after the last state, so a run that fails midway
@@ -350,16 +352,15 @@ def _write_trajectory_csv(path, states, seed, metadata, names):
         with open(partial, "wb") as fh:
             fh.write(_header(metadata or {}, "ell,m,component,value").encode())
             for state in states:
-                fields = [getattr(state, name) for name in names]
                 if labels is None:
-                    shape = (fields[0].kappa, fields[0].dim)
+                    shape = (state.kappa, state.dim)
                     labels = _label_words(*shape).__getitem__
-                if any((f.kappa, f.dim) != shape for f in fields):
+                if (state.kappa, state.dim) != shape:
                     raise ValueError(f"state at t={state.t} does not have the band limit "
                                      f"and dimension {shape} of the first state")
                 fh.write(f"# t={float(state.t)!r} kappa={shape[0]} d={shape[1]} "
                          f"seed={seed}\n".encode())
-                for name, f in zip(names, fields):
+                for name, f in zip(names, (state.u1, state.u2)):
                     fh.write(f"# field={name}\n".encode())
                     _write_rows(fh, f.data, labels)
         os.replace(partial, path)
@@ -370,15 +371,10 @@ def _write_trajectory_csv(path, states, seed, metadata, names):
     return state
 
 
-def write_wave_trajectory_csv(path: str, states, seed: int, metadata: dict | None = None):
-    """Stream wave states (position, velocity) to path; returns the last state."""
-    return _write_trajectory_csv(path, states, seed, metadata, ("position", "velocity"))
-
-
 def write_schrodinger_trajectory_csv(path: str, states, seed: int,
                                      metadata: dict | None = None):
-    """Stream Schrodinger states (real, imag) to path; returns the last state."""
-    return _write_trajectory_csv(path, states, seed, metadata, ("real", "imag"))
+    """write_wave_trajectory_csv under the Schrodinger component names (real, imag)."""
+    return write_wave_trajectory_csv(path, states, seed, metadata, ("real", "imag"))
 
 
 def ensure_dir(path: str):

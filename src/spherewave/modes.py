@@ -130,18 +130,3 @@ class CoefficientField:
         m = min(n, self.data.size)
         out[:m] = self.data[:m]
         return CoefficientField(out, kappa, self.dim)
-
-    def index_of(self, ell: int, m: int, component: int = 0) -> int:
-        """Flat index of a labelled mode (dim == 3 layout)."""
-        if self.dim != 3:
-            raise ValueError("labelled indexing is defined for dim == 3 only")
-        if not 0 <= ell <= self.kappa or not 0 <= m <= ell:
-            raise ValueError(f"invalid mode (ell={ell}, m={m}) for kappa={self.kappa}")
-        base = ell * ell  # sum of (2l+1) for l < ell
-        if m == 0:
-            if component != 0:
-                raise ValueError("m = 0 has a single component")
-            return base
-        if component not in (1, 2):
-            raise ValueError("component must be 1 (cos) or 2 (sin) for m >= 1")
-        return base + 2 * m - 1 + (component - 1)

@@ -24,6 +24,12 @@ D^T X gives covariance exactly C); the explicit entries are
 The combinations (2x - sin 2x) and sin(x)^2 lose all significant digits as
 x -> 0 (leading orders x^3, x^2), so both switch to Taylor series below
 SMALL_X; see the consistency tests for the branch agreement at the switch.
+
+A factor table (`ConvFactorTable`) is the whole per-degree law of one exact
+step of either equation: the noise-free rotation M_ell, the factors D_ell and
+the sign with which W2 enters.  `ConvFactorTable.for_equation` is the one
+place that turns an equation into a law; everything that steps or samples
+reads the law.
 """
 
 from __future__ import annotations
@@ -55,27 +61,6 @@ def _sin_squared(x: np.ndarray) -> np.ndarray:
     x2 = x * x
     series = x2 * (1.0 + x2 * (-1.0 / 3.0 + x2 * (2.0 / 45.0 - x2 / 315.0)))
     return np.where(x < SMALL_X, series, np.sin(x) ** 2)
-
-
-@dataclass(frozen=True)
-class ConvCovariance:
-    """2x2 covariance of a per-mode stochastic-convolution vector."""
-
-    c11: float
-    c12: float
-    c22: float
-    lam: float
-    t: float
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.c11, self.c12], [self.c12, self.c22]])
-
-    def psd_defect(self) -> float:
-        """det shortfall relative to c11*c22; >= -1e-14 for a valid covariance."""
-        prod = self.c11 * self.c22
-        if prod == 0.0:
-            return 0.0
-        return (prod - self.c12**2) / prod
 
 
 def _wave_entries(lams: np.ndarray, t: float):
@@ -131,39 +116,46 @@ def _check_time(t: float):
         raise ValueError(f"time must be positive, got {t}")
 
 
-def wave_conv_covariance(ell: int, dim: int, t: float) -> ConvCovariance:
-    _check_time(t)
-    lam = -laplacian_eigenvalue(ell, dim)
-    c11, c12, c22 = _wave_entries(np.array([lam]), t)
-    return ConvCovariance(float(c11[0]), float(c12[0]), float(c22[0]), lam, t)
+@dataclass(frozen=True, eq=False)
+class Propagator:
+    """Per-degree entries of the noise-free wave step over h, R1(h) and R2(h);
+    the map has determinant 1 for every degree."""
 
+    kappa: int
+    dim: int
+    h: float
+    lam: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
 
-def wave_conv_cholesky(ell: int, dim: int, t: float) -> tuple[float, float, float]:
-    """(d11, d12, d22) with D^T D equal to the wave covariance."""
-    _check_time(t)
-    lam = -laplacian_eigenvalue(ell, dim)
-    d11, d12, d22 = _factor_entries(*_wave_entries(np.array([lam]), t))
-    return float(d11[0]), float(d12[0]), float(d22[0])
+    @classmethod
+    def build(cls, kappa: int, dim: int, h: float) -> "Propagator":
+        lam = np.array([-laplacian_eigenvalue(ell, dim) for ell in range(kappa + 1)])
+        r1 = np.empty(kappa + 1)
+        r2 = np.empty(kappa + 1)
+        r1[0] = h  # lam -> 0 limit of sin(sqrt(lam) h)/sqrt(lam)
+        r2[0] = 1.0
+        sq = np.sqrt(lam[1:])
+        r1[1:] = np.sin(sq * h) / sq
+        r2[1:] = np.cos(sq * h)
+        return cls(kappa, dim, h, lam, r1, r2)
 
-
-def schrodinger_conv_covariance(ell: int, t: float) -> ConvCovariance:
-    _check_time(t)
-    lam = -laplacian_eigenvalue(ell, 3)
-    c11, c12, c22 = _schrodinger_entries(np.array([lam]), t)
-    return ConvCovariance(float(c11[0]), float(c12[0]), float(c22[0]), lam, t)
-
-
-def schrodinger_conv_cholesky(ell: int, t: float) -> tuple[float, float, float]:
-    _check_time(t)
-    lam = -laplacian_eigenvalue(ell, 3)
-    d11, d12, d22 = _factor_entries(*_schrodinger_entries(np.array([lam]), t))
-    return float(d11[0]), float(d12[0]), float(d22[0])
+    def rotation(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-degree (diagonal, upper, lower) entries of the map; see wave.rotate."""
+        return self.r2, self.r1, -self.lam * self.r1
 
 
 @dataclass(frozen=True, eq=False)
 class ConvFactorTable:
-    """Per-degree factor entries for one step size, precomputed once per run.
+    """The per-degree law of one exact step of size h, built once per run.
 
+    Per mode one step maps u to M_ell u + (W1, sign * W2): M_ell has the
+    per-degree entries `rotation` = (diagonal, upper, lower) (see
+    wave.rotate), (W1, W2) = sqrt(A_ell) D_ell^T X with the factor entries
+    (d11, d12, d22), and `sign` is -1 for the Schrodinger equation, whose
+    noise enters the imaginary part with a minus sign.  W2 is subtracted
+    there, not folded into D: -(a + b) and (-a) + (-b) differ when a and b
+    are zeros of opposite sign, which would flip a signed zero of the state.
     Increments of the stochastic convolution are stationary in distribution,
     so a single table serves every step of a uniform time grid.
     """
@@ -175,34 +167,58 @@ class ConvFactorTable:
     d11: np.ndarray
     d12: np.ndarray
     d22: np.ndarray
+    rotation: tuple[np.ndarray, np.ndarray, np.ndarray]
+    sign: float
+
+    @classmethod
+    def for_equation(cls, equation: str, kappa: int, dim: int, h: float) -> "ConvFactorTable":
+        """The law of `equation` ("wave", "wave-dsphere" or "schrodinger")."""
+        if equation == "schrodinger":
+            if dim != 3:
+                raise ValueError("the Schrodinger solver is defined on S^2 (dim == 3)")
+            return cls.for_schrodinger(kappa, h)
+        return cls.for_wave(kappa, dim, h)
 
     @classmethod
     def for_wave(cls, kappa: int, dim: int, h: float) -> "ConvFactorTable":
         _check_time(h)
-        lams = np.array([-laplacian_eigenvalue(ell, dim) for ell in range(kappa + 1)])
-        d11, d12, d22 = _factor_entries(*_wave_entries(lams, h))
-        return cls("wave", kappa, dim, h, d11, d12, d22)
+        prop = Propagator.build(kappa, dim, h)
+        d11, d12, d22 = _factor_entries(*_wave_entries(prop.lam, h))
+        return cls("wave", kappa, dim, h, d11, d12, d22, prop.rotation(), 1.0)
 
     @classmethod
     def for_schrodinger(cls, kappa: int, h: float) -> "ConvFactorTable":
+        """The rotation has entries (cos x, sin x, -sin x) with x = sqrt(lam) h."""
         _check_time(h)
         lams = np.array([-laplacian_eigenvalue(ell, 3) for ell in range(kappa + 1)])
+        x = np.sqrt(lams) * h
+        s = np.sin(x)
         d11, d12, d22 = _factor_entries(*_schrodinger_entries(lams, h))
-        return cls("schrodinger", kappa, 3, h, d11, d12, d22)
+        return cls("schrodinger", kappa, 3, h, d11, d12, d22, (np.cos(x), s, -s), -1.0)
 
     def covariance_matrices(self) -> np.ndarray:
-        """D^T D per degree, shape (kappa+1, 2, 2); for reconstruction checks."""
+        """Covariance of (W1, sign * W2) per unit spectrum: D^T D with the sign on
+        the off-diagonal, shape (kappa+1, 2, 2)."""
         out = np.empty((self.kappa + 1, 2, 2))
         out[:, 0, 0] = self.d11**2
-        out[:, 0, 1] = out[:, 1, 0] = self.d11 * self.d12
+        out[:, 0, 1] = out[:, 1, 0] = self.sign * (self.d11 * self.d12)
         out[:, 1, 1] = self.d12**2 + self.d22**2
         return out
 
-    def require(self, kind: str, kappa: int, dim: int, h: float):
-        if (self.kind, self.kappa, self.dim) != (kind, kappa, dim) or self.h != h:
+    def rotation_matrices(self) -> np.ndarray:
+        """M_ell per degree, shape (kappa+1, 2, 2)."""
+        diag, upper, lower = self.rotation
+        rows = ((diag, upper), (lower, diag))
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+    def require(self, kappa: int, dim: int, h: float, kind: str | None = None):
+        """Reject a table built for another band limit, dimension, step (or kind)."""
+        if ((self.kappa, self.dim) != (kappa, dim) or self.h != h
+                or kind not in (None, self.kind)):
             raise ValueError(
                 f"factor table built for ({self.kind}, kappa={self.kappa}, dim={self.dim}, "
-                f"h={self.h}) does not match ({kind}, kappa={kappa}, dim={dim}, h={h})"
+                f"h={self.h}) does not match ({kind or self.kind}, kappa={kappa}, dim={dim}, "
+                f"h={h})"
             )
 
 
@@ -211,14 +227,6 @@ def sample_isotropic_grf(ps: PowerSpectrum, kappa: int, dim: int,
     """Band-limited isotropic Gaussian random field: each degree-ell coefficient
     is an independent N(0, A_ell) draw, in flat storage order."""
     sigma = np.sqrt(ps.values(kappa))[mode_degrees(kappa, dim)]
-    return CoefficientField(sigma * rng.standard_normal(sigma.size), kappa, dim)
-
-
-def wiener_increment(ps: PowerSpectrum, kappa: int, dim: int, h: float,
-                     rng: np.random.Generator) -> CoefficientField:
-    """Increment of the Q-Wiener process over a step h (spectrum scaled by h)."""
-    _check_time(h)
-    sigma = np.sqrt(h * ps.values(kappa))[mode_degrees(kappa, dim)]
     return CoefficientField(sigma * rng.standard_normal(sigma.size), kappa, dim)
 
 
@@ -257,7 +265,7 @@ def sample_degree_wishart(l11: np.ndarray, l21: np.ndarray, l22: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class ModeFactors:
-    """Per-mode increment factors of one factor table and spectrum, expanded once.
+    """Per-mode increment factors of one law and spectrum, expanded once.
 
     Per mode (W1, W2) = sqrt(A_ell) D_ell^T X, evaluated as W1 = f11 X1 and
     W2 = sa (d12 X1 + d22 X2) with f11 = sqrt(A_ell) d11 and sa = sqrt(A_ell);
@@ -270,13 +278,14 @@ class ModeFactors:
     sa: np.ndarray
     d12: np.ndarray
     d22: np.ndarray
+    sign: float
 
     @classmethod
-    def expand(cls, ps: PowerSpectrum, factors: ConvFactorTable) -> "ModeFactors":
-        degrees = mode_degrees(factors.kappa, factors.dim)
-        sa = np.sqrt(ps.values(factors.kappa))
-        return cls((sa * factors.d11)[degrees], sa[degrees], factors.d12[degrees],
-                   factors.d22[degrees])
+    def expand(cls, ps: PowerSpectrum, law: ConvFactorTable) -> "ModeFactors":
+        degrees = mode_degrees(law.kappa, law.dim)
+        sa = np.sqrt(ps.values(law.kappa))
+        return cls((sa * law.d11)[degrees], sa[degrees], law.d12[degrees], law.d22[degrees],
+                   law.sign)
 
     def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """(W1, W2) arrays.  Normals are consumed in storage order, two per mode
@@ -288,16 +297,18 @@ class ModeFactors:
         w2 *= self.sa
         return w1, w2
 
-    def add(self, u1, u2, rng: np.random.Generator, minus: bool = False):
-        """(u1 + W1, u2 + W2), or u2 - W2 with `minus`, for one fresh draw."""
+    def add(self, u1, u2, rng: np.random.Generator):
+        """(u1 + W1, u2 + sign * W2) for one fresh draw; a minus sign subtracts W2."""
         w1, w2 = self.draw(rng)
         np.add(u1, w1, out=w1)
-        (np.subtract if minus else np.add)(u2, w2, out=w2)
+        (np.add if self.sign > 0 else np.subtract)(u2, w2, out=w2)
         return w1, w2
 
 
-def _sample_conv_increments(ps, factors, rng):
-    """Common increment sampler: per mode (W1, W2) = sqrt(A_ell) D^T X."""
+def _sample_conv_increments(ps, factors, rng, kind):
+    """Increment fields (W1, W2) = sqrt(A_ell) D^T X per mode of a `kind` table."""
+    if factors.kind != kind:
+        raise ValueError(f"expected a {kind} factor table, got kind={factors.kind!r}")
     w1, w2 = ModeFactors.expand(ps, factors).draw(rng)
     return (CoefficientField(w1, factors.kappa, factors.dim),
             CoefficientField(w2, factors.kappa, factors.dim))
@@ -306,14 +317,10 @@ def _sample_conv_increments(ps, factors, rng):
 def sample_wave_conv_increments(ps: PowerSpectrum, factors: ConvFactorTable,
                                 rng: np.random.Generator):
     """(W1, W2) increment fields with per-mode covariance A_ell * C_ell(h)."""
-    if factors.kind != "wave":
-        raise ValueError(f"expected a wave factor table, got kind={factors.kind!r}")
-    return _sample_conv_increments(ps, factors, rng)
+    return _sample_conv_increments(ps, factors, rng, "wave")
 
 
 def sample_schrodinger_conv_increments(ps: PowerSpectrum, factors: ConvFactorTable,
                                        rng: np.random.Generator):
     """(W1, W2) increment fields for the Schrodinger kernels."""
-    if factors.kind != "schrodinger":
-        raise ValueError(f"expected a schrodinger factor table, got kind={factors.kind!r}")
-    return _sample_conv_increments(ps, factors, rng)
+    return _sample_conv_increments(ps, factors, rng, "schrodinger")

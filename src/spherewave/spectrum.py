@@ -51,17 +51,6 @@ class PowerSpectrum:
         return out
 
 
-def spectrum_eval(ps: PowerSpectrum, ell: int) -> float:
-    return ps.value(ell)
-
-
-def sobolev_norm(f: CoefficientField, s: float) -> float:
-    """H^s norm: ( sum (1 + ell(ell+dim-2))^s c^2 )^(1/2); s = 0 is the L^2 norm."""
-    lam = np.array([-laplacian_eigenvalue(ell, f.dim) for ell in range(f.kappa + 1)])
-    weights = (1.0 + lam) ** s
-    return float(np.sqrt(np.dot(weights[mode_degrees(f.kappa, f.dim)], f.data**2)))
-
-
 def sobolev_scale(beta: float, kappa: int, dim: int = 3) -> np.ndarray:
     """Per-degree coefficient standard deviation used by random_sobolev_data.
 

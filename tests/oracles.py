@@ -17,20 +17,27 @@ coefficients degree by degree: the samplers and the Legendre table that
 expand or tabulate these once per run, chunk or block must reproduce them
 bit for bit.  They take the per-degree tables (factor tables, propagators,
 spectra) from the package.
+
+The helpers at the end were public in the package although no package code
+called them; the scalar covariances and factors still go through the
+package's private entry functions (noise._wave_entries and friends), so a
+test that compares them with quadrature keeps testing the package.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
 from scipy import integrate
 from scipy.special import sph_harm_y
 
+from spherewave import noise
 from spherewave.harness import _load_initial_fields
-from spherewave.modes import mode_count, mode_degrees
-from spherewave.noise import ConvFactorTable
+from spherewave.modes import CoefficientField, laplacian_eigenvalue, mode_count, mode_degrees
+from spherewave.noise import ConvFactorTable, Propagator
 from spherewave.spectrum import random_sobolev_data
-from spherewave.wave import Propagator
+from spherewave.wave import State
 
 
 def rodrigues_legendre(ell: int, mu: float) -> float:
@@ -303,3 +310,139 @@ def path_by_steps(equation, ps, u1, u2, kappa, dim, T, steps, seed, store_every)
         if j % store_every == 0 or j == steps:
             stored.append((t, u1, u2))
     return stored
+
+
+# ---------------------------------------------------------------------------
+# helpers that no package code calls
+# ---------------------------------------------------------------------------
+
+def index_of(ell: int, m: int, component: int = 0) -> int:
+    """Flat index of the S^2 mode (ell, m, component): 0 for m = 0, then 1 (cos)
+    and 2 (sin)."""
+    if not 0 <= m <= ell or (component == 0) != (m == 0) or component not in (0, 1, 2):
+        raise ValueError(f"no mode (ell={ell}, m={m}, component={component})")
+    return ell * ell + (0 if m == 0 else 2 * m - 1 + (component - 1))
+
+
+def assoc_legendre(ell: int, m: int, mu):
+    """Associated Legendre function P_{ell,m}(mu) with the (-1)^m phase.
+
+    Stable recurrence in ell at fixed m.  Unnormalized, so the seed
+    (2m-1)!! overflows double precision around m = 150.
+    """
+    if ell < 0 or not 0 <= m <= ell:
+        raise ValueError(f"need 0 <= m <= ell, got ell={ell}, m={m}")
+    mu = np.asarray(mu, dtype=float)
+    if np.any(np.abs(mu) > 1.0):
+        raise ValueError("argument must lie in [-1, 1]")
+    # P_{m,m} = (-1)^m (2m-1)!! (1 - mu^2)^(m/2)
+    pmm = np.ones_like(mu)
+    if m > 0:
+        s = np.sqrt((1.0 - mu) * (1.0 + mu))
+        for k in range(1, m + 1):
+            pmm = -pmm * (2 * k - 1) * s
+    if ell == m:
+        return pmm if pmm.ndim else float(pmm)
+    pm1 = mu * (2 * m + 1) * pmm
+    if ell == m + 1:
+        return pm1 if pm1.ndim else float(pm1)
+    for n in range(m + 2, ell + 1):
+        pm1, pmm = ((2 * n - 1) * mu * pm1 - (n + m - 1) * pmm) / (n - m), pm1
+    return pm1 if pm1.ndim else float(pm1)
+
+
+def grid_l2_norm(f) -> float:
+    """L^2 norm of a GridField via the grid quadrature weights."""
+    return math.sqrt(max(f.grid.integrate(f.values**2), 0.0))
+
+
+def grid_max_abs(f) -> float:
+    return float(np.max(np.abs(f.values)))
+
+
+def spectrum_eval(ps, ell: int) -> float:
+    return ps.value(ell)
+
+
+def sobolev_norm(f: CoefficientField, s: float) -> float:
+    """H^s norm: ( sum (1 + ell(ell+dim-2))^s c^2 )^(1/2); s = 0 is the L^2 norm."""
+    lam = np.array([-laplacian_eigenvalue(ell, f.dim) for ell in range(f.kappa + 1)])
+    weights = (1.0 + lam) ** s
+    return float(np.sqrt(np.dot(weights[mode_degrees(f.kappa, f.dim)], f.data**2)))
+
+
+@dataclass(frozen=True)
+class ConvCovariance:
+    """2x2 covariance of a per-mode stochastic-convolution vector."""
+
+    c11: float
+    c12: float
+    c22: float
+    lam: float
+    t: float
+
+    def matrix(self) -> np.ndarray:
+        return np.array([[self.c11, self.c12], [self.c12, self.c22]])
+
+    def psd_defect(self) -> float:
+        """det shortfall relative to c11*c22; >= -1e-14 for a valid covariance."""
+        prod = self.c11 * self.c22
+        if prod == 0.0:
+            return 0.0
+        return (prod - self.c12**2) / prod
+
+
+def _scalar_entries(entries, ell, dim, t):
+    """(lam, (c11, c12, c22)) of one degree from a package entry function."""
+    noise._check_time(t)
+    lam = -laplacian_eigenvalue(ell, dim)
+    return lam, entries(np.array([lam]), t)
+
+
+def wave_conv_covariance(ell: int, dim: int, t: float) -> ConvCovariance:
+    lam, c = _scalar_entries(noise._wave_entries, ell, dim, t)
+    return ConvCovariance(*(float(x[0]) for x in c), lam, t)
+
+
+def wave_conv_cholesky(ell: int, dim: int, t: float) -> tuple[float, float, float]:
+    """(d11, d12, d22) with D^T D equal to the wave covariance."""
+    _, c = _scalar_entries(noise._wave_entries, ell, dim, t)
+    return tuple(float(d[0]) for d in noise._factor_entries(*c))
+
+
+def schrodinger_conv_covariance(ell: int, t: float) -> ConvCovariance:
+    lam, c = _scalar_entries(noise._schrodinger_entries, ell, 3, t)
+    return ConvCovariance(*(float(x[0]) for x in c), lam, t)
+
+
+def wiener_increment(ps, kappa: int, dim: int, h: float,
+                     rng: np.random.Generator) -> CoefficientField:
+    """Increment of the Q-Wiener process over a step h (spectrum scaled by h)."""
+    noise._check_time(h)
+    sigma = np.sqrt(h * ps.values(kappa))[mode_degrees(kappa, dim)]
+    return CoefficientField(sigma * rng.standard_normal(sigma.size), kappa, dim)
+
+
+def propagator_matrix(prop: Propagator, ell: int) -> np.ndarray:
+    return np.array([[prop.r2[ell], prop.r1[ell]],
+                     [-prop.lam[ell] * prop.r1[ell], prop.r2[ell]]])
+
+
+def determinants(prop: Propagator) -> np.ndarray:
+    return prop.r2**2 + prop.lam * prop.r1**2
+
+
+def mode_energy(state: State) -> np.ndarray:
+    """Per-degree oscillator energy lam |u1|^2 + |u2|^2; conserved without noise."""
+    lam = np.array([-laplacian_eigenvalue(ell, state.dim) for ell in range(state.kappa + 1)])
+    return lam * state.u1.degree_power() + state.u2.degree_power()
+
+
+def mode_modulus(state: State) -> np.ndarray:
+    """Per-degree squared modulus |uR|^2 + |uI|^2; conserved without noise."""
+    return state.u1.degree_power() + state.u2.degree_power()
+
+
+def add_increments(state: State, w1: CoefficientField, w2: CoefficientField) -> State:
+    return State(CoefficientField(state.u1.data + w1.data, state.kappa, state.dim),
+                 CoefficientField(state.u2.data + w2.data, state.kappa, state.dim), t=state.t)

@@ -228,8 +228,8 @@ def test_outputs_are_byte_identical_across_thread_counts(tmp_path, monkeypatch):
     # grid errors in chunks of two samples, so that both workers get chunks
     fields = 2 * 2 * harmonics.synthesis_field_bytes(32, harmonics.SphereGrid(33, 66))
     monkeypatch.setattr(harness, "SAMPLE_CHUNK_BYTES", fields)
-    for command, kind in [("convergence", "l2-coefficients"), ("convergence", "l2-grid"),
-                          ("convergence", "max-grid"), ("path-error", "max-grid")]:
+    for command, kind in [("convergence", "l2-coefficients"), ("convergence", "max-grid"),
+                          ("path-error", "max-grid")]:
         dirs = [tmp_path / f"{command}-{kind}-t{threads}" for threads in (1, 2)]
         for threads, out in zip((1, 2), dirs):
             assert run_cli(command, "--preset", "fig1", "--samples", "5",
@@ -344,12 +344,44 @@ GOLDEN = [
       "--kappa-ref", "6", "--seed", "2"),
      "sample_coefficients.csv",
      "a430834cd182125e8f181355851c67fc1282517dbdeddfe68f9141f9f295cf90"),
+    # recorded before the wave and Schrodinger paths were merged into one per-degree
+    # law: random and file data (files from _write_data_files) and zero noise, whose
+    # states are full of signed zeros
+    (("simulate", "--alpha", "10", "--initial-data", "random-sobolev", "--beta", "2",
+      "--gamma", "1.5", "--kappa-ref", "10", "--steps", "3", "--seed", "5"),
+     "trajectory.csv", "973aba79e53049c902a6244c39a46c40a2088854ab32f9a7b5c5e4ad20a410e3"),
+    (("simulate", "--equation", "schrodinger", "--alpha", "4", "--initial-data",
+      "random-sobolev", "--beta", "2", "--gamma", "2.5", "--kappa-ref", "10", "--steps", "3",
+      "--seed", "5"),
+     "trajectory.csv", "86f98c370f0f5bdf99e99f783bed701aff8cb3b78dfe71bfb11f9a8e14245bcf"),
+    (("simulate", "--alpha", "3", "--initial-data", "file", "--v1-file", "v1_d3.csv",
+      "--v2-file", "v2_d3.csv", "--kappa-ref", "24", "--steps", "3", "--store-every", "2",
+      "--seed", "6"),
+     "trajectory.csv", "d6e4463667b03d152a7b5d17203504e2fec134e709ba17117635d5b1077078e8"),
+    (("simulate", "--equation", "schrodinger", "--alpha", "4", "--initial-data", "file",
+      "--v2-file", "v2_d3.csv", "--kappa-ref", "24", "--steps", "3", "--seed", "6"),
+     "trajectory.csv", "0025c93c2d3cbe24598316d33dca1461b4f37905c31f4a614b812e6c4bab0bd6"),
+    (("simulate", "--scale", "0", "--kappa-ref", "6", "--steps", "3", "--seed", "7"),
+     "trajectory.csv", "bc955743cddafd4a5dfd3c5ac8a643ed2e915447b131ac889c986df424b8ef62"),
+    (("simulate", "--equation", "schrodinger", "--scale", "0", "--kappa-ref", "6",
+      "--steps", "3", "--seed", "7"),
+     "trajectory.csv", "753d4a67992f23fcaac639e4af86703073e9d78bac16756be8366f45f0db03ea"),
+    (("simulate", "--equation", "schrodinger", "--scale", "0", "--initial-data", "file",
+      "--v1-file", "v1_d3.csv", "--kappa-ref", "6", "--steps", "3", "--seed", "7"),
+     "trajectory.csv", "29ac6b8423f652a7878e0a1fdc809ba8308eedae6e39a626351d7f31cbef33fe"),
+    (("simulate", "--equation", "wave-dsphere", "--dim", "4", "--scale", "0",
+      "--initial-data", "file", "--v2-file", "v2_d4.csv", "--kappa-ref", "6", "--steps",
+      "2", "--seed", "7"),
+     "trajectory.csv", "63bde8bc242b6d4b8bfb0b3128432439ea778daa251d083bfa8ca1fe5c4943c7"),
 ]
 
 
 @pytest.mark.parametrize("argv,name,digest", GOLDEN, ids=lambda v: "-".join(v)
                          if isinstance(v, tuple) else None)
-def test_outputs_match_golden_hashes(tmp_path, argv, name, digest):
+def test_outputs_match_golden_hashes(tmp_path, monkeypatch, argv, name, digest):
+    # file paths enter the metadata, so the data files are named relative to the run
+    monkeypatch.chdir(tmp_path)
+    _write_data_files(tmp_path)
     assert run_cli(*argv, "--output", str(tmp_path)) == 0
     assert hashlib.sha256(read(tmp_path / name)).hexdigest() == digest
     assert not list(tmp_path.glob("*.part"))
@@ -437,6 +469,16 @@ def test_per_degree_outputs_match_golden_hashes(tmp_path, monkeypatch, argv, dig
     _write_data_files(tmp_path)
     assert run_cli(*argv, "--threads", threads, "--output", "out") == 0
     assert _directory_digest(tmp_path / "out") == digest
+
+
+def test_l2_grid_error_kind_is_refused_naming_l2_coefficients(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        run_cli("convergence", "--error-kind", "l2-grid", "--output", str(tmp_path))
+    assert "l2-coefficients" in capsys.readouterr().err
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps({"error_kind": "l2-grid"}))
+    assert run_cli("convergence", "--config", str(cfg_path), "--output", str(tmp_path)) == 1
+    assert "l2-coefficients" in capsys.readouterr().err
 
 
 def test_successive_main_calls_do_not_share_flag_values(tmp_path, monkeypatch):

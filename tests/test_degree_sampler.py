@@ -23,10 +23,10 @@ from spherewave.harness import (ExperimentConfig, _DegreeSampler, analytic_secon
                                 weak_error_experiment)
 from spherewave.io import write_coefficient_csv
 from spherewave.modes import CoefficientField, degree_sizes, laplacian_eigenvalue, mode_count
-from spherewave.noise import (sample_degree_wishart, schrodinger_conv_covariance,
-                              wave_conv_covariance)
+from oracles import schrodinger_conv_covariance, wave_conv_covariance
+from spherewave.noise import sample_degree_wishart
 from spherewave.spectrum import sobolev_scale
-from spherewave.wave import Propagator, WaveState, propagate
+from spherewave.wave import Propagator, State, propagate
 
 Z_LIMIT = 4.0
 
@@ -111,9 +111,9 @@ def test_file_data_noncentral_mean_power_matches_analytic(tmp_path, dim):
                            v2_file=str(tmp_path / "v2.csv"))
     draws = _check_against_analytic(cfg, 4000, v1, v2)
     # the mean cross term is h Sigma12 + G12, with G from the exactly propagated data
-    moved = propagate(WaveState(v1, v2), Propagator.build(kref, dim, cfg.T))
+    moved = propagate(State(v1, v2), Propagator.build(kref, dim, cfg.T))
     offsets = np.concatenate(([0], np.cumsum(degree_sizes(kref, dim))[:-1]))
-    g12 = np.add.reduceat(moved.position.data * moved.velocity.data, offsets)
+    g12 = np.add.reduceat(moved.u1.data * moved.u2.data, offsets)
     h = degree_sizes(kref, dim).astype(float)
     a = cfg.power_spectrum().values(kref)
     c12 = np.array([wave_conv_covariance(ell, dim, cfg.T).c12 for ell in range(kref + 1)])
@@ -126,13 +126,13 @@ def test_file_data_without_noise_is_the_propagated_gram(tmp_path):
     v1 = _write_field(tmp_path / "v1.csv", kref, 3, 7, 1.0)
     cfg = ExperimentConfig(alpha=3.0, scale=0.0, head_value=0.0, kappas=[2], kappa_ref=kref,
                            seed=130, initial_data="file", v1_file=str(tmp_path / "v1.csv"))
-    moved = propagate(WaveState(v1, CoefficientField.zeros(kref)),
+    moved = propagate(State(v1, CoefficientField.zeros(kref)),
                       Propagator.build(kref, 3, cfg.T))
     sampler = _DegreeSampler(cfg)
     for i in range(3):
         s11, _, s22 = sampler(i)
-        np.testing.assert_allclose(s11, moved.position.degree_power(), rtol=1e-12)
-        np.testing.assert_allclose(s22, moved.velocity.degree_power(), rtol=1e-12)
+        np.testing.assert_allclose(s11, moved.u1.degree_power(), rtol=1e-12)
+        np.testing.assert_allclose(s22, moved.u2.degree_power(), rtol=1e-12)
 
 
 def test_schrodinger_imaginary_file_data_without_noise(tmp_path):
@@ -189,7 +189,7 @@ def test_random_sobolev_mean_power_matches_propagated_variance(equation):
             m = np.array([[math.cos(x), math.sin(x)], [-math.sin(x), math.cos(x)]])
             c = schrodinger_conv_covariance(ell, cfg.T)
         else:
-            m = prop.matrix(ell)
+            m = oracles.propagator_matrix(prop, ell)
             c = wave_conv_covariance(ell, 3, cfg.T)
         e11[ell] = h[ell] * (a[ell] * c.c11 + m[0, 0] ** 2 * var1[ell] + m[0, 1] ** 2 * var2[ell])
         e22[ell] = h[ell] * (a[ell] * c.c22 + m[1, 0] ** 2 * var1[ell] + m[1, 1] ** 2 * var2[ell])
@@ -238,7 +238,7 @@ def _reference_sigma(cfg):
             m = np.array([[math.cos(x), math.sin(x)], [-math.sin(x), math.cos(x)]])
         else:
             cov = wave_conv_covariance(ell, dim, cfg.T).matrix()
-            m = prop.matrix(ell)
+            m = oracles.propagator_matrix(prop, ell)
         out[ell] = a[ell] * cov + m @ np.diag(var[ell]) @ m.T
     return out
 

@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from spherewave import harness
+from spherewave.harmonics import synthesize_tails
 from spherewave.harness import (ErrorTable, ExperimentConfig, _TailErrors,
                                 _TerminalSampler, _degree_tails, analytic_second_moment,
                                 analytic_weak_error_experiment, default_fit_range,
@@ -87,24 +89,25 @@ def test_reference_band_gives_zero_error_by_coupling():
     assert per_degree[cfg.kappa_ref + 1:].sum() == 0.0  # nothing above the reference
 
 
-def test_grid_error_kinds_match_coefficient_space():
-    base = dict(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, samples=4, seed=21)
-    # Parseval on the same per-mode draws: grid tails equal coefficient tails
-    cfg = ExperimentConfig(**base, error_kind="l2-grid")
-    sampler = _TerminalSampler(cfg)
-    data = np.array([c for i in range(base["samples"]) for c in sampler(i)])
-    tails_grid = _TailErrors(cfg)(data)
-    offsets = degree_offsets(cfg.kappa_ref, cfg.dim)
-    for row, errors in zip(data, tails_grid):
-        tails_coeff = _degree_tails(np.add.reduceat(row**2, offsets), cfg)
-        assert np.allclose(tails_coeff, errors, rtol=1e-8)
-    # the experiments draw from different samplers (per-degree and per-mode),
-    # so they agree in law: within Monte Carlo standard errors
-    coeff = strong_error_experiment(ExperimentConfig(**base, error_kind="l2-coefficients"))
-    grid = strong_error_experiment(ExperimentConfig(**base, error_kind="l2-grid"))
-    for name in ("position", "velocity"):
-        se = np.hypot(coeff[name].stderrs, grid[name].stderrs)
-        assert np.all(np.abs(coeff[name].errors - grid[name].errors) <= 4.0 * se)
+def _coefficient_tails(data, cfg):
+    """Coefficient-space tail norms of each row of `data`, shape (rows, len(kappas))."""
+    return _degree_tails(np.add.reduceat(data**2, degree_offsets(cfg.kappa_ref, cfg.dim),
+                                         axis=1), cfg)
+
+
+@pytest.mark.parametrize("shape", [None, (17, 33), (24, 40)])
+def test_synthesized_tails_satisfy_parseval(shape):
+    # on a grid whose quadrature is exact for band kappa_ref, the L^2 norm of
+    # every synthesized tail equals its coefficient norm: this is why the grid
+    # L^2 error kind was dropped in favour of l2-coefficients
+    grid = dict(zip(("n_theta", "n_phi"), shape or ()))
+    cfg = ExperimentConfig(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, seed=21, **grid)
+    data = _TerminalSampler(cfg).draw(range(4))
+    g = cfg.grid()
+    largest_first = [np.einsum("btp,btp->bt", v, v) @ g.theta_weights * g.phi_weight
+                     for v in synthesize_tails(data, cfg.kappa_ref, g, cfg.kappas)]
+    quadrature = np.sqrt(np.stack(largest_first[::-1], axis=1))
+    np.testing.assert_allclose(quadrature, _coefficient_tails(data, cfg), rtol=1e-12)
 
 
 def test_tables_record_the_sampler():
@@ -112,9 +115,8 @@ def test_tables_record_the_sampler():
     per_degree = [strong_error_experiment(ExperimentConfig(**base)),
                   pathwise_error_experiment(ExperimentConfig(**base)),
                   weak_error_experiment(ExperimentConfig(**base))]
-    per_mode = [strong_error_experiment(ExperimentConfig(**base, error_kind=kind))
-                for kind in ("l2-grid", "max-grid")]
-    per_mode.append(pathwise_error_experiment(ExperimentConfig(**base, error_kind="max-grid")))
+    per_mode = [experiment(ExperimentConfig(**base, error_kind="max-grid"))
+                for experiment in (strong_error_experiment, pathwise_error_experiment)]
     for tables, sampler in [(t, "per-degree") for t in per_degree] + [
             (t, "per-mode") for t in per_mode]:
         for table in tables.values():
@@ -136,8 +138,7 @@ def test_max_grid_error_dominates_scaled_l2():
     sampler = _TerminalSampler(cfg)
     data = np.array([c for i in range(5) for c in sampler(i)])
     e_max = _TailErrors(cfg)(data)
-    e_l2 = _TailErrors(ExperimentConfig(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16,
-                                        samples=1, seed=3, error_kind="l2-grid"))(data)
+    e_l2 = _coefficient_tails(data, cfg)
     assert e_max.shape == e_l2.shape == (10, 3)
     assert np.all(e_max >= e_l2 / math.sqrt(4.0 * math.pi) - 1e-12)
 
@@ -168,7 +169,7 @@ def test_analytic_second_moment_closed_forms():
 def test_analytic_second_moment_with_deterministic_data():
     # pure initial data, zero noise: the moment is the propagated energy split
     v1 = CoefficientField.zeros(3)
-    v1.data[v1.index_of(1, 0)] = 2.0
+    v1.data[oracles.index_of(1, 0)] = 2.0
     t = 0.4
     pos, vel = analytic_second_moment(PowerSpectrum.zero(), 3, t, v1=v1)
     assert pos == pytest.approx((2.0 * math.cos(math.sqrt(2.0) * t)) ** 2, rel=1e-13)
@@ -269,10 +270,6 @@ RECORDED_GRID_ERRORS = [
      dict(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, samples=3, seed=11, error_kind="max-grid"),
      {"position": [0.10908111366052643, 0.04421295749132558, 0.01671803326112789],
       "velocity": [0.5231202168176088, 0.3524444895939367, 0.19190425882429962]}),
-    (strong_error_experiment,
-     dict(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, samples=3, seed=11, error_kind="l2-grid"),
-     {"position": [0.12840330965784766, 0.051488538775597975, 0.01993839627851573],
-      "velocity": [0.678310577821851, 0.40913811505088155, 0.23961037700302867]}),
     (pathwise_error_experiment,
      dict(alpha=2.0, kappas=[0, 3, 7, 12], kappa_ref=24, seed=5, error_kind="max-grid",
           n_theta=19, n_phi=30),
@@ -280,13 +277,6 @@ RECORDED_GRID_ERRORS = [
                    0.04203813625187407],
       "velocity": [2.0209705446777413, 1.1082557071192514, 0.8918589360287332,
                    0.7741610271330426]}),
-    (pathwise_error_experiment,
-     dict(alpha=2.0, kappas=[1, 5, 6, 20], kappa_ref=24, seed=5, error_kind="l2-grid",
-          n_theta=27, n_phi=51),
-     {"position": [0.5703459130847862, 0.12041042616218693, 0.10354983543232903,
-                   0.018018043142279182],
-      "velocity": [1.6588914290593009, 1.1672391516085543, 1.0891498019298795,
-                   0.42360656292424403]}),
     (strong_error_experiment,
      dict(equation="schrodinger", alpha=4.0, kappas=[2, 4, 8, 16], kappa_ref=32, samples=2,
           seed=3, error_kind="max-grid"),
@@ -305,17 +295,35 @@ def test_grid_errors_match_recorded_per_tail_values(experiment, config, recorded
         np.testing.assert_allclose(tables[name].errors, errors, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("grid", [dict(n_theta=16), dict(n_phi=32), dict(n_theta=8, n_phi=20)])
-def test_under_resolved_l2_grid_is_rejected(grid):
-    # kappa_ref 16 needs n_theta >= 17 and n_phi >= 33 for exact quadrature
-    cfg = ExperimentConfig(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, samples=2,
-                           error_kind="l2-grid", **grid)
-    with pytest.raises(ValueError, match="n_theta >= 17 and n_phi >= 33"):
-        cfg.validate_experiment()
-    with pytest.raises(ValueError, match="l2-grid"):
+# Grid L^2 errors recorded by the per-tail synthesis, before that error kind was
+# dropped: by Parseval they are the coefficient tails of the same per-mode draws.
+RECORDED_L2_GRID_ERRORS = [
+    (3, dict(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, seed=11),
+     {"position": [0.12840330965784766, 0.051488538775597975, 0.01993839627851573],
+      "velocity": [0.678310577821851, 0.40913811505088155, 0.23961037700302867]}),
+    (1, dict(alpha=2.0, kappas=[1, 5, 6, 20], kappa_ref=24, seed=5),
+     {"position": [0.5703459130847862, 0.12041042616218693, 0.10354983543232903,
+                   0.018018043142279182],
+      "velocity": [1.6588914290593009, 1.1672391516085543, 1.0891498019298795,
+                   0.42360656292424403]}),
+]
+
+
+@pytest.mark.parametrize("samples,config,recorded", RECORDED_L2_GRID_ERRORS)
+def test_per_mode_coefficient_tails_match_recorded_l2_grid_errors(samples, config, recorded):
+    cfg = ExperimentConfig(**config)
+    tails = _coefficient_tails(_TerminalSampler(cfg).draw(range(samples)), cfg)
+    for j, name in enumerate(cfg.component_names()):
+        rms = np.sqrt(np.mean(tails[j::2] ** 2, axis=0))
+        np.testing.assert_allclose(rms, recorded[name], rtol=1e-12, atol=0)
+
+
+def test_l2_grid_error_kind_is_rejected_naming_l2_coefficients():
+    cfg = ExperimentConfig(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, error_kind="l2-grid")
+    with pytest.raises(ValueError, match="l2-coefficients"):
+        cfg.validate()
+    with pytest.raises(ValueError, match="l2-coefficients"):
         strong_error_experiment(cfg)
-    ExperimentConfig(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, error_kind="l2-grid",
-                     n_theta=17, n_phi=33).validate_experiment()
 
 
 def test_coarse_max_grid_is_accepted():
@@ -344,10 +352,9 @@ def test_only_per_mode_samples_use_threads(monkeypatch):
     assert pools == [2]
 
 
-@pytest.mark.parametrize("kind", ["max-grid", "l2-grid"])
-def test_grid_errors_do_not_depend_on_the_chunk_a_sample_lands_in(monkeypatch, kind):
+def test_grid_errors_do_not_depend_on_the_chunk_a_sample_lands_in(monkeypatch):
     cfg = ExperimentConfig(alpha=2.0, kappas=[1, 4, 9], kappa_ref=20, samples=7, seed=8,
-                           error_kind=kind)
+                           error_kind="max-grid")
     field_bytes = harness.synthesis_field_bytes(cfg.kappa_ref, cfg.grid())
     runs = []
     for chunk in (1, 3, cfg.samples):
@@ -379,7 +386,7 @@ def test_grid_error_memory_does_not_grow_with_the_samples():
 
 @pytest.mark.parametrize("equation,kind,experiment", [
     ("wave", "max-grid", strong_error_experiment),
-    ("wave", "l2-grid", pathwise_error_experiment),
+    ("wave", "max-grid", pathwise_error_experiment),
     ("wave", "l2-coefficients", strong_error_experiment),
     ("schrodinger", "max-grid", strong_error_experiment),
     ("wave", "l2-coefficients", analytic_weak_error_experiment)])

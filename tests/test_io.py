@@ -16,8 +16,7 @@ from spherewave.harmonics import GridField, SphereGrid
 from spherewave.io import (write_coefficient_csv, write_grid_field_csv,
                            write_schrodinger_trajectory_csv, write_wave_trajectory_csv)
 from spherewave.modes import CoefficientField, mode_count
-from spherewave.schrodinger import SchrodingerState
-from spherewave.wave import WaveState
+from spherewave.wave import State
 
 METADATA = {"alpha": 3.0, "equation": "wave", "kappas": [2, 4], "seed": 5, "beta": None}
 
@@ -57,17 +56,22 @@ def test_grid_writer_matches_reference(tmp_path_factory, data, n_theta, n_phi):
 
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.data(), st.sampled_from(["wave", "wave-d4", "schrodinger"]), st.integers(0, 4))
+@given(st.data(), st.sampled_from(["wave", "wave-d4", "schrodinger", "named"]),
+       st.integers(0, 4))
 def test_trajectory_writers_match_reference(tmp_path_factory, data, kind, n_states):
     kappa, dim = (3, 4) if kind == "wave-d4" else (3, 3)
     times = data.draw(st.lists(values, min_size=n_states, max_size=n_states))
     arrays = [(_fields(data.draw, kappa, dim), _fields(data.draw, kappa, dim))
               for _ in range(n_states)]
     if kind == "schrodinger":
-        names, writer, cls = ("real", "imag"), write_schrodinger_trajectory_csv, SchrodingerState
+        names, writer = ("real", "imag"), write_schrodinger_trajectory_csv
+    elif kind == "named":  # the component names come from the caller
+        names = ("real", "imag")
+        def writer(*args):
+            return write_wave_trajectory_csv(*args, names)
     else:
-        names, writer, cls = ("position", "velocity"), write_wave_trajectory_csv, WaveState
-    states = (cls(CoefficientField(a, kappa, dim), CoefficientField(b, kappa, dim), t=t)
+        names, writer = ("position", "velocity"), write_wave_trajectory_csv
+    states = (State(CoefficientField(a, kappa, dim), CoefficientField(b, kappa, dim), t=t)
               for t, (a, b) in zip(times, arrays))
     path = str(tmp_path_factory.mktemp("traj") / "trajectory.csv")
     last = writer(path, states, 17, METADATA)
@@ -75,7 +79,7 @@ def test_trajectory_writers_match_reference(tmp_path_factory, data, kind, n_stat
     with open(path) as fh:
         assert fh.read() == oracles.trajectory_csv_text(snapshots, kappa, dim, 17, METADATA)
     if n_states:
-        assert np.array_equal(getattr(last, names[0]).data, arrays[-1][0], equal_nan=True)
+        assert np.array_equal(last.u1.data, arrays[-1][0], equal_nan=True)
     else:
         assert last is None
 
@@ -83,9 +87,8 @@ def test_trajectory_writers_match_reference(tmp_path_factory, data, kind, n_stat
 def _wave_states(kappa, count):
     rng = np.random.default_rng(0)
     for j in range(count):
-        yield WaveState(CoefficientField(rng.standard_normal(mode_count(kappa)), kappa),
-                        CoefficientField(rng.standard_normal(mode_count(kappa)), kappa),
-                        t=float(j))
+        yield State(CoefficientField(rng.standard_normal(mode_count(kappa)), kappa),
+                    CoefficientField(rng.standard_normal(mode_count(kappa)), kappa), t=float(j))
 
 
 def _writer_peak(path, count):
@@ -132,8 +135,8 @@ def test_failed_trajectory_keeps_an_earlier_complete_file(tmp_path):
 
 
 def test_states_of_another_shape_are_rejected(tmp_path):
-    states = [WaveState(CoefficientField.zeros(2), CoefficientField.zeros(2)),
-              WaveState(CoefficientField.zeros(3), CoefficientField.zeros(3))]
+    states = [State(CoefficientField.zeros(2), CoefficientField.zeros(2)),
+              State(CoefficientField.zeros(3), CoefficientField.zeros(3))]
     with pytest.raises(ValueError, match="band limit and dimension"):
         write_wave_trajectory_csv(str(tmp_path / "trajectory.csv"), states, 1)
     assert os.listdir(tmp_path) == []

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from spherewave.modes import CoefficientField, mode_count, mode_degrees
 from spherewave.noise import (SMALL_X, ConvFactorTable, sample_isotropic_grf,
                               sample_schrodinger_conv_increments,
-                              sample_wave_conv_increments, schrodinger_conv_cholesky,
-                              schrodinger_conv_covariance, wave_conv_cholesky,
-                              wave_conv_covariance, wiener_increment,
-                              _two_x_minus_sin_2x, _sin_squared)
+                              sample_wave_conv_increments, _two_x_minus_sin_2x, _sin_squared)
 from spherewave.spectrum import PowerSpectrum
 
-from oracles import conv_covariance_quadrature, schrodinger_kernels, wave_kernels
+import oracles
+from oracles import (conv_covariance_quadrature, schrodinger_conv_covariance,
+                     schrodinger_kernels, wave_conv_cholesky, wave_conv_covariance,
+                     wave_kernels, wiener_increment)
 
 mp.mp.dps = 40
 
@@ -123,6 +123,7 @@ def test_factor_reconstruction_up_to_degree_512(t):
         c11, c12, c22 = (_wave_entries if entries == "wave" else _schrodinger_entries)(lams, t)
         cov = np.stack([np.stack([c11, c12], -1), np.stack([c12, c22], -1)], -2)
         rec = table.covariance_matrices()
+        rec[:, [0, 1], [1, 0]] *= table.sign  # D^T D, without the sign of W2
         num = np.linalg.norm(rec - cov, axis=(1, 2))
         den = np.linalg.norm(cov, axis=(1, 2))
         assert np.max(num / den) <= 1e-12
@@ -239,7 +240,7 @@ def test_wave_increment_covariance_degree_four():
     ps = PowerSpectrum(alpha=3.0)
     kappa, h = 4, 0.1
     field = CoefficientField.zeros(kappa)
-    index = field.index_of(4, 2, 1)
+    index = oracles.index_of(4, 2, 1)
     draws = _empirical_increment_cov("wave", ps, kappa, 3, h, index, 100000, 100)
     target = ps.value(4) * wave_conv_covariance(4, 3, h).matrix()
     _assert_cov_close(draws, target)
@@ -249,7 +250,7 @@ def test_schrodinger_increment_covariance():
     ps = PowerSpectrum(alpha=4.0)
     kappa, h = 3, 0.5
     field = CoefficientField.zeros(kappa)
-    index = field.index_of(3, 1, 2)
+    index = oracles.index_of(3, 1, 2)
     draws = _empirical_increment_cov("schrodinger", ps, kappa, 3, h, index, 100000, 101)
     target = ps.value(3) * schrodinger_conv_covariance(3, h).matrix()
     _assert_cov_close(draws, target)
@@ -270,8 +271,29 @@ def test_factor_table_kind_mismatch_is_rejected():
     with pytest.raises(ValueError):
         sample_schrodinger_conv_increments(PowerSpectrum(alpha=3.0), wave_factors, rng)
     with pytest.raises(ValueError):
-        wave_factors.require("wave", 4, 3, 0.4)
-    wave_factors.require("wave", 4, 3, 0.3)
+        wave_factors.require(4, 3, 0.4)
+    with pytest.raises(ValueError):
+        wave_factors.require(4, 3, 0.3, "schrodinger")
+    wave_factors.require(4, 3, 0.3)
+    wave_factors.require(4, 3, 0.3, "wave")
+
+
+@pytest.mark.parametrize("equation,dim", [("wave", 3), ("wave-dsphere", 4),
+                                           ("schrodinger", 3)])
+def test_one_law_per_equation(equation, dim):
+    kappa, h = 30, 0.7
+    law = ConvFactorTable.for_equation(equation, kappa, dim, h)
+    built = (ConvFactorTable.for_schrodinger(kappa, h) if equation == "schrodinger"
+             else ConvFactorTable.for_wave(kappa, dim, h))
+    for a, b in zip((law.d11, law.d12, law.d22, *law.rotation),
+                    (built.d11, built.d12, built.d22, *built.rotation)):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert (law.kind, law.dim, law.sign) == (built.kind, dim,
+                                             -1.0 if equation == "schrodinger" else 1.0)
+    # the covariance of (W1, sign W2): the Schrodinger cross term is negative
+    cross = law.covariance_matrices()[1:, 0, 1]
+    assert np.all(law.sign * cross > 0.0)
+    assert np.array_equal(law.rotation_matrices()[:, 0, 1], law.rotation[1])
 
 
 def test_draw_order_is_two_normals_per_mode_in_storage_order():
@@ -317,7 +339,8 @@ def test_factor_table_reproduces_the_covariance(kind_dim, kappa, log_h, picks):
     else:
         table = ConvFactorTable.for_schrodinger(kappa, h)
         scalar = [schrodinger_conv_covariance(ell, h) for ell in range(kappa + 1)]
-    rebuilt = table.covariance_matrices()  # D^T D per degree
+    rebuilt = table.covariance_matrices()
+    rebuilt[:, [0, 1], [1, 0]] *= table.sign  # D^T D per degree, without the sign of W2
     cov = np.array([c.matrix() for c in scalar])
     defect = np.linalg.norm(rebuilt - cov, axis=(1, 2))
     assert np.all(defect <= 1e-12 * np.linalg.norm(cov, axis=(1, 2)))

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from oracles import mode_modulus, schrodinger_conv_covariance
 from spherewave.modes import CoefficientField, mode_count
-from spherewave.noise import ConvFactorTable, schrodinger_conv_covariance
-from spherewave.schrodinger import (SchrodingerState, init_schrodinger_state,
-                                    mode_modulus, run_path_schrodinger, schrodinger_step)
+from spherewave.noise import ConvFactorTable
+from spherewave.schrodinger import run_path_schrodinger, schrodinger_step
 from spherewave.spectrum import PowerSpectrum
+from spherewave.wave import State
 
 ZERO = PowerSpectrum.zero()
 
@@ -16,14 +18,14 @@ def test_zero_noise_rotation_preserves_mode_modulus():
     kappa = 4
     vr = CoefficientField.zeros(kappa)
     vi = CoefficientField.zeros(kappa)
-    vr.data[vr.index_of(1, 0)] = 1.0
-    state = SchrodingerState(vr, vi)
+    vr.data[oracles.index_of(1, 0)] = 1.0
+    state = State(vr, vi)
     t = 0.9
     factors = ConvFactorTable.for_schrodinger(kappa, t)
     out = schrodinger_step(state, t, ZERO, np.random.default_rng(0), factors)
-    idx = vr.index_of(1, 0)
-    assert out.real.data[idx] ** 2 + out.imag.data[idx] ** 2 == pytest.approx(1.0, rel=1e-14)
-    assert out.real.data[idx] == pytest.approx(math.cos(math.sqrt(2.0) * t), rel=1e-13)
+    idx = oracles.index_of(1, 0)
+    assert out.u1.data[idx] ** 2 + out.u2.data[idx] ** 2 == pytest.approx(1.0, rel=1e-14)
+    assert out.u1.data[idx] == pytest.approx(math.cos(math.sqrt(2.0) * t), rel=1e-13)
 
 
 def test_zero_noise_degree_zero_is_constant():
@@ -34,8 +36,8 @@ def test_zero_noise_degree_zero_is_constant():
     vi.data[0] = -0.2
     traj = run_path_schrodinger(ZERO, vr, vi, kappa, 2.0, 10, seed=0)
     for state in traj:
-        assert state.real.data[0] == pytest.approx(0.4, rel=1e-15)
-        assert state.imag.data[0] == pytest.approx(-0.2, rel=1e-15)
+        assert state.u1.data[0] == pytest.approx(0.4, rel=1e-15)
+        assert state.u2.data[0] == pytest.approx(-0.2, rel=1e-15)
 
 
 def test_mass_and_per_mode_modulus_conservation():
@@ -59,8 +61,8 @@ def test_one_step_equals_many_steps_without_noise():
     vi = CoefficientField(rng.standard_normal(mode_count(kappa, 3)), kappa)
     one = list(run_path_schrodinger(ZERO, vr, vi, kappa, 1.0, 1, seed=0))[-1]
     many = list(run_path_schrodinger(ZERO, vr, vi, kappa, 1.0, 100, seed=0))[-1]
-    assert np.allclose(one.real.data, many.real.data, rtol=0, atol=1e-12)
-    assert np.allclose(one.imag.data, many.imag.data, rtol=0, atol=1e-12)
+    assert np.allclose(one.u1.data, many.u1.data, rtol=0, atol=1e-12)
+    assert np.allclose(one.u2.data, many.u2.data, rtol=0, atol=1e-12)
 
 
 def test_fixed_seed_reproducibility():
@@ -70,8 +72,8 @@ def test_fixed_seed_reproducibility():
     a = run_path_schrodinger(ps, z, z, kappa, 1.0, 4, seed=7)
     b = run_path_schrodinger(ps, z, z, kappa, 1.0, 4, seed=7)
     for sa, sb in zip(a, b):
-        assert np.array_equal(sa.real.data, sb.real.data)
-        assert np.array_equal(sa.imag.data, sb.imag.data)
+        assert np.array_equal(sa.u1.data, sb.u1.data)
+        assert np.array_equal(sa.u2.data, sb.u2.data)
 
 
 def test_degree_zero_noise_enters_imaginary_part_only():
@@ -83,9 +85,9 @@ def test_degree_zero_noise_enters_imaginary_part_only():
     rng = np.random.default_rng(55)
     vals = np.empty(n)
     for i in range(n):
-        out = schrodinger_step(SchrodingerState(zero, zero), t, ps, rng, factors)
-        assert out.real.data[0] == 0.0
-        vals[i] = out.imag.data[0]
+        out = schrodinger_step(State(zero, zero), t, ps, rng, factors)
+        assert out.u1.data[0] == 0.0
+        vals[i] = out.u2.data[0]
     target = 0.9 * t
     sq = vals**2
     stderr = sq.std(ddof=1) / math.sqrt(n)
@@ -98,11 +100,11 @@ def test_state_covariance_matches_kernel_law():
     factors = ConvFactorTable.for_schrodinger(kappa, t)
     zero = CoefficientField.zeros(kappa)
     rng = np.random.default_rng(66)
-    idx = zero.index_of(1, 1, 1)
+    idx = oracles.index_of(1, 1, 1)
     draws = np.empty((n, 2))
     for i in range(n):
-        out = schrodinger_step(SchrodingerState(zero, zero), t, ps, rng, factors)
-        draws[i] = out.real.data[idx], out.imag.data[idx]
+        out = schrodinger_step(State(zero, zero), t, ps, rng, factors)
+        draws[i] = out.u1.data[idx], out.u2.data[idx]
     target = ps.value(1) * schrodinger_conv_covariance(1, t).matrix()
     prods = np.stack([draws[:, 0] ** 2, draws[:, 1] ** 2], axis=1)
     est = prods.mean(axis=0)
@@ -118,16 +120,26 @@ def test_state_covariance_matches_kernel_law():
 
 def test_truncation_and_dimension_guards():
     vr = CoefficientField.zeros(8)
-    state = init_schrodinger_state(vr, vr, 4)
-    assert state.kappa == 4
-    with pytest.raises(ValueError):
-        SchrodingerState(CoefficientField.zeros(2, dim=4), CoefficientField.zeros(2, dim=4))
-    with pytest.raises(ValueError):
-        SchrodingerState(CoefficientField.zeros(2), CoefficientField.zeros(3))
-    factors = ConvFactorTable.for_schrodinger(4, 0.5)
-    with pytest.raises(ValueError):
-        schrodinger_step(SchrodingerState(CoefficientField.zeros(4), CoefficientField.zeros(4)),
-                         0.25, ZERO, np.random.default_rng(0), factors)
+    assert next(run_path_schrodinger(ZERO, vr, vr, 4, 1.0, 1, seed=0)).kappa == 4
+    # the Schrodinger law is defined on S^2 only
+    v4 = CoefficientField.zeros(2, dim=4)
+    with pytest.raises(ValueError, match=r"dim == 3"):
+        ConvFactorTable.for_equation("schrodinger", 2, 4, 0.5)
+    with pytest.raises(ValueError, match="dimension does not match"):
+        run_path_schrodinger(ZERO, v4, v4, 2, 1.0, 1, seed=0)
+    with pytest.raises(ValueError, match="does not match"):
+        schrodinger_step(State(v4, v4), 0.5, ZERO, np.random.default_rng(0),
+                         ConvFactorTable.for_schrodinger(2, 0.5))
+    with pytest.raises(ValueError, match="share band limit"):
+        State(CoefficientField.zeros(2), CoefficientField.zeros(3))
+    # a table for another step size, or a wave table
+    state = State(CoefficientField.zeros(4), CoefficientField.zeros(4))
+    with pytest.raises(ValueError, match="does not match"):
+        schrodinger_step(state, 0.25, ZERO, np.random.default_rng(0),
+                         ConvFactorTable.for_schrodinger(4, 0.5))
+    with pytest.raises(ValueError, match="does not match"):
+        schrodinger_step(state, 0.5, ZERO, np.random.default_rng(0),
+                         ConvFactorTable.for_wave(4, 3, 0.5))
 
 
 @pytest.mark.parametrize("T,steps,store_every", [(1.0, 0, 1), (0.0, 4, 1), (-1.0, 4, 1),

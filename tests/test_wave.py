@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherewave.harness import ExperimentConfig, _rotation
+import oracles
+from oracles import add_increments, mode_energy, sobolev_norm, wave_conv_covariance
 from spherewave.modes import CoefficientField, mode_count
-from spherewave.noise import ConvFactorTable, wave_conv_covariance
-from spherewave.spectrum import PowerSpectrum, random_sobolev_data, sobolev_norm
-from spherewave.wave import (Propagator, WaveState, add_increments, init_state,
-                             mode_energy, propagate, run_path, step)
+from spherewave.noise import ConvFactorTable
+from spherewave.spectrum import PowerSpectrum, random_sobolev_data
+from spherewave.wave import Propagator, State, init_state, propagate, run_path, step
 
 ZERO = PowerSpectrum.zero()
 
@@ -18,13 +18,13 @@ def _single_mode_state(kappa, ell, u1=1.0, u2=0.0, dim=3):
     v1 = CoefficientField.zeros(kappa, dim)
     v2 = CoefficientField.zeros(kappa, dim)
     if dim == 3:
-        idx = v1.index_of(ell, 0)
+        idx = oracles.index_of(ell, 0)
     else:
         from spherewave.modes import degree_offsets
         idx = degree_offsets(kappa, dim)[ell]
     v1.data[idx] = u1
     v2.data[idx] = u2
-    return WaveState(v1, v2), idx
+    return State(v1, v2), idx
 
 
 def test_zero_noise_harmonic_oscillator_closed_form():
@@ -34,8 +34,8 @@ def test_zero_noise_harmonic_oscillator_closed_form():
     factors = ConvFactorTable.for_wave(kappa, 3, t)
     rng = np.random.default_rng(0)
     out = step(state, t, ZERO, rng, factors)
-    assert out.position.data[idx] == pytest.approx(math.cos(math.sqrt(2.0) * t), rel=1e-14)
-    assert out.velocity.data[idx] == pytest.approx(-math.sqrt(2.0) * math.sin(math.sqrt(2.0) * t),
+    assert out.u1.data[idx] == pytest.approx(math.cos(math.sqrt(2.0) * t), rel=1e-14)
+    assert out.u2.data[idx] == pytest.approx(-math.sqrt(2.0) * math.sin(math.sqrt(2.0) * t),
                                                    rel=1e-14)
 
 
@@ -45,8 +45,8 @@ def test_zero_noise_degree_zero_drifts_linearly():
     t = 2.0
     factors = ConvFactorTable.for_wave(kappa, 3, t)
     out = step(state, t, ZERO, np.random.default_rng(0), factors)
-    assert out.position.data[idx] == pytest.approx(1.5 + t * (-0.25), rel=1e-15)
-    assert out.velocity.data[idx] == pytest.approx(-0.25, rel=1e-15)
+    assert out.u1.data[idx] == pytest.approx(1.5 + t * (-0.25), rel=1e-15)
+    assert out.u2.data[idx] == pytest.approx(-0.25, rel=1e-15)
 
 
 def test_two_half_steps_equal_one_step_without_noise():
@@ -54,15 +54,15 @@ def test_two_half_steps_equal_one_step_without_noise():
     rng_data = np.random.default_rng(42)
     v1 = CoefficientField(rng_data.standard_normal(mode_count(kappa, 3)), kappa)
     v2 = CoefficientField(rng_data.standard_normal(mode_count(kappa, 3)), kappa)
-    state = WaveState(v1, v2)
+    state = State(v1, v2)
     h = 0.3
     f_h = ConvFactorTable.for_wave(kappa, 3, h)
     f_2h = ConvFactorTable.for_wave(kappa, 3, 2 * h)
     one = step(step(state, h, ZERO, np.random.default_rng(0), f_h),
                h, ZERO, np.random.default_rng(0), f_h)
     two = step(state, 2 * h, ZERO, np.random.default_rng(0), f_2h)
-    assert np.allclose(one.position.data, two.position.data, rtol=0, atol=1e-12)
-    assert np.allclose(one.velocity.data, two.velocity.data, rtol=0, atol=1e-12)
+    assert np.allclose(one.u1.data, two.u1.data, rtol=0, atol=1e-12)
+    assert np.allclose(one.u2.data, two.u2.data, rtol=0, atol=1e-12)
 
 
 def test_run_path_single_vs_many_steps_without_noise():
@@ -72,8 +72,8 @@ def test_run_path_single_vs_many_steps_without_noise():
     v2 = CoefficientField(rng_data.standard_normal(mode_count(kappa, 3)), kappa)
     one = list(run_path(ZERO, v1, v2, kappa, 3, 1.0, 1, seed=0))[-1]
     many = list(run_path(ZERO, v1, v2, kappa, 3, 1.0, 10, seed=0))[-1]
-    assert np.allclose(one.position.data, many.position.data, rtol=0, atol=1e-12)
-    assert np.allclose(one.velocity.data, many.velocity.data, rtol=0, atol=1e-12)
+    assert np.allclose(one.u1.data, many.u1.data, rtol=0, atol=1e-12)
+    assert np.allclose(one.u2.data, many.u2.data, rtol=0, atol=1e-12)
 
 
 def test_zero_everything_stays_zero():
@@ -81,8 +81,8 @@ def test_zero_everything_stays_zero():
     traj = run_path(ZERO, CoefficientField.zeros(kappa), CoefficientField.zeros(kappa),
                     kappa, 3, 1.0, 8, seed=3)
     for state in traj:
-        assert np.all(state.position.data == 0.0)
-        assert np.all(state.velocity.data == 0.0)
+        assert np.all(state.u1.data == 0.0)
+        assert np.all(state.u2.data == 0.0)
 
 
 def test_energy_conservation_over_many_steps():
@@ -98,7 +98,7 @@ def test_energy_conservation_over_many_steps():
 
 def test_mode_energy_examples():
     kappa = 3
-    zero = WaveState(CoefficientField.zeros(kappa), CoefficientField.zeros(kappa))
+    zero = State(CoefficientField.zeros(kappa), CoefficientField.zeros(kappa))
     assert np.all(mode_energy(zero) == 0.0)
 
     state, _ = _single_mode_state(kappa, 1)
@@ -115,8 +115,8 @@ def test_mode_energy_examples():
 def test_propagator_determinant_is_one():
     for dim in (3, 4, 6):
         prop = Propagator.build(64, dim, 0.37)
-        assert np.max(np.abs(prop.determinants() - 1.0)) < 1e-12
-        m = prop.matrix(5)
+        assert np.max(np.abs(oracles.determinants(prop) - 1.0)) < 1e-12
+        m = oracles.propagator_matrix(prop, 5)
         assert m[0, 0] == m[1, 1]
 
 
@@ -127,10 +127,10 @@ def test_run_path_bit_reproducible():
     a = list(run_path(ps, v, v, kappa, 3, 1.0, 5, seed=123))
     b = run_path(ps, v, v, kappa, 3, 1.0, 5, seed=123)
     for sa, sb in zip(a, b):
-        assert np.array_equal(sa.position.data, sb.position.data)
-        assert np.array_equal(sa.velocity.data, sb.velocity.data)
+        assert np.array_equal(sa.u1.data, sb.u1.data)
+        assert np.array_equal(sa.u2.data, sb.u2.data)
     c = list(run_path(ps, v, v, kappa, 3, 1.0, 5, seed=124))
-    assert not np.array_equal(a[-1].position.data, c[-1].position.data)
+    assert not np.array_equal(a[-1].u1.data, c[-1].u1.data)
 
 
 def test_init_state_truncates_and_preserves_norms():
@@ -139,12 +139,12 @@ def test_init_state_truncates_and_preserves_norms():
     v2 = CoefficientField.zeros(12)
     state = init_state(v1, v2, 8)
     assert state.kappa == 8
-    assert state.position.l2_norm() <= v1.l2_norm()
-    assert np.array_equal(state.position.data, v1.data[:mode_count(8, 3)])
+    assert state.u1.l2_norm() <= v1.l2_norm()
+    assert np.array_equal(state.u1.data, v1.data[:mode_count(8, 3)])
 
     smooth = random_sobolev_data(2.0, 6, np.random.default_rng(1))
     lifted = init_state(smooth, CoefficientField.zeros(6), 10)
-    assert sobolev_norm(lifted.position, 2.0) == pytest.approx(sobolev_norm(smooth, 2.0),
+    assert sobolev_norm(lifted.u1, 2.0) == pytest.approx(sobolev_norm(smooth, 2.0),
                                                                rel=1e-15)
 
 
@@ -153,14 +153,13 @@ def test_single_step_state_covariance_matches_exact_law():
     kappa, t, n = 2, 0.6, 100000
     ps = PowerSpectrum(alpha=3.0)
     factors = ConvFactorTable.for_wave(kappa, 3, t)
-    prop = Propagator.build(kappa, 3, t)
     zero = CoefficientField.zeros(kappa)
     rng = np.random.default_rng(77)
-    idx = zero.index_of(2, 1, 2)
+    idx = oracles.index_of(2, 1, 2)
     draws = np.empty((n, 2))
     for i in range(n):
-        out = step(WaveState(zero, zero), t, ps, rng, factors, prop)
-        draws[i] = out.position.data[idx], out.velocity.data[idx]
+        out = step(State(zero, zero), t, ps, rng, factors)
+        draws[i] = out.u1.data[idx], out.u2.data[idx]
     target = ps.value(2) * wave_conv_covariance(2, 3, t).matrix()
     prods = np.stack([draws[:, 0] ** 2, draws[:, 0] * draws[:, 1], draws[:, 1] ** 2], axis=1)
     est = prods.mean(axis=0)
@@ -174,7 +173,7 @@ def test_two_step_second_moments_match_one_step_law():
     h = 0.25
     for ell in (0, 1, 5, 40):
         prop = Propagator.build(max(ell, 1), 3, h)
-        p = prop.matrix(ell)
+        p = oracles.propagator_matrix(prop, ell)
         c_h = wave_conv_covariance(ell, 3, h).matrix()
         c_2h = wave_conv_covariance(ell, 3, 2 * h).matrix()
         assert np.allclose(p @ c_h @ p.T + c_h, c_2h, rtol=1e-12, atol=1e-15)
@@ -183,15 +182,14 @@ def test_two_step_second_moments_match_one_step_law():
     kappa, n = 1, 30000
     ps = PowerSpectrum(alpha=3.0)
     factors = ConvFactorTable.for_wave(kappa, 3, h)
-    prop = Propagator.build(kappa, 3, h)
     zero = CoefficientField.zeros(kappa)
     rng = np.random.default_rng(11)
-    idx = zero.index_of(1, 0)
+    idx = oracles.index_of(1, 0)
     sq = np.empty((n, 2))
     for i in range(n):
-        s = step(WaveState(zero, zero), h, ps, rng, factors, prop)
-        s = step(s, h, ps, rng, factors, prop)
-        sq[i] = s.position.data[idx] ** 2, s.velocity.data[idx] ** 2
+        s = step(State(zero, zero), h, ps, rng, factors)
+        s = step(s, h, ps, rng, factors)
+        sq[i] = s.u1.data[idx] ** 2, s.u2.data[idx] ** 2
     target = ps.value(1) * np.diag(wave_conv_covariance(1, 3, 2 * h).matrix())
     stderr = sq.std(axis=0, ddof=1) / math.sqrt(n)
     assert np.all(np.abs(sq.mean(axis=0) - target) <= 3.0 * stderr)
@@ -211,12 +209,12 @@ def test_higher_dimension_contracts():
     lam = 2.0 * (2 + dim - 2)  # 8 at dim = 4
     factors = ConvFactorTable.for_wave(kappa, dim, t)
     out = step(state, t, ZERO, np.random.default_rng(0), factors)
-    assert out.position.data[idx] == pytest.approx(math.cos(math.sqrt(lam) * t), rel=1e-14)
+    assert out.u1.data[idx] == pytest.approx(math.cos(math.sqrt(lam) * t), rel=1e-14)
 
 
 def test_step_rejects_mismatched_factor_table():
     kappa = 4
-    state = WaveState(CoefficientField.zeros(kappa), CoefficientField.zeros(kappa))
+    state = State(CoefficientField.zeros(kappa), CoefficientField.zeros(kappa))
     factors = ConvFactorTable.for_wave(kappa, 3, 0.5)
     with pytest.raises(ValueError):
         step(state, 0.25, ZERO, np.random.default_rng(0), factors)
@@ -227,7 +225,7 @@ def test_step_rejects_mismatched_factor_table():
 
 def test_state_component_consistency_checked():
     with pytest.raises(ValueError):
-        WaveState(CoefficientField.zeros(3), CoefficientField.zeros(4))
+        State(CoefficientField.zeros(3), CoefficientField.zeros(4))
 
 
 def test_projection_commutes_with_stepping():
@@ -242,13 +240,13 @@ def test_projection_commutes_with_stepping():
     prop_ref = Propagator.build(kappa_ref, 3, h)
     prop = Propagator.build(kappa, 3, h)
 
-    full = add_increments(propagate(WaveState(v1, v2), prop_ref), w1, w2)
-    projected_after = (full.position.truncated(kappa), full.velocity.truncated(kappa))
+    full = add_increments(propagate(State(v1, v2), prop_ref), w1, w2)
+    projected_after = (full.u1.truncated(kappa), full.u2.truncated(kappa))
     small = add_increments(
-        propagate(WaveState(v1.truncated(kappa), v2.truncated(kappa)), prop),
+        propagate(State(v1.truncated(kappa), v2.truncated(kappa)), prop),
         w1.truncated(kappa), w2.truncated(kappa))
-    assert np.allclose(projected_after[0].data, small.position.data, rtol=0, atol=1e-14)
-    assert np.allclose(projected_after[1].data, small.velocity.data, rtol=0, atol=1e-14)
+    assert np.allclose(projected_after[0].data, small.u1.data, rtol=0, atol=1e-14)
+    assert np.allclose(projected_after[1].data, small.u2.data, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("T,steps,store_every", [(1.0, 0, 1), (0.0, 4, 1), (-1.0, 4, 1),
@@ -274,9 +272,9 @@ def test_per_degree_maps_have_determinant_one(equation, dim, kappa, log_h):
     # the noise-free step over h is a symplectic map of each degree's 2-vector
     dim = dim if equation == "wave-dsphere" else 3
     h = 10.0 ** log_h
-    rot = _rotation(ExperimentConfig(equation=equation, dim=dim, kappa_ref=kappa, T=h))
+    rot = ConvFactorTable.for_equation(equation, kappa, dim, h).rotation_matrices()
     det = rot[:, 0, 0] * rot[:, 1, 1] - rot[:, 0, 1] * rot[:, 1, 0]
     assert np.max(np.abs(det - 1.0)) < 1e-12
     if equation != "schrodinger":
         prop = Propagator.build(kappa, dim, h)
-        assert np.max(np.abs(prop.determinants() - 1.0)) < 1e-12
+        assert np.max(np.abs(oracles.determinants(prop) - 1.0)) < 1e-12
