@@ -178,13 +178,13 @@ def cmd_weak(cfg: ExperimentConfig) -> list[str]:
 
 
 def _simulate_initial(cfg):
-    from .harness import _load_initial_fields
+    from .harness import _load_initial_fields, _sample_rngs
     from .modes import CoefficientField
     from .spectrum import random_sobolev_data
 
     v1, v2 = _load_initial_fields(cfg)
     if cfg.initial_data == "random-sobolev":
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+        rng, = _sample_rngs(cfg.seed, [0])
         if cfg.beta is not None:
             v1 = random_sobolev_data(cfg.beta, cfg.kappa_ref, rng, cfg.dim)
         if cfg.gamma is not None:

@@ -242,19 +242,22 @@ def sample_degree_wishart(l11: np.ndarray, l21: np.ndarray, l22: np.ndarray,
 
     One independent draw per generator of the sequence `rngs`: each draws
     a11^2 for every degree, then every a22^2, then every a21, into its own row,
-    and the algebra then runs once on all rows.  Returns the entries
+    and the algebra then runs once on all rows.  Both gammas come from one
+    standard_gamma call over the shapes [k11, k22]: a generator draws an
+    array's elements in order, so these are the bits of two calls, and numpy
+    checks the shapes once per sample instead of twice.  Returns the entries
     (s11, s12, s22), each of shape (len(rngs), len(dof)).
     """
     dof = np.asarray(dof, dtype=float)
-    k11 = dof / 2.0
-    k22 = np.maximum(dof - 1.0, 0.0) / 2.0
-    g11, g22, a21 = (np.empty((len(rngs), len(dof))) for _ in range(3))
+    n = len(dof)
+    shapes = np.concatenate([dof / 2.0, np.maximum(dof - 1.0, 0.0) / 2.0])
+    gammas = np.empty((len(rngs), 2 * n))
+    a21 = np.empty((len(rngs), n))
     for row, rng in enumerate(rngs):
-        rng.standard_gamma(k11, out=g11[row])
-        rng.standard_gamma(k22, out=g22[row])
+        rng.standard_gamma(shapes, out=gammas[row])
         rng.standard_normal(out=a21[row])
-    a11 = np.sqrt(2.0 * g11)
-    a22 = np.sqrt(2.0 * g22)
+    a11 = np.sqrt(2.0 * gammas[:, :n])
+    a22 = np.sqrt(2.0 * gammas[:, n:])
     a21 = np.where(dof > 0.0, a21, 0.0)
     # rows of L A: (p, 0) and (q, r), so S is a sum of squares entry by entry
     p = l11 * a11

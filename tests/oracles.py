@@ -8,8 +8,9 @@ values are summed mode by mode from scipy's spherical harmonics, and the
 Legendre table is built by the plain (ell, m) loop that the vectorized
 builder must reproduce bit for bit.  The CSV writers below are the
 line-by-line writers that the streaming writers in `spherewave.io` must
-reproduce byte for byte, and the one-generator Bartlett draw is the one the
-chunked Wishart sampler must reproduce bit for bit.
+reproduce byte for byte, the one-generator Bartlett draw is the one the
+chunked Wishart sampler must reproduce bit for bit, and numpy's SeedSequence
+builds the per-sample generators that the chunk-wise derivation must match.
 
 The per-step samplers below gather every per-degree entry through the mode
 degrees on every step, and the Legendre table builds its recurrence
@@ -195,6 +196,11 @@ def mode_labels(kappa: int, dim: int) -> list[tuple[int, int, int]]:
             for j in range(1, harmonic_dimension(ell, dim) + 1)]
 
 
+def sample_rng(seed: int, index: int) -> np.random.Generator:
+    """Sample `index`'s generator, built by numpy's own SeedSequence."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
 def bartlett_wishart(l11, l21, l22, dof, rng):
     """(s11, s12, s22) per degree from one generator, chi2(k) drawn as gamma(k/2, 2).
 
@@ -284,7 +290,7 @@ def terminal_state_by_steps(cfg, index):
     """Both components at T of grid-error sample `index`: draw the data of the
     sample from its own generator, then take one step of size T."""
     kappa, dim = cfg.kappa_ref, cfg.dim
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
+    rng = sample_rng(cfg.seed, index)
     data = []
     for fixed, exponent in zip(_load_initial_fields(cfg), (cfg.beta, cfg.gamma)):
         if cfg.initial_data == "random-sobolev" and exponent is not None:
