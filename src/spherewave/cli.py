@@ -193,12 +193,12 @@ def _simulate_initial(cfg):
     return v1 or zero, v2 or zero
 
 
-# Peak resident bytes per mode of simulate and sample-field (states, noise, the
-# path's per-mode step arrays and the mode labels of the row prefixes): the
-# growth of peak RSS between 87k and 609k modes of `simulate --equation
-# wave-dsphere --dim 5 --steps 2` was 139.9 to 140.1 B per mode in three fresh
-# processes, and 49.2 to 50.0 B for `sample-field`.
-BYTES_PER_MODE = 141
+# Peak resident bytes per mode of simulate and sample-field (states, noise and
+# the path's per-mode step arrays; the writers hold one pass of rows, not the
+# mode labels): the growth of peak RSS between 87k and 609k modes of
+# `simulate --equation wave-dsphere --dim 5 --steps 2` was 136.4 B per mode in
+# three fresh processes, and 15.4 to 15.5 B for `sample-field`.
+BYTES_PER_MODE = 137
 
 
 def _check_state_memory(cfg: ExperimentConfig):

@@ -189,6 +189,16 @@ def _legendre_blocks(kappa: int, theta: np.ndarray) -> Iterator[tuple[int, int, 
         m0 = m1
 
 
+def legendre_block_bytes(kappa: int, grid: "SphereGrid") -> int:
+    """Bytes of the largest Legendre block one synthesis at band kappa holds on grid:
+    LEGENDRE_BLOCK_BYTES, or one order where that is larger, or the whole table
+    where that is smaller (the northern colatitudes only; see _theta_profiles)."""
+    n_north = (grid.n_theta + 1) // 2
+    rows = max(LEGENDRE_BLOCK_BYTES // (8 * n_north), 1)
+    pairs = (kappa + 1) * (kappa + 2) // 2
+    return 8 * n_north * min(pairs, max(rows, kappa + 1))
+
+
 def _physical_memory() -> int | None:
     """Bytes of physical memory, or None where the platform does not say."""
     try:

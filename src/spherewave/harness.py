@@ -41,7 +41,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .harmonics import SphereGrid, synthesis_field_bytes, synthesize_tails
+from . import harmonics
+from .harmonics import (SphereGrid, legendre_block_bytes, synthesis_field_bytes,
+                        synthesize_tails)
 from .modes import (CoefficientField, degree_offsets, degree_sizes, laplacian_eigenvalue,
                     mode_count, mode_degrees)
 from .noise import (ConvFactorTable, ModeFactors, Propagator, _factor_entries, _wave_entries,
@@ -561,6 +563,21 @@ class _TailErrors:
         self.grid = cfg.grid()
         field_bytes = synthesis_field_bytes(cfg.kappa_ref, self.grid)
         self.chunk = max(1, SAMPLE_CHUNK_BYTES // (2 * field_bytes))
+        # one chunk's fields and one Legendre block: what each worker holds at once
+        self.worker_bytes = (2 * self.chunk * field_bytes
+                             + legendre_block_bytes(cfg.kappa_ref, self.grid))
+
+    def check_threads(self, n: int):
+        """Refuse, before any worker starts, a thread count whose concurrent
+        chunks of n samples would exceed physical memory."""
+        workers = min(self.cfg.threads, -(-n // self.chunk))
+        memory = harmonics._physical_memory()
+        if memory is not None and workers * self.worker_bytes > memory:
+            raise ValueError(
+                f"--threads {self.cfg.threads} runs {workers} chunks of grid-error samples at "
+                f"once, {self.worker_bytes / 1e6:.0f} MB per worker, "
+                f"{workers * self.worker_bytes / 1e9:.3g} GB in all: more than the "
+                f"{memory / 1e9:.3g} GB of physical memory")
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
         """Errors of the (B, n_modes) stack `data`, shape (B, len(kappas)), kappas ascending."""
@@ -609,6 +626,7 @@ def _sample_tail_errors(cfg: ExperimentConfig, n: int):
         return _map_chunks(cfg, per_degree, n, sampler.chunk, "per-degree"), "per-degree", {}
 
     tails = _TailErrors(cfg)  # refuses a grid beyond physical memory before sampling
+    tails.check_threads(n)
     terminal = _TerminalSampler(cfg)
 
     def per_mode(indices):

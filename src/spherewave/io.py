@@ -6,8 +6,14 @@ values are written with 17 significant digits (lossless round trip); nothing
 time- or environment-dependent is ever written.
 
 The coefficient, grid and trajectory CSVs hold one value per row, so their
-writers format values with numpy in slices of `_SLICE` rows instead of one
-Python `%` call per value; the bytes are those of `"%.16e" % x`.  A finite x
+writers format values with numpy instead of one Python `%` call per value; the
+bytes are those of `"%.16e" % x`.  A field of n rows is written in
+ceil(n / `_PASS_ROWS`) passes of equal size (they differ by at most one row),
+so a kappa-64 field of 4225 rows takes one pass and the working set does not
+grow with the mode count or the grid size.  Each file has one word buffer,
+sized for its largest pass and reused by every pass and every field; the row
+prefixes are laid into it again only when a pass covers other rows than the
+last, so the labels of a one-pass trajectory are laid once per file.  A finite x
 with 1e-280 <= |x| < 1e280 has the decimal exponent e10 = floor(log10|x|),
 corrected by one where log10 rounds across a power of ten, and
 S = |x| * 10**(16 - e10) lies in [1e16, 1e17).  The power of ten is held as
@@ -19,7 +25,7 @@ lies within `_TIE` (1e-9) of 1/2.  The exponent is corrected from N before
 rounding; a rounding that carries N to 1e17 gives 1e16 and e10 + 1.  The
 digits of N come from a table of 4-digit groups, and every byte a row does
 not print (padding, a positive sign, the hundreds digit of a two-digit
-exponent) is NUL and deleted in one pass over the slice.  Python `%` formats, one by
+exponent) is NUL and deleted in one pass over the buffer.  Python `%` formats, one by
 one, the values this argument does not cover: nan and inf, magnitudes below
 1e-280 (including subnormals) or from 1e280 up, and remainders near 1/2,
 which include the exact ties (166058747059374.62 is one at 17 digits).
@@ -30,17 +36,18 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import math
 import os
 
 import numpy as np
 
 from .harmonics import GridField
 from .harness import ErrorTable
-from .modes import CoefficientField, degree_offsets, mode_count, mode_degrees, mode_labels
+from .modes import CoefficientField, degree_offsets, mode_count, mode_labels
 
-# Rows formatted per numpy pass, so the writers' working set does not grow
-# with the mode count or the grid size.
-_SLICE = 1 << 12
+# Most rows formatted per numpy pass, so the writers' working set does not
+# grow with the mode count or the grid size.
+_PASS_ROWS = 1 << 13
 _FAST_RANGE = (1e-280, 1e280)  # magnitudes formatted without Python `%`
 _E10_RANGE = (-281, 281)       # decimal exponents the fast path can meet
 _TIE = 1e-9                    # remainders this close to 1/2 go to Python `%`
@@ -149,19 +156,54 @@ def _format_floats(x, out):
     return slow
 
 
-def _write_rows(fh, values, prefix):
-    """Write "<prefix>%.16e\n" for each value to the binary handle fh.
+def _passes(n: int) -> list[slice]:
+    """The pass plan of n rows: ceil(n / _PASS_ROWS) consecutive slices (one
+    for n = 0) whose sizes differ by at most one."""
+    count = max(-(-n // _PASS_ROWS), 1)
+    bounds = [n * j // count for j in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
-    prefix(rows), for a slice of rows, gives their prefixes as words with
-    NUL padding; the values are formatted `_SLICE` rows at a time.
+
+class _RowBuffer:
+    """The word buffer of a file of n rows, for its pass plan.
+
+    prefix(rows), for the rows of a pass, gives their prefixes as a tuple of
+    word blocks with NUL padding, laid side by side before the value words.
+    The buffer holds the largest pass and is reused by every pass and every
+    field written through it; the prefixes are laid again only when a pass
+    covers other rows than the last one did.
     """
+
+    def __init__(self, n: int, prefix):
+        self.passes = _passes(n)
+        self.prefix = prefix
+        self.words = None
+        self.laid = None  # the rows whose prefixes the buffer holds
+
+    def for_pass(self, rows: slice) -> np.ndarray:
+        """The buffer of one pass, its prefix columns holding those of `rows`."""
+        if rows == self.laid:
+            return self.words[:rows.stop - rows.start]
+        blocks = self.prefix(rows)
+        if self.words is None:
+            size = max(p.stop - p.start for p in self.passes)
+            width = sum(b.shape[1] for b in blocks) + _FLOAT_WORDS
+            self.words = np.empty((size, width), _WORD)
+        words, col = self.words[:rows.stop - rows.start], 0
+        for block in blocks:
+            words[:, col:col + block.shape[1]] = block
+            col += block.shape[1]
+        self.laid = rows
+        return words
+
+
+def _write_rows(fh, values, buffer: _RowBuffer):
+    """Write "<prefix>%.16e\n" for each value to the binary handle fh, one
+    formatting pass per slice of the buffer's pass plan."""
     values = np.asarray(values, dtype=np.float64)
-    for start in range(0, len(values), _SLICE):
-        rows = slice(start, min(start + _SLICE, len(values)))
-        head = prefix(rows)
-        words = np.empty((len(head), head.shape[1] + _FLOAT_WORDS), _WORD)
-        words[:, :head.shape[1]] = head
-        _format_floats(values[rows], words[:, head.shape[1]:])
+    for rows in buffer.passes:
+        words = buffer.for_pass(rows)
+        _format_floats(values[rows], words[:, -_FLOAT_WORDS:])
         fh.write(words.tobytes().translate(None, b"\0"))
 
 
@@ -180,7 +222,7 @@ def write_error_table_csv(path: str, table: ErrorTable):
     lines.append("kappa,error,stderr")
     for k, e, s in zip(table.kappas, table.errors, table.stderrs):
         lines.append(f"{k},{format_float(e)},{format_float(s)}")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -222,28 +264,40 @@ def _decimal_rows(top: int) -> np.ndarray:
     return text
 
 
-def _label_words(kappa: int, dim: int) -> np.ndarray:
-    """Row prefixes 'ell,m,component,' of the modes in storage order, as words.
+def _word_rows(text: np.ndarray) -> np.ndarray:
+    """Rows of bytes right-aligned in whole words, NUL-padded on the left."""
+    pad = np.zeros((len(text), -text.shape[1] % 4), np.uint8)
+    return np.hstack((pad, text.astype(np.uint8))).view(_WORD)
+
+
+def _label_prefix(kappa: int, dim: int):
+    """prefix(rows) of the mode rows: their prefixes 'ell,m,component,' as words.
 
     From each mode's degree ell and index i within its degree: on S^2,
     m = (i + 1) // 2 and the component is 0 for i = 0, then 1 (cos) and 2
-    (sin) in turn; above, (ell, i + 1, 0).  Both numbers are gathered from
-    digit rows formatted once per value, NUL-padded as the writers expect.
+    (sin) in turn; above, (ell, i + 1, 0).  'ell,' is a word row per degree
+    and 'm,component,' one per index, both formatted once per file; a pass
+    gathers its rows' degrees and indices from the degree offsets, so nothing
+    per mode outlives the pass.
     """
-    degrees = mode_degrees(kappa, dim)
-    index = np.arange(len(degrees)) - degree_offsets(kappa, dim)[degrees]
+    offsets = np.append(degree_offsets(kappa, dim), mode_count(kappa, dim))
+    index = np.arange(int(np.diff(offsets).max()))
     if dim == 3:
         second, comp = (index + 1) // 2, np.where(index == 0, 0, 2 - index % 2)
     else:
-        second, comp = index + 1, 0
-    ells, seconds = _decimal_rows(kappa), _decimal_rows(int(second.max()))
-    a, b = ells.shape[1], ells.shape[1] + 1 + seconds.shape[1]
-    text = np.zeros((len(degrees), 4 * -(-(b + 3) // 4)), np.uint8)
-    text[:, :a] = ells[degrees]
-    text[:, a + 1:b] = seconds[second]
-    text[:, [a, b, b + 2]] = ord(",")
-    text[:, b + 1] = ord("0") + comp
-    return text.view(_WORD)
+        second, comp = index + 1, np.zeros_like(index)
+    commas = np.full(len(index), ord(","))
+    ells = _word_rows(np.column_stack((_decimal_rows(kappa), np.full(kappa + 1, ord(",")))))
+    tails = _word_rows(np.column_stack((_decimal_rows(int(second.max()))[second], commas,
+                                        ord("0") + comp, commas)))
+
+    def prefix(rows):
+        counts = np.diff(np.clip(offsets, rows.start, rows.stop))
+        index = np.arange(rows.start, rows.stop) - np.repeat(offsets[:-1], counts)
+        return (np.take(ells, np.repeat(np.arange(kappa + 1), counts), axis=0),
+                np.take(tails, index, axis=0))
+
+    return prefix
 
 
 def write_coefficient_csv(path: str, field: CoefficientField, metadata: dict | None = None):
@@ -252,19 +306,21 @@ def write_coefficient_csv(path: str, field: CoefficientField, metadata: dict | N
     meta.update({"kappa": field.kappa, "dim": field.dim})
     with open(path, "wb") as fh:
         fh.write(_header(meta, "ell,m,component,value").encode())
-        _write_rows(fh, field.data, _label_words(field.kappa, field.dim).__getitem__)
+        _write_rows(fh, field.data, _RowBuffer(field.data.size,
+                                               _label_prefix(field.kappa, field.dim)))
 
 
 def read_coefficient_csv(path: str) -> CoefficientField:
     """Coefficients written by write_coefficient_csv.
 
     Rows must carry the (ell, m, component) labels of mode_labels(kappa, dim)
-    in storage order, one row per mode; anything else (reordered, mislabelled,
-    missing or extra rows) is rejected, naming the file and the first bad row.
+    in storage order, one row per mode, and finite values; anything else
+    (reordered, mislabelled, missing or extra rows, nan, inf or an overflow
+    such as 1e400) is rejected, naming the file and the first bad row.
     """
     meta = {}
     rows = []  # (line number, fields)
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -280,8 +336,13 @@ def read_coefficient_csv(path: str) -> CoefficientField:
             rows.append((lineno, line.split(",")))
     if "kappa" not in meta:
         raise ValueError(f"{path}: missing '# kappa=...' metadata line")
-    kappa = int(meta["kappa"])
-    dim = int(meta.get("dim", 3))
+    def header_int(key, default=None):
+        try:
+            return int(meta.get(key, default))
+        except ValueError:
+            raise ValueError(f"{path}: '# {key}={meta[key]}' is not an integer") from None
+
+    kappa, dim = header_int("kappa"), header_int("dim", 3)
     if kappa < 0 or dim < 3:
         raise ValueError(f"{path}: need kappa >= 0 and dim >= 3, got kappa={kappa}, dim={dim}")
     # Every degree has at least one mode, so a file with at most kappa rows is
@@ -308,6 +369,8 @@ def read_coefficient_csv(path: str) -> CoefficientField:
         if label != labels[j]:
             raise ValueError(f"{path}: line {lineno}: mode label {label} where {labels[j]} "
                              f"is expected (rows must follow the storage order)")
+        if not math.isfinite(values[j]):
+            raise ValueError(f"{path}: line {lineno}: value {fields[3]!r} is not finite")
     return CoefficientField(values, kappa, dim)
 
 
@@ -330,11 +393,12 @@ def write_grid_field_csv(path: str, field: GridField, metadata: dict | None = No
 
     def prefix(rows):
         point = np.arange(rows.start, rows.stop)
-        return np.hstack((theta[point // len(phi)], phi[point % len(phi)]))
+        return (np.take(theta, point // len(phi), axis=0),
+                np.take(phi, point % len(phi), axis=0))
 
     with open(path, "wb") as fh:
         fh.write(_header(meta, "theta,phi,value").encode())
-        _write_rows(fh, field.values.ravel(), prefix)
+        _write_rows(fh, field.values.ravel(), _RowBuffer(field.values.size, prefix))
 
 
 def write_wave_trajectory_csv(path: str, states, seed: int, metadata: dict | None = None,
@@ -347,14 +411,14 @@ def write_wave_trajectory_csv(path: str, states, seed: int, metadata: dict | Non
     leaves no trajectory that looks complete.
     """
     partial = path + ".part"
-    state = shape = labels = None
+    state = shape = buffer = None
     try:
         with open(partial, "wb") as fh:
             fh.write(_header(metadata or {}, "ell,m,component,value").encode())
             for state in states:
-                if labels is None:
+                if buffer is None:
                     shape = (state.kappa, state.dim)
-                    labels = _label_words(*shape).__getitem__
+                    buffer = _RowBuffer(mode_count(*shape), _label_prefix(*shape))
                 if (state.kappa, state.dim) != shape:
                     raise ValueError(f"state at t={state.t} does not have the band limit "
                                      f"and dimension {shape} of the first state")
@@ -362,7 +426,7 @@ def write_wave_trajectory_csv(path: str, states, seed: int, metadata: dict | Non
                          f"seed={seed}\n".encode())
                 for name, f in zip(names, (state.u1, state.u2)):
                     fh.write(f"# field={name}\n".encode())
-                    _write_rows(fh, f.data, labels)
+                    _write_rows(fh, f.data, buffer)
         os.replace(partial, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -322,6 +322,43 @@ def test_coefficient_file_with_invalid_shape_is_rejected(tmp_path, header):
         read_coefficient_csv(str(path))
 
 
+@pytest.mark.parametrize("header,key", [("# kappa=4.5\n", "kappa=4.5"),
+                                        ("# kappa=2\n# dim=three\n", "dim=three")])
+def test_coefficient_file_with_non_integer_header_is_rejected(tmp_path, header, key):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "ell,m,component,value\n0,0,0,1.0\n")
+    with pytest.raises(ValueError, match=rf"bad\.csv: '# {key}' is not an integer"):
+        read_coefficient_csv(str(path))
+
+
+def _with_value(path, line, value):
+    """Rewrite the value of one row of a coefficient file (lines count from 1)."""
+    lines = path.read_text().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + f",{value}\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("value", ["nan", "-nan", "inf", "-inf", "1e400", "-1e400"])
+def test_coefficient_file_with_non_finite_value_is_rejected(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    write_coefficient_csv(str(path), CoefficientField(np.ones(4), 1))
+    _with_value(path, 6, value)  # the row 1,1,1 after two metadata lines and the header
+    assert read(path).decode().splitlines()[5] == f"1,1,1,{value}"
+    with pytest.raises(ValueError, match=rf"bad\.csv: line 6: value '{value}' is not finite"):
+        read_coefficient_csv(str(path))
+
+
+def test_simulate_refuses_a_non_finite_initial_value(tmp_path, capsys):
+    path = tmp_path / "v1.csv"
+    write_coefficient_csv(str(path), CoefficientField(np.ones(mode_count(4)), 4))
+    _with_value(path, 6, "nan")
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--initial-data", "file", "--v1-file", str(path),
+                   "--kappa-ref", "4", "--steps", "2", "--output", str(out)) == 1
+    assert f"{path}: line 6: value 'nan' is not finite" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
 # SHA-256 of files written before trajectories were streamed to disk; the
 # streaming writers must keep every byte.  final_field.csv is left out: its
 # grid sums go through BLAS, whose rounding depends on the library build.

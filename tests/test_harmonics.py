@@ -461,3 +461,18 @@ def test_tails_need_a_stack_of_full_coefficient_arrays():
     for shape in [(49,), (2, 48), (1, 2, 49)]:
         with pytest.raises(ValueError, match=r"shape \(B, 49\) for band limit 6"):
             _tails(np.zeros(shape), 6, grid, [2])
+
+
+@pytest.mark.parametrize("kappa,n_theta,block_bytes", [
+    (40, 81, harmonics.LEGENDRE_BLOCK_BYTES),  # the whole table in one block
+    (40, 81, 8 * 41 * 100),                    # several orders per block
+    (40, 81, 8),                               # one order per block
+    (7, 6, 8 * 3 * 9),                         # even n_theta
+])
+def test_legendre_block_bytes_bound_the_largest_block(monkeypatch, kappa, n_theta, block_bytes):
+    monkeypatch.setattr(harmonics, "LEGENDRE_BLOCK_BYTES", block_bytes)
+    grid = SphereGrid(n_theta, 2 * n_theta)
+    north = grid.theta[:(n_theta + 1) // 2]
+    largest = max(block.nbytes for _, _, block in harmonics._legendre_blocks(kappa, north))
+    bound = harmonics.legendre_block_bytes(kappa, grid)
+    assert largest <= bound <= max(largest, block_bytes)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from spherewave import harness
+from spherewave import harmonics, harness
 from spherewave.harmonics import synthesize_tails
 from spherewave.harness import (ErrorTable, ExperimentConfig, _TailErrors,
                                 _TerminalSampler, _degree_tails, analytic_second_moment,
@@ -401,3 +401,36 @@ def test_initial_data_file_of_another_dimension_is_rejected(tmp_path, equation, 
     with pytest.raises(ValueError, match=r"v1-dim4\.csv: initial data has dim=4, "
                                          r"the experiment needs dim=3"):
         experiment(cfg)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("no worker may start before the memory check")
+
+
+def test_thread_count_beyond_physical_memory_is_refused_before_sampling(monkeypatch):
+    monkeypatch.setattr(harness, "SAMPLE_CHUNK_BYTES", 1)  # one sample per chunk
+    cfg = dict(alpha=1.0, kappas=[2, 4], kappa_ref=16, samples=4, seed=2, error_kind="max-grid")
+    worker = _TailErrors(ExperimentConfig(**cfg)).worker_bytes
+    # room for one worker but not for two
+    monkeypatch.setattr(harness.harmonics, "_physical_memory", lambda: int(1.5 * worker))
+    with monkeypatch.context() as m:
+        m.setattr(harness, "ThreadPoolExecutor", _refuse)
+        m.setattr(_TerminalSampler, "draw", _refuse)
+        with pytest.raises(ValueError) as info:
+            strong_error_experiment(ExperimentConfig(**cfg, threads=2))
+    message = str(info.value)
+    assert "--threads 2" in message and f"{worker / 1e6:.0f} MB per worker" in message
+    assert f"{1.5 * worker / 1e9:.3g} GB of physical memory" in message
+    # one worker fits, and so does a run of one chunk on any thread count
+    one = strong_error_experiment(ExperimentConfig(**cfg, threads=1))
+    two = strong_error_experiment(ExperimentConfig(**{**cfg, "samples": 1}, threads=8))
+    assert one["position"].errors.shape == two["position"].errors.shape == (2,)
+
+
+def test_worker_bytes_count_one_chunk_of_fields_and_the_largest_legendre_block():
+    cfg = ExperimentConfig(alpha=1.0, kappas=[2, 4, 8], kappa_ref=40, error_kind="max-grid")
+    tails = _TailErrors(cfg)
+    blocks = [block.nbytes for _, _, block in harmonics._legendre_blocks(
+        cfg.kappa_ref, tails.grid.theta[:(tails.grid.n_theta + 1) // 2])]
+    fields = 2 * tails.chunk * harmonics.synthesis_field_bytes(cfg.kappa_ref, tails.grid)
+    assert tails.worker_bytes == fields + max(blocks)

@@ -13,7 +13,8 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from spherewave import io as spherewave_io
 from spherewave.harmonics import GridField, SphereGrid
-from spherewave.io import (write_coefficient_csv, write_grid_field_csv,
+from spherewave.harness import ErrorTable
+from spherewave.io import (write_coefficient_csv, write_error_table_csv, write_grid_field_csv,
                            write_schrodinger_trajectory_csv, write_wave_trajectory_csv)
 from spherewave.modes import CoefficientField, mode_count
 from spherewave.wave import State
@@ -146,8 +147,7 @@ def _written(values) -> bytes:
     """What the writers' row formatter makes of values, with empty prefixes."""
     values = np.asarray(values, dtype=np.float64)
     fh = io.BytesIO()
-    spherewave_io._write_rows(fh, values,
-                              lambda rows: np.zeros((rows.stop - rows.start, 0), np.uint32))
+    spherewave_io._write_rows(fh, values, spherewave_io._RowBuffer(len(values), lambda rows: ()))
     return fh.getvalue()
 
 
@@ -212,3 +212,115 @@ def test_formatter_falls_back_rarely_on_normal_draws():
     assert len(slow) < values.size // 10**4, len(slow)
     text = words.view(np.uint8)
     assert text[text != 0].tobytes() == _percent(values)
+
+
+def _writer_case(kind, path):
+    """(rows per field, write(), expected bytes) of one writer on fixed random data."""
+    rng = np.random.default_rng(8)
+    if kind in ("trajectory", "trajectory-d4"):
+        kappa, dim = (4, 3) if kind == "trajectory" else (3, 4)
+        n = mode_count(kappa, dim)
+        states = [State(CoefficientField(rng.standard_normal(n), kappa, dim),
+                        CoefficientField(rng.standard_normal(n), kappa, dim), t=float(j))
+                  for j in range(2)]
+        snapshots = [(s.t, [("position", s.u1.data), ("velocity", s.u2.data)]) for s in states]
+        return n, lambda: write_wave_trajectory_csv(path, iter(states), 3, METADATA), \
+            oracles.trajectory_csv_text(snapshots, kappa, dim, 3, METADATA).encode()
+    if kind == "coefficient":
+        data = rng.standard_normal(25)
+        return 25, lambda: write_coefficient_csv(path, CoefficientField(data, 4), METADATA), \
+            oracles.coefficient_csv_text(data, 4, 3, METADATA).encode()
+    if kind == "grid":
+        grid, values = SphereGrid(4, 9), rng.standard_normal((4, 9))
+        return 36, lambda: write_grid_field_csv(path, GridField(values, grid), METADATA), \
+            oracles.grid_csv_text(values, grid.theta, grid.phi, METADATA).encode()
+    values = rng.standard_normal(33)  # empty prefixes, against "%.16e" % x
+
+    def write():
+        with open(path, "wb") as fh:
+            fh.write(_written(values))
+    return 33, write, _percent(values)
+
+
+CAPS = {"1": lambda n: 1, "7": lambda n: 7, "n-1": lambda n: n - 1, "n": lambda n: n,
+        "n+1": lambda n: n + 1}
+
+
+@pytest.mark.parametrize("cap", CAPS)
+@pytest.mark.parametrize("kind", ["trajectory", "trajectory-d4", "coefficient", "grid",
+                                  "rows"])
+def test_every_pass_plan_writes_the_same_bytes(tmp_path, monkeypatch, cap, kind):
+    path = tmp_path / "out.csv"
+    n, write, expected = _writer_case(kind, str(path))
+    monkeypatch.setattr(spherewave_io, "_PASS_ROWS", CAPS[cap](n))
+    write()
+    assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("n,cap", [(1, 1), (25, 1), (25, 7), (4225, 8192), (8450, 8192),
+                                   (16641, 8192), (8193, 8192), (33, 32)])
+def test_a_field_takes_one_format_call_per_pass_of_equal_size(monkeypatch, n, cap):
+    monkeypatch.setattr(spherewave_io, "_PASS_ROWS", cap)
+    sizes = []
+    real = spherewave_io._format_floats
+
+    def counting(x, out):
+        sizes.append(len(x))
+        return real(x, out)
+
+    monkeypatch.setattr(spherewave_io, "_format_floats", counting)
+    values = np.random.default_rng(9).standard_normal(n)
+    assert _written(values) == _percent(values)
+    assert len(sizes) == -(-n // cap)
+    assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
+
+
+def test_labels_of_a_one_pass_trajectory_are_built_and_laid_once(tmp_path, monkeypatch):
+    built, laid = [], []
+    real = spherewave_io._label_prefix
+
+    def counting(kappa, dim):
+        built.append((kappa, dim))
+        prefix = real(kappa, dim)
+
+        def lay(rows):
+            laid.append(rows)
+            return prefix(rows)
+        return lay
+
+    monkeypatch.setattr(spherewave_io, "_label_prefix", counting)
+    write_wave_trajectory_csv(str(tmp_path / "trajectory.csv"), _wave_states(24, 9), 1)
+    assert built == [(24, 3)]
+    assert laid == [slice(0, mode_count(24))]
+
+
+def _pass_peak(path, states):
+    tracemalloc.start()
+    try:
+        write_wave_trajectory_csv(path, iter(states), 1, METADATA)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trajectory_writer_memory_does_not_grow_with_the_mode_count(tmp_path):
+    path = str(tmp_path / "trajectory.csv")
+    _pass_peak(path, list(_wave_states(8, 2)))  # warm up imports and caches
+    # kappa 64: 4225 rows in one pass; kappa 128: 16641 rows in three passes of 5547
+    one_pass = _pass_peak(path, list(_wave_states(64, 3)))
+    three_passes = _pass_peak(path, list(_wave_states(128, 3)))
+    assert three_passes <= 1.5 * one_pass, (one_pass, three_passes)
+
+
+def test_error_tables_are_utf8_whatever_the_locale(tmp_path, monkeypatch):
+    def latin1_open(file, mode="r", *args, encoding=None, **kwargs):
+        if "b" not in mode and encoding is None:
+            encoding = "latin-1"
+        return open(file, mode, *args, encoding=encoding, **kwargs)
+
+    monkeypatch.setattr(spherewave_io, "open", latin1_open, raising=False)
+    table = ErrorTable([2, 4], np.array([0.5, 0.25]), np.zeros(2), -1.0, [4],
+                       {"v1_file": "données/v1.csv"})
+    path = tmp_path / "table.csv"
+    write_error_table_csv(str(path), table)
+    assert path.read_bytes().startswith("# v1_file=données/v1.csv\n".encode("utf-8"))
