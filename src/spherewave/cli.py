@@ -202,7 +202,8 @@ BYTES_PER_MODE = 137
 
 
 def _check_state_memory(cfg: ExperimentConfig):
-    """Refuse, before allocating anything, a state larger than physical memory."""
+    """Refuse, before allocating anything, a state larger than physical memory,
+    and on S^2 a grid whose field synthesis would not fit either."""
     modes = mode_count(cfg.kappa_ref, cfg.dim)
     nbytes = modes * BYTES_PER_MODE
     memory = harmonics._physical_memory()
@@ -211,6 +212,8 @@ def _check_state_memory(cfg: ExperimentConfig):
             f"kappa_ref={cfg.kappa_ref} with dim={cfg.dim} has {modes} modes, which need "
             f"about {nbytes / 1e9:.1f} GB, more than the {memory / 1e9:.1f} GB of "
             f"physical memory")
+    if cfg.dim == 3:
+        harmonics.synthesis_field_bytes(cfg.kappa_ref, cfg.grid_shape())
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> list[str]:

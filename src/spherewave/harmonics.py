@@ -26,6 +26,7 @@ import math
 import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,13 +36,27 @@ FOUR_PI = 4.0 * math.pi
 
 # Largest Legendre order block synthesize_tails generates at once, in bytes.
 # Fewer blocks pay the per-degree recurrence overhead fewer times; the northern
-# half of the table is a single block up to kappa 255 on the default grid.
+# half of the table is a single block up to kappa 254 on the default grid (at
+# 255 the blocks are the orders [0, 240) and [240, 256)).
 LEGENDRE_BLOCK_BYTES = 32 * 2**20
+
+# Orders whose even and odd theta sums _theta_profiles stages before folding
+# them into both hemispheres with one addition and one subtraction.  From 4 to
+# 64 orders the time is the same; the staging holds 2 x FOLD_ORDERS x 2B x
+# n_theta / 2 values.
+FOLD_ORDERS = 8
 
 # Highest band limit whose Legendre table is verified: the addition theorem
 # sum_m (2 - delta_m0) Lbar_{ell,m}^2 = (2 ell + 1)/(4 pi) holds to 2e-13 for
 # every ell <= 1900 at the worst colatitude, sin(theta) = 1/e.
 MAX_SYNTHESIS_BAND = 1900
+
+# Newton's method for the Gauss-Legendre nodes stops after a step below
+# NEWTON_TOLERANCE: it converges quadratically, with a constant below n^2 / 8,
+# so such a step leaves an error far below rounding for every n the grids use.
+# From Tricomi's guesses it takes 3 or 4 passes; NEWTON_PASSES bounds them.
+NEWTON_TOLERANCE = 1e-13
+NEWTON_PASSES = 20
 
 
 def legendre(ell: int, mu):
@@ -174,29 +189,34 @@ def _recurrence_coefficients(kappa: int, m0: int, m1: int):
     return counts, a, b
 
 
-def _legendre_blocks(kappa: int, theta: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(m0, m1, rows): the Legendre table in consecutive order blocks [m0, m1).
-
-    Each block holds at most LEGENDRE_BLOCK_BYTES, or a single order where one
-    order alone is larger; small tables come as one block.
-    """
+def _block_orders(kappa: int, n_theta: int) -> list[tuple[int, int]]:
+    """The consecutive order ranges [m0, m1) of the Legendre blocks at n_theta
+    colatitudes: each holds at most LEGENDRE_BLOCK_BYTES, or a single order
+    where one order alone is larger; small tables come as one block."""
     offsets = _pair_offsets(kappa)
-    rows = max(LEGENDRE_BLOCK_BYTES // (8 * theta.size), 1)
-    m0 = 0
+    rows = max(LEGENDRE_BLOCK_BYTES // (8 * n_theta), 1)
+    ranges, m0 = [], 0
     while m0 <= kappa:
         m1 = max(int(np.searchsorted(offsets, offsets[m0] + rows, side="right")) - 1, m0 + 1)
-        yield m0, m1, normalized_legendre_table(kappa, theta, m0, m1)
+        ranges.append((m0, m1))
         m0 = m1
+    return ranges
 
 
-def legendre_block_bytes(kappa: int, grid: "SphereGrid") -> int:
-    """Bytes of the largest Legendre block one synthesis at band kappa holds on grid:
-    LEGENDRE_BLOCK_BYTES, or one order where that is larger, or the whole table
-    where that is smaller (the northern colatitudes only; see _theta_profiles)."""
+def _legendre_blocks(kappa: int, theta: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(m0, m1, rows): the Legendre table in the order blocks of _block_orders."""
+    for m0, m1 in _block_orders(kappa, theta.size):
+        yield m0, m1, normalized_legendre_table(kappa, theta, m0, m1)
+
+
+def legendre_block_bytes(kappa: int, grid: SphereGrid | GridShape) -> int:
+    """Bytes of the largest Legendre block one synthesis at band kappa holds on
+    grid (a SphereGrid or a GridShape), at the northern colatitudes only (see
+    _theta_profiles)."""
     n_north = (grid.n_theta + 1) // 2
-    rows = max(LEGENDRE_BLOCK_BYTES // (8 * n_north), 1)
-    pairs = (kappa + 1) * (kappa + 2) // 2
-    return 8 * n_north * min(pairs, max(rows, kappa + 1))
+    offsets = _pair_offsets(kappa)
+    return 8 * n_north * max(int(offsets[m1] - offsets[m0])
+                             for m0, m1 in _block_orders(kappa, n_north))
 
 
 def _physical_memory() -> int | None:
@@ -205,6 +225,78 @@ def _physical_memory() -> int | None:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
         return None
+
+
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n Gauss-Legendre nodes x_k = cos(theta_k) on [-1, 1], descending, and
+    their weights.
+
+    Newton's method on P_n runs over the northern nodes (x > 0, and the
+    equator, x = 0, when n is odd) from Tricomi's asymptotic guesses, all
+    nodes at once, until the largest step is below NEWTON_TOLERANCE.  One more
+    pass, in extended precision (np.longdouble) where the platform has it,
+    takes the last Newton step and evaluates the weights
+    2 (1 - x^2) / (n (P_{n-1}(x) - x P_n(x)))^2 at the exact roots.  The
+    southern nodes and weights are the mirror images, so x_{n-1-k} = -x_k
+    exactly.  Each pass is one three-term recurrence over the degrees: O(n^2)
+    work and O(n) memory, where a companion-matrix eigensolver takes O(n^3)
+    and O(n^2).
+    """
+    if n < 1:
+        raise ValueError(f"need at least one node, got {n}")
+    k = np.arange(1, (n + 1) // 2 + 1)
+    angle = (4 * k - 1) * math.pi / (4 * n + 2)
+    x = (1.0 - (n - 1) / (8.0 * n**3)
+         - (39.0 - 28.0 / np.sin(angle) ** 2) / (384.0 * n**4)) * np.cos(angle)
+    if n % 2:
+        x[-1] = 0.0  # P_n(0) = 0 exactly for odd n, so the equator stays put
+    for _ in range(NEWTON_PASSES):
+        step = _newton_step(n, x)[0]
+        x -= step
+        if np.max(np.abs(step)) <= NEWTON_TOLERANCE:
+            break
+    else:
+        raise ArithmeticError(f"Gauss-Legendre nodes did not converge for n={n}")
+    x = x.astype(np.longdouble)
+    step, p, slope = _newton_step(n, x)
+    # the weight at x, times its first-order change from x to the root x - step
+    weights = 2.0 * (1.0 - x) * (1.0 + x) / slope**2 * (1.0 + 2.0 * x * p / slope)
+    x = (x - step).astype(float)
+    weights = weights.astype(float)
+    return (np.concatenate([x, -x[:n // 2][::-1]]),
+            np.concatenate([weights, weights[:n // 2][::-1]]))
+
+
+def _newton_step(n: int, x: np.ndarray):
+    """(P_n / P_n', P_n, (1 - x^2) P_n') at x, in the precision of x."""
+    j = np.arange(1, n, dtype=x.dtype)
+    prev, p, work = np.ones_like(x), x.copy(), np.empty_like(x)
+    # P_{j+1} = (2j + 1)/(j + 1) x P_j - j/(j + 1) P_{j-1}
+    for a, b in zip((2 * j + 1) / (j + 1), j / (j + 1)):
+        np.multiply(x, p, out=work)
+        work *= a
+        prev *= b
+        work -= prev
+        prev, p, work = p, work, prev
+    slope = n * (prev - x * p)
+    return p * ((1.0 - x) * (1.0 + x)) / slope, p, slope
+
+
+def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi r / n for r = 0..n-1.  r is split exactly into
+    quarter turns and a remainder, so every angle evaluated lies in [0, pi/2)
+    and each value is within 5e-16 of the exact one."""
+    quarter, rest = np.divmod(4 * np.arange(n), n)
+    angle = (0.5 * math.pi / n) * rest
+    c, s = np.cos(angle), np.sin(angle)
+    return np.choose(quarter, [c, -s, -c, s]), np.choose(quarter, [s, c, -s, -c])
+
+
+class GridShape(NamedTuple):
+    """The sizes of a SphereGrid, for memory checks made before its nodes are built."""
+
+    n_theta: int
+    n_phi: int
 
 
 @dataclass(eq=False)
@@ -220,10 +312,8 @@ class SphereGrid:
     def __post_init__(self):
         if self.n_theta < 1 or self.n_phi < 1:
             raise ValueError("grid sizes must be positive")
-        nodes, weights = np.polynomial.legendre.leggauss(self.n_theta)
-        # leggauss returns ascending cos(theta); store theta ascending instead
-        self.theta = np.arccos(nodes[::-1])
-        self.theta_weights = weights[::-1].copy()
+        nodes, self.theta_weights = gauss_legendre(self.n_theta)
+        self.theta = np.arccos(nodes)  # ascending: the nodes descend
         self.phi = 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
         self._phase_tables: dict[int, np.ndarray] = {}
 
@@ -243,13 +333,22 @@ class SphereGrid:
 
         Row 2m is c_m cos(m phi) and row 2m + 1 is c_m sin(m phi), with c_0 = 1
         and c_m = sqrt(2); the first 2 (k + 1) rows cover the orders m <= k.
+        m phi_j = 2 pi (m j mod n_phi) / n_phi is reduced exactly in integers,
+        so row m gathers the values of _unit_circle at the indices m j mod n_phi.
+        Holds phase_table_bytes while it is built.
         """
         if kappa not in self._phase_tables:
-            m_phi = np.outer(np.arange(kappa + 1), self.phi)
+            cos, sin = _unit_circle(self.n_phi)
+            cos *= math.sqrt(2.0)
+            sin *= math.sqrt(2.0)
             table = np.empty((2 * (kappa + 1), self.n_phi))
-            table[0::2] = np.cos(m_phi)
-            table[1::2] = np.sin(m_phi)
-            table[2:] *= math.sqrt(2.0)
+            table[0], table[1] = 1.0, 0.0
+            j = np.arange(self.n_phi)
+            index = np.empty_like(j)
+            for m in range(1, kappa + 1):
+                np.remainder(np.multiply(j, m, out=index), self.n_phi, out=index)
+                table[2 * m] = cos[index]
+                table[2 * m + 1] = sin[index]
             self._phase_tables[kappa] = table
         return self._phase_tables[kappa]
 
@@ -281,25 +380,37 @@ def synthesize(coeffs: CoefficientField, grid: SphereGrid) -> GridField:
     return GridField(values[0], grid)
 
 
-def synthesis_field_bytes(kappa: int, grid: SphereGrid) -> int:
+def synthesis_field_bytes(kappa: int, grid: SphereGrid | GridShape) -> int:
     """Bytes one field adds to the working set of synthesize_tails at band kappa.
 
     Counts the running array and the product added into it (n_theta x n_phi
     each), the top shell's theta profiles (2 (kappa + 1) x n_theta) and the
     packed coefficients (two per (ell, m) pair).  The lower shells' profiles
     fit in the product's room while the top shell is added, as long as their
-    top degrees k have sum(k + 1) <= n_phi / 2.  Raises ValueError when the
-    count exceeds physical memory; nothing is allocated before the check.
+    top degrees k have sum(k + 1) <= n_phi / 2.  Raises ValueError when one
+    field and the grid's phase table (phase_table_bytes) exceed physical
+    memory.  Only the grid's sizes are read, so a GridShape can be checked
+    before its nodes are built; nothing is allocated before the check.
     """
     pairs = (kappa + 1) * (kappa + 2) // 2
     nbytes = 8 * (2 * grid.n_theta * grid.n_phi + 2 * (kappa + 1) * grid.n_theta + 2 * pairs)
+    table = phase_table_bytes(kappa, grid)
     memory = _physical_memory()
-    if memory is not None and nbytes > memory:
+    if memory is not None and nbytes + table > memory:
+        beside = "" if nbytes > memory else f" leaves beside its {table / 1e9:.3g} GB phase table"
         raise ValueError(
             f"synthesis at kappa={kappa} on a {grid.n_theta} x {grid.n_phi} grid "
             f"(n_theta x n_phi) needs {nbytes / 1e9:.3g} GB per field, more than the "
-            f"{memory / 1e9:.3g} GB of physical memory")
+            f"{memory / 1e9:.3g} GB of physical memory{beside}")
     return nbytes
+
+
+def phase_table_bytes(kappa: int, grid: SphereGrid | GridShape) -> int:
+    """Bytes SphereGrid.phase_table(kappa) holds while it is built: the table
+    (2 (kappa + 1) x n_phi) and at most ten n_phi-long arrays of unit-circle
+    values and gather indices.  The table is built once per grid and band, and
+    shared by every field synthesized there."""
+    return 8 * (2 * (kappa + 1) + 10) * grid.n_phi
 
 
 def _packed_coefficients(data: np.ndarray, kappa: int) -> np.ndarray:
@@ -352,7 +463,7 @@ def synthesize_tails(data: np.ndarray, kappa: int, grid: SphereGrid,
     Cost per field: theta O(kappa^2 n_theta / 2) once; phi O(n_theta kappa
     n_phi) for the top shell plus O(n_theta k n_phi) for each lower shell of
     top k.  Raises ValueError, before allocating, if one field's working set
-    (synthesis_field_bytes) exceeds physical memory.
+    and the phase table (synthesis_field_bytes) exceed physical memory.
     """
     if kappa > MAX_SYNTHESIS_BAND:
         raise ValueError(f"band limit {kappa} exceeds synthesis maximum {MAX_SYNTHESIS_BAND}")
@@ -381,33 +492,40 @@ def synthesize_tails(data: np.ndarray, kappa: int, grid: SphereGrid,
 
 
 def _theta_profiles(data, kappa, grid, shells) -> list[np.ndarray]:
-    """Per shell (lo, hi], the theta sums of every field, shape (2 (hi + 1), B, n_theta).
+    """Per shell (lo, hi], the theta sums of every field, shape (hi + 1, 2B, n_theta).
 
-    Row 2m + c, field b holds the sum over the shell's degrees of the cos
-    (c = 0) or sin (c = 1) coefficient of order m times Lbar_{ell,m}.  The
-    Legendre blocks, the packed coefficients and the even and odd partial
-    sums are dropped on return.
+    Row (m, cB + b) holds the sum over the shell's degrees of the cos (c = 0)
+    or sin (c = 1) coefficient of order m of field b times Lbar_{ell,m}; in
+    memory that is row 2m + c, field b of (2 (hi + 1), B, n_theta).  Per
+    order the even and odd sums E and O are staged; every FOLD_ORDERS orders,
+    one addition writes the northern rows E + O and one subtraction the
+    southern rows E - O.  Every row is written: each order m <= hi has a
+    degree in (lo, hi].  The Legendre blocks, the packed coefficients and the
+    staged sums are dropped on return.
     """
     n_fields, n_theta = data.shape[0], grid.n_theta
     n_north, n_south = (n_theta + 1) // 2, n_theta // 2
-    offsets = _pair_offsets(kappa)
+    offsets = _pair_offsets(kappa).tolist()
     packed = _packed_coefficients(data, kappa).reshape(2 * n_fields, -1)
-    profiles = [np.zeros((2 * (hi + 1), n_fields, n_theta)) for _, hi in shells]
+    profiles = [np.empty((hi + 1, 2 * n_fields, n_theta)) for _, hi in shells]
+    even, odd = np.empty((2, FOLD_ORDERS, 2 * n_fields, n_north))
     for m0, m1, block in _legendre_blocks(kappa, grid.theta[:n_north]):
-        for m in range(m0, m1):
-            rows = block[offsets[m] - offsets[m0]:offsets[m + 1] - offsets[m0]]
-            coef = packed[:, offsets[m]:offsets[m + 1]]
-            n_even = (kappa - m) // 2 + 1
-            for (lo, hi), profile in zip(shells, profiles):
-                start, stop = max(lo + 1 - m, 0), hi + 1 - m  # rows ell - m of the shell
-                if stop <= start:
-                    continue
-                e0, e1, o0, o1 = (start + 1) // 2, (stop + 1) // 2, start // 2, stop // 2
-                even = coef[:, e0:e1] @ rows[2 * e0:2 * e1:2]
-                odd = coef[:, n_even + o0:n_even + o1] @ rows[2 * o0 + 1:2 * o1 + 1:2]
-                out = profile[2 * m:2 * m + 2].reshape(2 * n_fields, n_theta)
-                np.add(even, odd, out=out[:, :n_north])
+        for (lo, hi), profile in zip(shells, profiles):
+            for g0 in range(m0, min(m1, hi + 1), FOLD_ORDERS):
+                g1 = min(g0 + FOLD_ORDERS, m1, hi + 1)
+                for i, m in enumerate(range(g0, g1)):
+                    rows = block[offsets[m] - offsets[m0]:offsets[m + 1] - offsets[m0]]
+                    coef = packed[:, offsets[m]:offsets[m + 1]]
+                    n_even = (kappa - m) // 2 + 1
+                    start, stop = max(lo + 1 - m, 0), hi + 1 - m  # rows ell - m of the shell
+                    e0, e1, o0, o1 = (start + 1) // 2, (stop + 1) // 2, start // 2, stop // 2
+                    np.matmul(coef[:, e0:e1], rows[2 * e0:2 * e1:2], out=even[i])
+                    np.matmul(coef[:, n_even + o0:n_even + o1], rows[2 * o0 + 1:2 * o1 + 1:2],
+                              out=odd[i])
+                g = g1 - g0
+                np.add(even[:g], odd[:g], out=profile[g0:g1, :, :n_north])
                 # southern row n_theta - 1 - i mirrors northern row i
-                np.subtract(even[:, :n_south], odd[:, :n_south], out=out[:, n_north:][:, ::-1])
+                np.subtract(even[:g, :, :n_south], odd[:g, :, :n_south],
+                            out=profile[g0:g1, :, n_north:][..., ::-1])
         del block, rows  # freed before the next block is built
     return profiles

@@ -42,8 +42,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import harmonics
-from .harmonics import (SphereGrid, legendre_block_bytes, synthesis_field_bytes,
-                        synthesize_tails)
+from .harmonics import (GridShape, SphereGrid, legendre_block_bytes, phase_table_bytes,
+                        synthesis_field_bytes, synthesize_tails)
 from .modes import (CoefficientField, degree_offsets, degree_sizes, laplacian_eigenvalue,
                     mode_count, mode_degrees)
 from .noise import (ConvFactorTable, ModeFactors, Propagator, _factor_entries, _wave_entries,
@@ -142,14 +142,19 @@ class ExperimentConfig:
     def power_spectrum(self) -> PowerSpectrum:
         return PowerSpectrum(self.alpha, self.scale, self.ell0, self.head_value)
 
-    def grid_shape(self) -> tuple[int, int]:
+    def grid_shape(self) -> GridShape:
         """(n_theta, n_phi), by default the smallest exact grid for band kappa_ref."""
         n_theta = self.n_theta if self.n_theta is not None else self.kappa_ref + 1
         n_phi = self.n_phi if self.n_phi is not None else 2 * self.kappa_ref + 2
-        return n_theta, n_phi
+        return GridShape(n_theta, n_phi)
 
     def grid(self) -> SphereGrid:
-        return SphereGrid(*self.grid_shape())
+        """The grid, built only once synthesis_field_bytes has found room for one
+        field's synthesis at kappa_ref on it: nothing is allocated for a grid
+        that does not fit in physical memory."""
+        shape = self.grid_shape()
+        synthesis_field_bytes(self.kappa_ref, shape)
+        return SphereGrid(*shape)
 
     def component_names(self) -> tuple[str, str]:
         if self.equation == "schrodinger":
@@ -542,9 +547,20 @@ DEGREE_CHUNK_BYTES = 64 * 2**10
 
 
 # Working memory of one chunk of grid-error samples, two fields each at
-# harmonics.synthesis_field_bytes; at kappa_ref 256 on the default grid a chunk
-# holds 9 samples.  Larger chunks share each Legendre block among more fields.
+# harmonics.synthesis_field_bytes, up to kappa_ref 256: at kappa_ref 256 on the
+# default grid a chunk holds 9 samples.  Every chunk pays a whole pass of the
+# Legendre recurrence, so above 256 the budget grows as kappa_ref^2, as a
+# field does, and a chunk keeps sharing each pass among several samples, up
+# to MAX_SAMPLE_CHUNK_BYTES: 8 samples at kappa_ref 1024 on the default grid,
+# where max-grid then peaks under 1 GB (0.82 GB measured).
 SAMPLE_CHUNK_BYTES = 64 * 2**20
+MAX_SAMPLE_CHUNK_BYTES = 960 * 2**20
+
+
+def _sample_chunk(kappa_ref: int, field_bytes: int) -> int:
+    """Grid-error samples per chunk: it depends on kappa_ref and the grid only."""
+    budget = min(SAMPLE_CHUNK_BYTES * max(1.0, kappa_ref / 256) ** 2, MAX_SAMPLE_CHUNK_BYTES)
+    return max(1, int(budget // (2 * field_bytes)))
 
 
 class _TailErrors:
@@ -553,16 +569,16 @@ class _TailErrors:
     One batched synthesis pass (synthesize_tails) serves the whole stack: the
     tails are built shell by shell from the top, and each is reduced to its
     largest absolute value before the next shell is added, so no tail field is
-    stored.  `chunk` is the number of samples (two fields each) whose working
-    set fits SAMPLE_CHUNK_BYTES; it depends on kappa_ref and the grid shape
-    only, so a run's results do not depend on --threads.
+    stored.  `chunk` is the number of samples (two fields each) per chunk
+    (_sample_chunk); it depends on kappa_ref and the grid shape only, so a
+    run's results do not depend on --threads or --samples.
     """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.grid = cfg.grid()
+        self.grid = cfg.grid()  # refuses a grid beyond physical memory before building it
         field_bytes = synthesis_field_bytes(cfg.kappa_ref, self.grid)
-        self.chunk = max(1, SAMPLE_CHUNK_BYTES // (2 * field_bytes))
+        self.chunk = _sample_chunk(cfg.kappa_ref, field_bytes)
         # one chunk's fields and one Legendre block: what each worker holds at once
         self.worker_bytes = (2 * self.chunk * field_bytes
                              + legendre_block_bytes(cfg.kappa_ref, self.grid))
@@ -572,11 +588,13 @@ class _TailErrors:
         chunks of n samples would exceed physical memory."""
         workers = min(self.cfg.threads, -(-n // self.chunk))
         memory = harmonics._physical_memory()
-        if memory is not None and workers * self.worker_bytes > memory:
+        # the workers share the grid's phase table
+        total = workers * self.worker_bytes + phase_table_bytes(self.cfg.kappa_ref, self.grid)
+        if memory is not None and total > memory:
             raise ValueError(
                 f"--threads {self.cfg.threads} runs {workers} chunks of grid-error samples at "
                 f"once, {self.worker_bytes / 1e6:.0f} MB per worker, "
-                f"{workers * self.worker_bytes / 1e9:.3g} GB in all: more than the "
+                f"{total / 1e9:.3g} GB in all: more than the "
                 f"{memory / 1e9:.3g} GB of physical memory")
 
     def __call__(self, data: np.ndarray) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Apart from the per-step references at the end, nothing here shares code with
 the package: Legendre values come from symbolic
-differentiation of the generating polynomial, covariance entries from adaptive
-quadrature of the kernel products, and norms from plain dense sums.  Grid
+differentiation of the generating polynomial, Gauss-Legendre nodes and weights
+from Newton's method in mpmath's multiple precision, covariance entries from
+adaptive quadrature of the kernel products, and norms from plain dense sums.  Grid
 values are summed mode by mode from scipy's spherical harmonics, and the
 Legendre table is built by the plain (ell, m) loop that the vectorized
 builder must reproduce bit for bit.  The CSV writers below are the
@@ -160,6 +161,26 @@ def degree_recurrence_legendre_table(kappa: int, theta, m0: int = 0, m1=None) ->
         table[offsets[:k] + n - m] = older
         prev, prev2 = prev2, prev
     return table
+
+
+def mp_gauss_legendre(n: int, guesses, digits: int = 40):
+    """Gauss-Legendre nodes near the float `guesses` and their weights, as mpmath
+    numbers: Newton's method on P_n at `digits` decimal digits, from each guess,
+    with P_n and P_{n-1} by the three-term recurrence in exact rational steps."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        out = []
+        for guess in guesses:
+            x = mpmath.mpf(float(guess))
+            for _ in range(3):  # from a float guess, each step doubles the digits
+                p0, p1 = mpmath.mpf(1), x
+                for j in range(1, n):
+                    p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+                slope = n * (p0 - x * p1)  # (1 - x^2) P_n'(x)
+                x -= p1 * (1 - x * x) / slope
+            out.append((x, 2 * (1 - x * x) / slope**2))
+        return out
 
 
 def tail_values_by_modes(data, kappa: int, theta, phi, above: int) -> np.ndarray:

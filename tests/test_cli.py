@@ -579,6 +579,22 @@ def test_state_larger_than_memory_fails_before_allocating(tmp_path, monkeypatch,
         [command, "--equation", "wave-dsphere", "--dim", "8", "--kappa-ref", "64"])))
 
 
+@pytest.mark.parametrize("command", [("simulate", "--steps", "1"), ("sample-field",),
+                                     ("convergence", "--error-kind", "max-grid"),
+                                     ("path-error", "--error-kind", "max-grid")])
+def test_grid_larger_than_memory_fails_before_building_its_nodes(tmp_path, monkeypatch, capsys,
+                                                                 command):
+    monkeypatch.setattr(harmonics, "_physical_memory", lambda: 10**8)
+    monkeypatch.setattr(harmonics, "gauss_legendre",
+                        lambda n: pytest.fail("built the grid's nodes anyway"))
+    out = tmp_path / "out"
+    # (2 x 60000 x 130 + 130 x 60000 + 2 x 2145) values x 8 bytes = 0.187 GB per field
+    assert run_cli(*command, "--n-theta", "60000", "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "on a 60000 x 130 grid (n_theta x n_phi) needs 0.187 GB per field" in err
+    assert not out.exists()
+
+
 def test_simulate_rejects_initial_data_of_another_dimension(tmp_path, capsys):
     # at kappa_ref 0 every dimension has one mode, so only the check tells them apart
     path = tmp_path / "v2.csv"

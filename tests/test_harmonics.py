@@ -280,6 +280,13 @@ def test_default_block_budget_keeps_small_tables_whole():
     assert len(list(_legendre_blocks(128, SphereGrid(129, 258).theta[:65]))) == 1
 
 
+@pytest.mark.parametrize("kappa,orders", [
+    (254, [(0, 255)]), (255, [(0, 240), (240, 256)]), (256, [(0, 221), (221, 257)])])
+def test_the_default_grid_table_is_one_block_up_to_kappa_254(kappa, orders):
+    n_north = (kappa + 2) // 2  # of the default grid, n_theta = kappa + 1
+    assert harmonics._block_orders(kappa, n_north) == orders
+
+
 def test_addition_theorem_holds_at_the_synthesis_guard():
     # sum_m (2 - delta_m0) Lbar_{ell,m}^2 = (2 ell + 1)/(4 pi) for every ell up to
     # the guard; sin(theta) = 1/e is where the order-m seeds underflow first
@@ -316,6 +323,32 @@ def test_synthesis_fails_before_allocating_beyond_physical_memory(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(harmonics, "_physical_memory", lambda: None)  # unknown: no check
     assert synthesize(coeffs, grid).values.shape == (65, 2000)
+
+
+def test_synthesis_counts_the_phase_table_before_building_it(monkeypatch):
+    # one field of 1 x 100000 points needs 1.9 MB; its phase table needs 330 MB
+    grid = SphereGrid(1, 100000)
+    coeffs = CoefficientField.zeros(200)
+    monkeypatch.setattr(harmonics, "_physical_memory", lambda: 50 * 10**6)
+    for name in ("_unit_circle", "normalized_legendre_table", "_packed_coefficients"):
+        monkeypatch.setattr(harmonics, name,
+                            lambda *a: pytest.fail("allocated despite the memory check"))
+    with pytest.raises(ValueError, match=r"needs 0\.00193 GB per field, more than the 0\.05 GB "
+                                         r"of physical memory leaves beside its 0\.33 GB phase"):
+        synthesize(coeffs, grid)
+    assert grid._phase_tables == {}
+
+
+def test_phase_table_bytes_bound_the_build():
+    grid = SphereGrid(3, 5000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = grid.phase_table(60)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes < peak <= harmonics.phase_table_bytes(60, grid)
 
 
 def test_theta_profiles_hold_one_legendre_block_at_a_time(monkeypatch):
@@ -430,12 +463,56 @@ def test_grid_nodes_are_exactly_antisymmetric(n_theta):
     # only and mirrors them: southern row n_theta - 1 - i must be the reflection
     # of northern row i
     grid = SphereGrid(n_theta, 3)
-    nodes = np.polynomial.legendre.leggauss(n_theta)[0]
+    nodes = harmonics.gauss_legendre(n_theta)[0]
     assert np.array_equal(nodes, -nodes[::-1])
-    assert np.array_equal(grid.theta, np.arccos(nodes[::-1]))
+    assert np.array_equal(grid.theta, np.arccos(nodes))
     assert np.array_equal(grid.theta_weights, grid.theta_weights[::-1])
+    # the Newton nodes agree with the eigenvalue nodes of numpy's leggauss
+    assert np.max(np.abs(nodes[::-1] - np.polynomial.legendre.leggauss(n_theta)[0])) <= 2.3e-16
     north = (n_theta + 1) // 2
     assert np.all(grid.theta[:north] <= math.pi / 2) and np.all(grid.theta[north:] > math.pi / 2)
+
+
+# With an extended np.longdouble the last Newton pass lands the weights within
+# about an ulp of the exact ones; where long double is double, within 1e-13.
+_WEIGHT_SLACK = 0.0 if np.finfo(np.longdouble).eps < np.finfo(float).eps else 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 257])
+def test_gauss_legendre_weights_are_no_worse_than_leggauss(n):
+    nodes, weights = harmonics.gauss_legendre(n)
+    north = (n + 1) // 2
+    exact = oracles.mp_gauss_legendre(n, nodes[:north])
+    exact_weights = np.array([float(w) for _, w in exact])
+    exact_weights = np.concatenate([exact_weights, exact_weights[:n // 2][::-1]])
+    error = np.abs(weights / exact_weights - 1.0)
+    leggauss = np.abs(np.polynomial.legendre.leggauss(n)[1][::-1] / exact_weights - 1.0)
+    assert np.all(error <= leggauss + _WEIGHT_SLACK)
+    # leggauss is off by 1.3e-12 at n = 64 and 1.4e-10 at the pole node of n = 257
+    assert np.max(error) <= 2.3e-16 + _WEIGHT_SLACK
+    assert np.max(np.abs(nodes[:north] - np.array([float(x) for x, _ in exact]))) <= 1.2e-16
+
+
+def test_gauss_legendre_nodes_need_a_positive_count():
+    with pytest.raises(ValueError, match="at least one node"):
+        harmonics.gauss_legendre(0)
+
+
+@pytest.mark.parametrize("kappa,n_phi", [(256, 514), (1024, 2050), (40, 97)])
+def test_phase_table_matches_the_exactly_reduced_angles(kappa, n_phi):
+    import mpmath
+
+    grid = SphereGrid(1, n_phi)
+    with mpmath.workdps(30):
+        circle = [(mpmath.cos(2 * mpmath.pi * r / n_phi), mpmath.sin(2 * mpmath.pi * r / n_phi))
+                  for r in range(n_phi)]
+        scaled = np.array([[float(c * mpmath.sqrt(2)), float(s * mpmath.sqrt(2))]
+                           for c, s in circle])
+    reduced = np.outer(np.arange(kappa + 1), np.arange(n_phi)) % n_phi
+    expected = scaled[reduced].transpose(0, 2, 1).reshape(2 * (kappa + 1), n_phi)
+    expected[:2] = [[1.0], [0.0]]  # order 0 carries no sqrt(2)
+    # cos(m phi_j) from the rounded product m phi_j is off by up to 5.1e-13 at kappa 256
+    assert np.max(np.abs(grid.phase_table(kappa) - expected)) <= 1e-15
 
 
 def test_full_synthesis_is_the_single_shell_case():

@@ -368,6 +368,18 @@ def test_grid_errors_do_not_depend_on_the_chunk_a_sample_lands_in(monkeypatch):
                 np.testing.assert_allclose(errors, expected, rtol=1e-13, atol=0)
 
 
+def test_grid_error_chunk_depends_on_kappa_ref_and_the_grid_only(monkeypatch):
+    base = dict(alpha=1.0, kappas=[2, 4, 8, 16, 32], kappa_ref=256, error_kind="max-grid")
+    for threads, samples, memory in [(1, 6, None), (2, 100, 64 * 10**9), (8, 1, 8 * 10**9)]:
+        monkeypatch.setattr(harmonics, "_physical_memory", lambda: memory)
+        cfg = ExperimentConfig(**base, threads=threads, samples=samples)
+        assert _TailErrors(cfg).chunk == 9
+    # above kappa_ref 256 the budget grows with a field, so chunks keep several samples
+    chunks = [harness._sample_chunk(k, harmonics.synthesis_field_bytes(
+        k, harmonics.GridShape(k + 1, 2 * k + 2))) for k in (256, 512, 1024)]
+    assert chunks == [9, 9, 8]
+
+
 def test_grid_error_memory_does_not_grow_with_the_samples():
     cfg = dict(alpha=1.0, kappas=[2, 4, 8, 16, 32], kappa_ref=64, seed=4, error_kind="max-grid")
     chunk = _TailErrors(ExperimentConfig(**cfg)).chunk
