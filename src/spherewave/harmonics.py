@@ -328,28 +328,21 @@ class SphereGrid:
     def integrate(self, values: np.ndarray) -> float:
         return float(self.theta_weights @ values.sum(axis=1)) * self.phi_weight
 
-    def phase_table(self, kappa: int) -> np.ndarray:
-        """Cached phi factors of the real basis, shape (2 (kappa + 1), n_phi).
+    def phase_tables(self, kappa: int) -> np.ndarray:
+        """Cached phi factors of the real basis at j = 0..n_phi // 2: the cos and
+        the sin table, stacked as (2, n_phi // 2 + 1, kappa + 1).
 
-        Row 2m is c_m cos(m phi) and row 2m + 1 is c_m sin(m phi), with c_0 = 1
-        and c_m = sqrt(2); the first 2 (k + 1) rows cover the orders m <= k.
-        m phi_j = 2 pi (m j mod n_phi) / n_phi is reduced exactly in integers,
-        so row m gathers the values of _unit_circle at the indices m j mod n_phi.
-        Holds phase_table_bytes while it is built.
+        Column m holds c_m cos(m phi_j) and c_m sin(m phi_j), with c_0 = 1 and
+        c_m = sqrt(2).  m phi_j = 2 pi (m j mod n_phi) / n_phi is reduced
+        exactly in integers, so both tables are one gather of the values of
+        _unit_circle at m j mod n_phi.  Holds phase_table_bytes while built.
         """
         if kappa not in self._phase_tables:
-            cos, sin = _unit_circle(self.n_phi)
-            cos *= math.sqrt(2.0)
-            sin *= math.sqrt(2.0)
-            table = np.empty((2 * (kappa + 1), self.n_phi))
-            table[0], table[1] = 1.0, 0.0
-            j = np.arange(self.n_phi)
-            index = np.empty_like(j)
-            for m in range(1, kappa + 1):
-                np.remainder(np.multiply(j, m, out=index), self.n_phi, out=index)
-                table[2 * m] = cos[index]
-                table[2 * m + 1] = sin[index]
-            self._phase_tables[kappa] = table
+            circle = np.multiply(_unit_circle(self.n_phi), math.sqrt(2.0))
+            index = np.multiply.outer(np.arange(self.n_phi // 2 + 1), np.arange(kappa + 1))
+            tables = np.take(circle, np.remainder(index, self.n_phi, out=index), axis=1)
+            tables[:, :, 0] = [[1.0], [0.0]]  # order 0 carries no sqrt(2)
+            self._phase_tables[kappa] = tables
         return self._phase_tables[kappa]
 
 
@@ -372,25 +365,30 @@ class GridField:
 def synthesize(coeffs: CoefficientField, grid: SphereGrid) -> GridField:
     """Evaluate a coefficient field pointwise on the grid (S^2 only).
 
-    The one-field, single-shell case of synthesize_tails.
+    The one-field, single-shell case of synthesize_tails, unfolded.
     """
     if coeffs.dim != 3:
         raise ValueError(f"pointwise synthesis is available for dim == 3 only, got dim={coeffs.dim}")
-    (values,) = synthesize_tails(coeffs.data[None], coeffs.kappa, grid, [-1])
-    return GridField(values[0], grid)
+    ((c, s),) = synthesize_tails(coeffs.data[None], coeffs.kappa, grid, [-1])
+    return GridField(_unfold(c, s, grid.n_phi), grid)
+
+
+def _unfold(c: np.ndarray, s: np.ndarray, n_phi: int) -> np.ndarray:
+    """Grid values from the halves C, S (phi_j by theta): C + S at phi_j for
+    j <= n_phi // 2, then C - S at phi_{n_phi - j} for j = n_phi - len(C) .. 1."""
+    return np.concatenate([(c + s).T, (c - s)[n_phi - len(c):0:-1].T], axis=1)
 
 
 def synthesis_field_bytes(kappa: int, grid: SphereGrid | GridShape) -> int:
     """Bytes one field adds to the working set of synthesize_tails at band kappa.
 
-    Counts the running array and the product added into it (n_theta x n_phi
-    each), the top shell's theta profiles (2 (kappa + 1) x n_theta) and the
-    packed coefficients (two per (ell, m) pair).  The lower shells' profiles
-    fit in the product's room while the top shell is added, as long as their
-    top degrees k have sum(k + 1) <= n_phi / 2.  Raises ValueError when one
-    field and the grid's phase table (phase_table_bytes) exceed physical
-    memory.  Only the grid's sizes are read, so a GridShape can be checked
-    before its nodes are built; nothing is allocated before the check.
+    Counts the top shell's theta profiles (2 (kappa + 1) x n_theta), the
+    packed coefficients (two per (ell, m) pair) and, as a conservative bound
+    (the phi stage holds six half grids per chunk), two n_theta x n_phi arrays,
+    which fit the lower shells' profiles if sum(k + 1) <= n_phi / 2 over
+    their top degrees k.  Raises ValueError when one field and the phase
+    tables (phase_table_bytes) exceed physical memory.  Only the grid's sizes
+    are read, so a GridShape is checked before its nodes are built.
     """
     pairs = (kappa + 1) * (kappa + 2) // 2
     nbytes = 8 * (2 * grid.n_theta * grid.n_phi + 2 * (kappa + 1) * grid.n_theta + 2 * pairs)
@@ -406,11 +404,11 @@ def synthesis_field_bytes(kappa: int, grid: SphereGrid | GridShape) -> int:
 
 
 def phase_table_bytes(kappa: int, grid: SphereGrid | GridShape) -> int:
-    """Bytes SphereGrid.phase_table(kappa) holds while it is built: the table
-    (2 (kappa + 1) x n_phi) and at most ten n_phi-long arrays of unit-circle
-    values and gather indices.  The table is built once per grid and band, and
-    shared by every field synthesized there."""
-    return 8 * (2 * (kappa + 1) + 10) * grid.n_phi
+    """Bytes SphereGrid.phase_tables(kappa) holds while built: the two tables
+    and the gather indices, (n_phi // 2 + 1) x (kappa + 1) each, and at most
+    ten n_phi-long arrays of unit-circle values.  Built once per grid and
+    band, they are shared by every field synthesized there."""
+    return 8 * (3 * (kappa + 1) * (grid.n_phi // 2 + 1) + 10 * grid.n_phi)
 
 
 def _packed_coefficients(data: np.ndarray, kappa: int) -> np.ndarray:
@@ -437,7 +435,8 @@ def _packed_coefficients(data: np.ndarray, kappa: int) -> np.ndarray:
 
 def synthesize_tails(data: np.ndarray, kappa: int, grid: SphereGrid,
                      kappas: Sequence[int]) -> Iterator[np.ndarray]:
-    """Grid values of the tails above each of the increasing `kappas`, largest first.
+    """Folded grid halves (C, S), stacked, of the tails above each of the
+    increasing `kappas`: field by field, and for each field largest tail first.
 
     `data` stacks the coefficient arrays of B fields on S^2 at band limit
     kappa, shape (B, (kappa + 1)^2).  The tail above k keeps the degrees
@@ -453,17 +452,19 @@ def synthesize_tails(data: np.ndarray, kappa: int, grid: SphereGrid,
     even ell - m and one over the odd give E and O, and the northern and
     southern profiles are E + O and E - O.
 
-    Phi: the shells are added from the top into one running (B, n_theta,
-    n_phi) array, each with one product against the grid's cached phase
-    table, of which a shell with top degree k uses the first 2 (k + 1) rows.
-    The running array is yielded after each shell and overwritten by the
-    next, so reduce or copy it before advancing.  Degrees at or below
-    kappas[0] are never touched.
+    Phi: cos(m phi) is even and sin(m phi) odd, so a tail is C + S at phi_j
+    and C - S at phi_{n_phi - j}, with C the cos and S the sin terms at
+    j <= n_phi // 2 (S is exactly zero at j = 0 and n_phi / 2).  Field by
+    field, the shells are added from the top into the running halves, each
+    (n_phi // 2 + 1, n_theta), by one product per half with the first k + 1
+    columns (top degree k) of a phase table; reduce or copy them before
+    advancing.  As max(|C + S|, |C - S|) = |C| + |S|, also in floating point,
+    a max norm needs no grid.  Degrees at or below kappas[0] are never touched.
 
     Cost per field: theta O(kappa^2 n_theta / 2) once; phi O(n_theta kappa
     n_phi) for the top shell plus O(n_theta k n_phi) for each lower shell of
     top k.  Raises ValueError, before allocating, if one field's working set
-    and the phase table (synthesis_field_bytes) exceed physical memory.
+    and the phase tables (synthesis_field_bytes) exceed physical memory.
     """
     if kappa > MAX_SYNTHESIS_BAND:
         raise ValueError(f"band limit {kappa} exceeds synthesis maximum {MAX_SYNTHESIS_BAND}")
@@ -477,18 +478,17 @@ def synthesize_tails(data: np.ndarray, kappa: int, grid: SphereGrid,
                          f"{kappa}, got {bottoms}")
     synthesis_field_bytes(kappa, grid)  # refuses a field larger than memory
     shells = list(zip(bottoms, bottoms[1:] + [kappa]))
-    profiles = _theta_profiles(data, kappa, grid, shells)
-    n_fields = data.shape[0]
-    phase = grid.phase_table(kappa)
-    values = tail = None
-    for _, hi in reversed(shells):  # each shell's profiles are dropped once added
-        rows = 2 * (hi + 1)
-        if values is None:
-            values = profiles.pop().reshape(rows, -1).T @ phase[:rows]
-        else:
-            tail = np.matmul(profiles.pop().reshape(rows, -1).T, phase[:rows], out=tail)
-            values += tail
-        yield values.reshape(n_fields, grid.n_theta, grid.n_phi)
+    profiles = _theta_profiles(data, kappa, grid, shells)[::-1]  # top shell first
+    tables = grid.phase_tables(kappa)
+    halves, products = np.empty((2, 2, grid.n_phi // 2 + 1, grid.n_theta))
+    for b in range(len(data)):
+        for i, profile in enumerate(profiles):
+            # each table's orders m <= hi times field b's cos or sin rows
+            for row, out, table in zip((b, len(data) + b), products if i else halves, tables):
+                np.matmul(table[:, :len(profile)], profile[:, row], out=out)
+            if i:
+                halves += products
+            yield halves
 
 
 def _theta_profiles(data, kappa, grid, shells) -> list[np.ndarray]:

@@ -566,12 +566,11 @@ def _sample_chunk(kappa_ref: int, field_bytes: int) -> int:
 class _TailErrors:
     """Max-norm errors of the tails above every tested kappa, for a stack of fields.
 
-    One batched synthesis pass (synthesize_tails) serves the whole stack: the
-    tails are built shell by shell from the top, and each is reduced to its
-    largest absolute value before the next shell is added, so no tail field is
-    stored.  `chunk` is the number of samples (two fields each) per chunk
-    (_sample_chunk); it depends on kappa_ref and the grid shape only, so a
-    run's results do not depend on --threads or --samples.
+    One batched synthesis pass (synthesize_tails) serves the whole stack; each
+    field's tails, built from the top as folded halves C and S, are reduced to
+    their largest |C| + |S| as they come, so no tail grid is formed.  `chunk`,
+    the samples (two fields each) per chunk (_sample_chunk), depends on
+    kappa_ref and the grid shape only, not on --threads or --samples.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -588,7 +587,7 @@ class _TailErrors:
         chunks of n samples would exceed physical memory."""
         workers = min(self.cfg.threads, -(-n // self.chunk))
         memory = harmonics._physical_memory()
-        # the workers share the grid's phase table
+        # the workers share the grid's phase tables
         total = workers * self.worker_bytes + phase_table_bytes(self.cfg.kappa_ref, self.grid)
         if memory is not None and total > memory:
             raise ValueError(
@@ -599,10 +598,11 @@ class _TailErrors:
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
         """Errors of the (B, n_modes) stack `data`, shape (B, len(kappas)), kappas ascending."""
-        largest_first = [np.maximum(values.max(axis=(1, 2)), -values.min(axis=(1, 2)))
-                         for values in synthesize_tails(data, self.cfg.kappa_ref, self.grid,
-                                                        self.cfg.kappas)]
-        return np.stack(largest_first[::-1], axis=1)
+        largest_first, work = [], None  # |C| and |S|, allocated once the theta stage is done
+        for halves in synthesize_tails(data, self.cfg.kappa_ref, self.grid, self.cfg.kappas):
+            work = np.abs(halves, out=work)
+            largest_first.append(np.add(*work, out=work[0]).max())
+        return np.array(largest_first).reshape(len(data), -1)[:, ::-1]
 
 
 def _map_samples(cfg, fn, n, sampler):

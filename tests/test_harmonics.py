@@ -326,7 +326,7 @@ def test_synthesis_fails_before_allocating_beyond_physical_memory(monkeypatch):
 
 
 def test_synthesis_counts_the_phase_table_before_building_it(monkeypatch):
-    # one field of 1 x 100000 points needs 1.9 MB; its phase table needs 330 MB
+    # one field of 1 x 100000 points needs 1.9 MB; its phase tables need 249 MB
     grid = SphereGrid(1, 100000)
     coeffs = CoefficientField.zeros(200)
     monkeypatch.setattr(harmonics, "_physical_memory", lambda: 50 * 10**6)
@@ -334,7 +334,7 @@ def test_synthesis_counts_the_phase_table_before_building_it(monkeypatch):
         monkeypatch.setattr(harmonics, name,
                             lambda *a: pytest.fail("allocated despite the memory check"))
     with pytest.raises(ValueError, match=r"needs 0\.00193 GB per field, more than the 0\.05 GB "
-                                         r"of physical memory leaves beside its 0\.33 GB phase"):
+                                         r"of physical memory leaves beside its 0\.249 GB phase"):
         synthesize(coeffs, grid)
     assert grid._phase_tables == {}
 
@@ -344,11 +344,12 @@ def test_phase_table_bytes_bound_the_build():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        table = grid.phase_table(60)
+        tables = grid.phase_tables(60)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert table.nbytes < peak <= harmonics.phase_table_bytes(60, grid)
+    # the gather's index array is as large as one of the two tables
+    assert 1.5 * tables.nbytes < peak <= harmonics.phase_table_bytes(60, grid)
 
 
 def test_theta_profiles_hold_one_legendre_block_at_a_time(monkeypatch):
@@ -392,7 +393,10 @@ def test_synthesis_field_bytes_bound_each_fields_working_set():
 
 
 def _tails(data, kappa, grid, kappas):
-    return [values.copy() for values in synthesize_tails(data, kappa, grid, kappas)]
+    """Unfolded tail grids, largest first, each of shape (B, n_theta, n_phi)."""
+    fields = [harmonics._unfold(c, s, grid.n_phi)
+              for c, s in synthesize_tails(data, kappa, grid, kappas)]
+    return [np.stack(fields[i::len(kappas)]) for i in range(len(kappas))]
 
 
 @pytest.mark.parametrize("n_theta,n_phi,kappas", [
@@ -451,7 +455,7 @@ def test_batched_synthesis_keeps_parseval_on_exact_grids(kappa, n_fields, extra_
                                                          extra_phi, seed):
     data = np.random.default_rng(seed).standard_normal((n_fields, mode_count(kappa, 3)))
     grid = SphereGrid(kappa + 1 + extra_theta, 2 * kappa + 1 + extra_phi)
-    (values,) = synthesize_tails(data, kappa, grid, [-1])
+    (values,) = _tails(data, kappa, grid, [-1])
     for field, coeffs in zip(values, data):
         assert grid.integrate(field**2) == pytest.approx(np.sum(coeffs**2), rel=1e-12)
 
@@ -508,11 +512,11 @@ def test_phase_table_matches_the_exactly_reduced_angles(kappa, n_phi):
                   for r in range(n_phi)]
         scaled = np.array([[float(c * mpmath.sqrt(2)), float(s * mpmath.sqrt(2))]
                            for c, s in circle])
-    reduced = np.outer(np.arange(kappa + 1), np.arange(n_phi)) % n_phi
-    expected = scaled[reduced].transpose(0, 2, 1).reshape(2 * (kappa + 1), n_phi)
-    expected[:2] = [[1.0], [0.0]]  # order 0 carries no sqrt(2)
+    reduced = np.outer(np.arange(n_phi // 2 + 1), np.arange(kappa + 1)) % n_phi
+    expected = scaled[reduced].transpose(2, 0, 1)
+    expected[:, :, 0] = [[1.0], [0.0]]  # order 0 carries no sqrt(2)
     # cos(m phi_j) from the rounded product m phi_j is off by up to 5.1e-13 at kappa 256
-    assert np.max(np.abs(grid.phase_table(kappa) - expected)) <= 1e-15
+    assert np.max(np.abs(grid.phase_tables(kappa) - expected)) <= 1e-15
 
 
 def test_full_synthesis_is_the_single_shell_case():

@@ -104,9 +104,9 @@ def test_synthesized_tails_satisfy_parseval(shape):
     cfg = ExperimentConfig(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, seed=21, **grid)
     data = _TerminalSampler(cfg).draw(range(4))
     g = cfg.grid()
-    largest_first = [np.einsum("btp,btp->bt", v, v) @ g.theta_weights * g.phi_weight
-                     for v in synthesize_tails(data, cfg.kappa_ref, g, cfg.kappas)]
-    quadrature = np.sqrt(np.stack(largest_first[::-1], axis=1))
+    squares = [g.integrate(harmonics._unfold(c, s, g.n_phi) ** 2)
+               for c, s in synthesize_tails(data, cfg.kappa_ref, g, cfg.kappas)]
+    quadrature = np.sqrt(np.reshape(squares, (len(data), -1))[:, ::-1])
     np.testing.assert_allclose(quadrature, _coefficient_tails(data, cfg), rtol=1e-12)
 
 
@@ -366,6 +366,61 @@ def test_grid_errors_do_not_depend_on_the_chunk_a_sample_lands_in(monkeypatch):
         for sample, reference in zip(run, runs[0]):
             for errors, expected in zip(sample, reference):
                 np.testing.assert_allclose(errors, expected, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n_phi", [1, 2, 3, 4, 7, 8, 514])
+def test_grid_errors_equal_the_max_of_the_grids_synthesize_unfolds(monkeypatch, n_phi):
+    # max(|C + S|, |C - S|) = |C| + |S| holds in floating point, so the error of
+    # each pair of halves is, bit for bit, the max norm of the grid unfolded from it
+    cfg = ExperimentConfig(alpha=2.0, kappas=[1, 6], kappa_ref=24, seed=3, n_theta=13,
+                           n_phi=n_phi, error_kind="max-grid")
+    tails = _TailErrors(cfg)
+    data = _TerminalSampler(cfg).draw(range(2))
+    recorded = []
+
+    def recording(*args):
+        for halves in synthesize_tails(*args):
+            recorded.append(halves.copy())
+            yield halves
+
+    monkeypatch.setattr(harness, "synthesize_tails", recording)
+    errors = tails(data)
+    maxima = []
+    for halves in recorded:  # field by field, largest tail first
+        sin = halves[1]
+        assert np.all(sin[0] == 0.0) and (n_phi % 2 or np.all(sin[n_phi // 2] == 0.0))
+        monkeypatch.setattr(harmonics, "synthesize_tails", lambda *args, h=halves: iter([h]))
+        values = harmonics.synthesize(CoefficientField.zeros(cfg.kappa_ref), tails.grid).values
+        maxima.append(np.max(np.abs(values)))
+    assert len(recorded) == 4 * len(cfg.kappas)
+    assert np.array_equal(errors, np.reshape(maxima, errors.shape)[:, ::-1])
+
+
+def test_grid_error_memory_grows_per_field_by_its_profiles_never_by_a_grid():
+    kappa, n_theta, n_phi = 16, 17, 600
+    cfg = ExperimentConfig(alpha=2.0, kappas=[2, 4, 8], kappa_ref=kappa, seed=1,
+                           n_theta=n_theta, n_phi=n_phi, error_kind="max-grid")
+    tails = _TailErrors(cfg)
+    data = _TerminalSampler(cfg).draw(range(3))
+    tails(data[:1])  # the phase tables are cached
+
+    def traced_peak(n_fields):
+        tracemalloc.start()
+        try:
+            tails(data[:n_fields])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # per field: the theta profiles of the shells (2, 4], (4, 8], (8, 16] and their
+    # staged even and odd sums at the 9 northern colatitudes, the packed
+    # coefficients and the data
+    profiles = 8 * 2 * (5 + 9 + 17) * n_theta
+    staged = 8 * 2 * harmonics.FOLD_ORDERS * 2 * (n_theta + 1) // 2
+    packed = 8 * 2 * (kappa + 1) * (kappa + 2) // 2
+    per_field = profiles + staged + packed + 8 * mode_count(kappa, 3)
+    assert 4 * per_field < 8 * n_theta * n_phi
+    assert traced_peak(6) - traced_peak(2) <= 4 * per_field
 
 
 def test_grid_error_chunk_depends_on_kappa_ref_and_the_grid_only(monkeypatch):
