@@ -1,9 +1,8 @@
 """Spectral solver and convergence lab for stochastic wave and Schrodinger
 equations on spheres driven by isotropic Q-Wiener noise."""
 
-from .harmonics import GridField, SphereGrid, legendre, normalized_legendre, synthesize
-from .harness import (ErrorTable, ExperimentConfig, analytic_second_moment,
-                      analytic_weak_error_experiment, fit_rate,
+from .harmonics import GridField, SphereGrid, synthesize
+from .harness import (ErrorTable, ExperimentConfig, analytic_weak_error_experiment, fit_rate,
                       pathwise_error_experiment, strong_error_experiment,
                       theoretical_rates, weak_error_experiment)
 from .modes import (CoefficientField, harmonic_dimension, laplacian_eigenvalue,

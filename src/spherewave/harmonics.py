@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .modes import CoefficientField, laplacian_eigenvalue, harmonic_dimension  # noqa: F401
+from .modes import CoefficientField
 
 FOUR_PI = 4.0 * math.pi
 
@@ -57,57 +57,6 @@ MAX_SYNTHESIS_BAND = 1900
 # From Tricomi's guesses it takes 3 or 4 passes; NEWTON_PASSES bounds them.
 NEWTON_TOLERANCE = 1e-13
 NEWTON_PASSES = 20
-
-
-def legendre(ell: int, mu):
-    """Legendre polynomial P_ell(mu) by the three-term recurrence, P_ell(1) = 1."""
-    if ell < 0:
-        raise ValueError(f"degree must be non-negative, got {ell}")
-    mu = np.asarray(mu, dtype=float)
-    if np.any(np.abs(mu) > 1.0):
-        raise ValueError("argument must lie in [-1, 1]")
-    p_prev = np.ones_like(mu)
-    if ell == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = mu.copy()
-    for n in range(1, ell):
-        p, p_prev = ((2 * n + 1) * mu * p - n * p_prev) / (n + 1), p
-    return p if p.ndim else float(p)
-
-
-def _normalized_diag_seed(m: int, sin_t, prev):
-    """Lbar_{m,m} from Lbar_{m-1,m-1}; carries normalization and phase."""
-    return -math.sqrt((2 * m + 1) / (2.0 * m)) * sin_t * prev
-
-
-def normalized_legendre(ell: int, m: int, theta: float) -> float:
-    """Fully normalized associated Legendre function Lbar_{ell,m}(theta).
-
-    Lbar_{0,0} = 1/sqrt(4 pi); the basis functions built from Lbar are
-    orthonormal on the sphere.  Accurate for degrees up to MAX_SYNTHESIS_BAND
-    at every colatitude; above that, the seed sin(theta)^m underflows near
-    sin(theta) = 1/e (see the module docstring).
-    """
-    if ell < 0 or not 0 <= m <= ell:
-        raise ValueError(f"need 0 <= m <= ell, got ell={ell}, m={m}")
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"colatitude must lie in [0, pi], got {theta}")
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
-    p = 1.0 / math.sqrt(FOUR_PI)
-    for k in range(1, m + 1):
-        p = _normalized_diag_seed(k, sin_t, p)
-    if ell == m:
-        return p
-    p1 = math.sqrt(2 * m + 3.0) * cos_t * p
-    if ell == m + 1:
-        return p1
-    for n in range(m + 2, ell + 1):
-        a = math.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
-        b = math.sqrt((2.0 * n + 1.0) / (2.0 * n - 3.0)
-                      * ((n - 1.0) ** 2 - m * m) / (n * n - m * m))
-        p1, p = a * cos_t * p1 - b * p, p1
-    return p1
 
 
 def _pair_offsets(kappa: int) -> np.ndarray:
@@ -320,13 +269,6 @@ class SphereGrid:
     @property
     def phi_weight(self) -> float:
         return 2.0 * math.pi / self.n_phi
-
-    def weights(self) -> np.ndarray:
-        """Full quadrature weight matrix, summing to 4 pi."""
-        return np.outer(self.theta_weights, np.full(self.n_phi, self.phi_weight))
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(self.theta_weights @ values.sum(axis=1)) * self.phi_weight
 
     def phase_tables(self, kappa: int) -> np.ndarray:
         """Cached phi factors of the real basis at j = 0..n_phi // 2: the cos and

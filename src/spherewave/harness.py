@@ -44,12 +44,10 @@ import numpy as np
 from . import harmonics
 from .harmonics import (GridShape, SphereGrid, legendre_block_bytes, phase_table_bytes,
                         synthesis_field_bytes, synthesize_tails)
-from .modes import (CoefficientField, degree_offsets, degree_sizes, laplacian_eigenvalue,
-                    mode_count, mode_degrees)
-from .noise import (ConvFactorTable, ModeFactors, Propagator, _factor_entries, _wave_entries,
-                    sample_degree_wishart)
+from .modes import degree_offsets, degree_sizes, mode_count, mode_degrees
+from .noise import ConvFactorTable, ModeFactors, _factor_entries, sample_degree_wishart
 from .spectrum import PowerSpectrum, sobolev_scale
-from .wave import State, expand, propagate, rotate
+from .wave import expand, rotate
 
 EQUATIONS = ("wave", "wave-dsphere", "schrodinger")
 ERROR_KINDS = ("l2-coefficients", "max-grid")
@@ -424,10 +422,6 @@ class _TerminalSampler:
             data[2 * k], data[2 * k + 1] = noise.add(*mean, rng)
         return data
 
-    def __call__(self, index: int):
-        """(component1, component2) arrays of sample `index`."""
-        return tuple(self.draw([index]))
-
 
 def _propagated_file_data(cfg: ExperimentConfig, law: ConvFactorTable):
     """M u0 per mode for initial data from files (a missing file is zero data),
@@ -440,16 +434,42 @@ def _propagated_file_data(cfg: ExperimentConfig, law: ConvFactorTable):
                   zero if v1 is None else v1.data, zero if v2 is None else v2.data)
 
 
+def _terminal_law(cfg: ExperimentConfig):
+    """(Sigma, mean) of the state at T: within degree ell its h(ell, dim) modes
+    are i.i.d. N(mu_m, Sigma_ell).
+
+    Sigma, shape (kappa_ref + 1, 2, 2), is A_ell C_ell(T) for the noise, with
+    C_ell the law's covariance of (W1, sign * W2), plus M_ell diag(s1^2, s2^2)
+    M_ell^T for random-sobolev data, where M_ell is the law's noise-free step
+    and s the data scale.  mean is the propagated file data M u0 per mode, or
+    None without file data.
+    """
+    kref, dim = cfg.kappa_ref, cfg.dim
+    law = ConvFactorTable.for_equation(cfg.equation, kref, dim, cfg.T)
+    sigma = cfg.power_spectrum().values(kref)[:, None, None] * law.covariance_matrices()
+    if cfg.initial_data == "random-sobolev":
+        rot = law.rotation_matrices()
+        var = np.zeros((kref + 1, 2))
+        for j, exponent in enumerate((cfg.beta, cfg.gamma)):
+            if exponent is not None:
+                var[:, j] = sobolev_scale(exponent, kref, dim) ** 2
+        sigma = sigma + np.einsum("lij,lj,lkj->lik", rot, var, rot)
+    return sigma, _propagated_file_data(cfg, law)
+
+
+def _mean_gram(mu1, mu2, offsets):
+    """Entries (g11, g12, g22) of the mean Gram G_ell = sum_m mu_m mu_m^T per degree."""
+    return (np.add.reduceat(mu1 * mu1, offsets), np.add.reduceat(mu1 * mu2, offsets),
+            np.add.reduceat(mu2 * mu2, offsets))
+
+
 class _DegreeSampler:
     """Draws the per-degree Gram sums S_ell = sum_m u_m u_m^T of the terminal state.
 
-    Within degree ell the h(ell, dim) modes u_m of the state at T are i.i.d.
-    2-vectors u_m = mu_m + L_ell z_m: mu_m is the propagated fixed data, z_m is
-    standard normal, and L_ell L_ell^T = Sigma_ell.  Sigma_ell = A_ell C_ell(T)
-    for the noise, with C_ell the law's covariance of (W1, sign * W2), plus
-    M_ell diag(s1^2, s2^2) M_ell^T for random-sobolev data, where M_ell is the
-    law's noise-free step and s the data scale.  S_ell is therefore
-    Wishart_2(h, Sigma_ell), drawn by the Bartlett decomposition.
+    Within degree ell the modes of the state at T are u_m = mu_m + L_ell z_m,
+    with z_m standard normal and L_ell L_ell^T = Sigma_ell (see _terminal_law).
+    Without fixed data S_ell is therefore Wishart_2(h, Sigma_ell), drawn by the
+    Bartlett decomposition.
 
     With fixed data the law is noncentral, but only through the mean Gram
     G_ell = sum_m mu_m mu_m^T, which has rank <= 2: rotating the h modes so
@@ -470,23 +490,13 @@ class _DegreeSampler:
     def __init__(self, cfg: ExperimentConfig):
         cfg.validate_experiment()
         self.cfg = cfg
-        kref, dim = cfg.kappa_ref, cfg.dim
-        sizes = degree_sizes(kref, dim)
-        law = ConvFactorTable.for_equation(cfg.equation, kref, dim, cfg.T)
-        sigma = cfg.power_spectrum().values(kref)[:, None, None] * law.covariance_matrices()
-        if cfg.initial_data == "random-sobolev":
-            rot = law.rotation_matrices()
-            var = np.zeros((kref + 1, 2))
-            for j, exponent in enumerate((cfg.beta, cfg.gamma)):
-                if exponent is not None:
-                    var[:, j] = sobolev_scale(exponent, kref, dim) ** 2
-            sigma = sigma + np.einsum("lij,lj,lkj->lik", rot, var, rot)
+        sizes = degree_sizes(cfg.kappa_ref, cfg.dim)
+        sigma, mean = _terminal_law(cfg)
         self.l11, self.l21, self.l22 = _factor_entries(sigma[:, 0, 0], sigma[:, 0, 1],
                                                        sigma[:, 1, 1])
-        self.chunk = max(1, DEGREE_CHUNK_BYTES // (8 * (kref + 1)))
+        self.chunk = max(1, DEGREE_CHUNK_BYTES // (8 * (cfg.kappa_ref + 1)))
         self.dof = sizes.astype(float)
         self.means = None
-        mean = _propagated_file_data(cfg, law)
         if mean is not None:
             self.means, self.present = self._explicit_modes(*mean, sizes)
             self.dof = np.maximum(sizes - 2, 0).astype(float)
@@ -495,9 +505,7 @@ class _DegreeSampler:
         """Means (degree, mode, component) of the two explicit modes, and which exist."""
         kref, dim = self.cfg.kappa_ref, self.cfg.dim
         offsets = degree_offsets(kref, dim)
-        n11, n12, n22 = _factor_entries(np.add.reduceat(mu1 * mu1, offsets),
-                                        np.add.reduceat(mu1 * mu2, offsets),
-                                        np.add.reduceat(mu2 * mu2, offsets))
+        n11, n12, n22 = _factor_entries(*_mean_gram(mu1, mu2, offsets))
         means = np.zeros((kref + 1, 2, 2))
         means[:, 0, 0], means[:, 0, 1], means[:, 1, 1] = n11, n12, n22
         for ell in np.flatnonzero(sizes <= 2):
@@ -525,20 +533,20 @@ class _DegreeSampler:
             s22 = s22 + np.sum(u2 * u2, axis=-1)
         return s11, s12, s22
 
-    def __call__(self, index: int):
-        """(S11, S12, S22) per degree for sample `index`, each of length kappa_ref + 1."""
-        return tuple(s[0] for s in self.draw([index]))
 
-
-def _degree_tails(per_degree: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
-    """Tail norms above every tested kappa from the per-degree sums of squares.
+def _tail_sums(per_degree: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
+    """Sums of the per-degree values above every tested kappa, from the top degree down.
 
     per_degree has the degrees on its last axis; so has the result, one entry
     per tested kappa (each below kappa_ref).
     """
     suffix = np.cumsum(per_degree[..., ::-1], axis=-1)[..., ::-1]
-    tails = suffix[..., np.asarray(cfg.kappas) + 1]
-    return np.sqrt(np.maximum(tails, 0.0))
+    return suffix[..., np.asarray(cfg.kappas) + 1]
+
+
+def _degree_tails(per_degree: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
+    """Tail norms above every tested kappa from the per-degree sums of squares."""
+    return np.sqrt(np.maximum(_tail_sums(per_degree, cfg), 0.0))
 
 
 # Size of one (chunk, kappa_ref + 1) array of per-degree draws: at kappa_ref
@@ -722,51 +730,29 @@ def weak_error_experiment(cfg: ExperimentConfig,
     return out
 
 
-def analytic_second_moment(ps: PowerSpectrum, kappa: int, t: float, dim: int = 3,
-                           v1: CoefficientField | None = None,
-                           v2: CoefficientField | None = None):
-    """Closed-form E ||u1^kappa(t)||^2 and E ||u2^kappa(t)||^2.
-
-    The noise contributes sum_{ell<=kappa} h(ell,dim) A_ell C_ell(t)_{11|22};
-    deterministic initial data adds the exactly propagated coefficients.
-    Zero-variance oracle for weak errors and a sanity check for MC estimates.
-    """
-    lams = np.array([-laplacian_eigenvalue(ell, dim) for ell in range(kappa + 1)])
-    c11, _, c22 = _wave_entries(lams, t)
-    sizes = degree_sizes(kappa, dim).astype(float)
-    a = ps.values(kappa)
-    pos = float(np.dot(sizes, a * c11))
-    vel = float(np.dot(sizes, a * c22))
-    if v1 is not None or v2 is not None:
-        prop = Propagator.build(kappa, dim, t)
-        z = CoefficientField.zeros(kappa, dim)
-        moved = propagate(State((v1 or z).truncated(kappa), (v2 or z).truncated(kappa)), prop)
-        pos += float(np.sum(moved.u1.data**2))
-        vel += float(np.sum(moved.u2.data**2))
-    return pos, vel
-
-
 def analytic_weak_error_experiment(cfg: ExperimentConfig) -> dict[str, ErrorTable]:
-    """Weak errors of the squared norm from the second-moment formula (no sampling)."""
-    if cfg.equation == "schrodinger":
-        raise ValueError("the analytic weak oracle covers the wave equation only")
-    if cfg.initial_data == "random-sobolev":
-        raise ValueError("the analytic weak oracle needs deterministic initial data")
+    """Exact weak errors of the squared norm, from the per-degree sampler's law.
+
+    Under the coupling ||u^kappa_ref||^2 - ||u^kappa||^2 is the power of the
+    degrees kappa < ell <= kappa_ref, whose mean per degree is
+    E S_ell,ii = h_ell Sigma_ell,ii + G_ell,ii (_terminal_law; G is the mean
+    Gram of file data, else zero).  Each error sums these from the top degree
+    down, so no digits cancel in a difference of two totals.
+    """
     cfg.validate_experiment()
-    ps = cfg.power_spectrum()
-    v1, v2 = _load_initial_fields(cfg)
-    ref = analytic_second_moment(ps, cfg.kappa_ref, cfg.T, cfg.dim, v1, v2)
-    names = cfg.component_names()
-    errors = {n: [] for n in names}
-    for k in cfg.kappas:
-        vals = analytic_second_moment(ps, k, cfg.T, cfg.dim, v1, v2)
-        for n, r, v in zip(names, ref, vals):
-            errors[n].append(abs(r - v))
+    if cfg.weak_functional != "squared-norm":
+        raise ValueError("analytic weak errors cover the squared norm only")
+    kref, dim = cfg.kappa_ref, cfg.dim
+    sigma, mean = _terminal_law(cfg)
+    power = degree_sizes(kref, dim)[:, None] * sigma[:, [0, 1], [0, 1]]
+    if mean is not None:
+        g11, _, g22 = _mean_gram(*mean, degree_offsets(kref, dim))
+        power += np.stack([g11, g22], axis=1)
     return {
-        n: _make_table(cfg, "weak-analytic", n, list(cfg.kappas),
-                       np.asarray(errors[n]), np.zeros(len(cfg.kappas)), "none",
-                       extra={"functional": "squared-norm"})
-        for n in names
+        name: _make_table(cfg, "weak-analytic", name, list(cfg.kappas), errors,
+                          np.zeros(len(cfg.kappas)), "none",
+                          extra={"functional": "squared-norm"})
+        for name, errors in zip(cfg.component_names(), _tail_sums(power.T, cfg))
     }
 
 

@@ -114,15 +114,6 @@ class CoefficientField:
     def copy(self) -> "CoefficientField":
         return CoefficientField(self.data.copy(), self.kappa, self.dim)
 
-    def l2_norm(self) -> float:
-        """L^2(S^{dim-1}) norm; equals the Euclidean norm of the coefficients."""
-        return float(np.linalg.norm(self.data))
-
-    def degree_power(self) -> np.ndarray:
-        """Sum of squared coefficients per degree, length kappa+1."""
-        offsets = degree_offsets(self.kappa, self.dim)
-        return np.add.reduceat(self.data**2, offsets)
-
     def truncated(self, kappa: int) -> "CoefficientField":
         """Projection onto degrees <= kappa (pad with zeros if kappa is larger)."""
         n = mode_count(kappa, self.dim)

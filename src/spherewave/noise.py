@@ -63,41 +63,25 @@ def _sin_squared(x: np.ndarray) -> np.ndarray:
     return np.where(x < SMALL_X, series, np.sin(x) ** 2)
 
 
-def _wave_entries(lams: np.ndarray, t: float):
-    """Vectorized wave covariance entries; lams[0] may be 0 (handled exactly)."""
+def _conv_entries(lams: np.ndarray, t: float, kind: str):
+    """Vectorized covariance entries of the `kind` ("wave" or "schrodinger")
+    kernels; lams[0] may be 0 (handled exactly).
+
+    The wave's sine kernel carries 1/sqrt(lam), which divides c11 by lam and
+    c12 by sqrt(lam) once more than for the Schrodinger kernel; at lam = 0
+    the wave has the limit C0(t) and the Schrodinger sine kernel vanishes.
+    """
+    wave = kind == "wave"
     lams = np.asarray(lams, dtype=float)
-    c11 = np.empty_like(lams)
-    c12 = np.empty_like(lams)
-    c22 = np.empty_like(lams)
-    zero = lams == 0.0
-    c11[zero] = t**3 / 3.0
-    c12[zero] = t**2 / 2.0
-    c22[zero] = t
-    pos = ~zero
+    c11 = np.full_like(lams, t**3 / 3.0 if wave else 0.0)
+    c12 = np.full_like(lams, t**2 / 2.0 if wave else 0.0)
+    c22 = np.full_like(lams, t)
+    pos = lams != 0.0
     lp = lams[pos]
     sq = np.sqrt(lp)
     x = sq * t
-    c11[pos] = _two_x_minus_sin_2x(x) / (4.0 * lp * sq)
-    c12[pos] = _sin_squared(x) / (2.0 * lp)
-    c22[pos] = (2.0 * x + np.sin(2.0 * x)) / (4.0 * sq)
-    return c11, c12, c22
-
-
-def _schrodinger_entries(lams: np.ndarray, t: float):
-    """Vectorized Schrodinger covariance entries; sine kernel vanishes at lam = 0."""
-    lams = np.asarray(lams, dtype=float)
-    c11 = np.empty_like(lams)
-    c12 = np.empty_like(lams)
-    c22 = np.empty_like(lams)
-    zero = lams == 0.0
-    c11[zero] = 0.0
-    c12[zero] = 0.0
-    c22[zero] = t
-    pos = ~zero
-    sq = np.sqrt(lams[pos])
-    x = sq * t
-    c11[pos] = _two_x_minus_sin_2x(x) / (4.0 * sq)
-    c12[pos] = _sin_squared(x) / (2.0 * sq)
+    c11[pos] = _two_x_minus_sin_2x(x) / (4.0 * (lp if wave else 1.0) * sq)
+    c12[pos] = _sin_squared(x) / (2.0 * (lp if wave else sq))
     c22[pos] = (2.0 * x + np.sin(2.0 * x)) / (4.0 * sq)
     return c11, c12, c22
 
@@ -183,7 +167,7 @@ class ConvFactorTable:
     def for_wave(cls, kappa: int, dim: int, h: float) -> "ConvFactorTable":
         _check_time(h)
         prop = Propagator.build(kappa, dim, h)
-        d11, d12, d22 = _factor_entries(*_wave_entries(prop.lam, h))
+        d11, d12, d22 = _factor_entries(*_conv_entries(prop.lam, h, "wave"))
         return cls("wave", kappa, dim, h, d11, d12, d22, prop.rotation(), 1.0)
 
     @classmethod
@@ -193,7 +177,7 @@ class ConvFactorTable:
         lams = np.array([-laplacian_eigenvalue(ell, 3) for ell in range(kappa + 1)])
         x = np.sqrt(lams) * h
         s = np.sin(x)
-        d11, d12, d22 = _factor_entries(*_schrodinger_entries(lams, h))
+        d11, d12, d22 = _factor_entries(*_conv_entries(lams, h, "schrodinger"))
         return cls("schrodinger", kappa, 3, h, d11, d12, d22, (np.cos(x), s, -s), -1.0)
 
     def covariance_matrices(self) -> np.ndarray:

@@ -32,17 +32,6 @@ class PowerSpectrum:
         if self.ell0 < 1:
             raise ValueError(f"ell0 must be >= 1, got {self.ell0}")
 
-    @classmethod
-    def zero(cls) -> "PowerSpectrum":
-        return cls(alpha=1.0, scale=0.0, head_value=0.0)
-
-    def value(self, ell: int) -> float:
-        if ell < 0:
-            raise ValueError(f"degree must be non-negative, got {ell}")
-        if ell == 0:
-            return self.head_value
-        return self.scale * float(max(ell, self.ell0)) ** (-self.alpha)
-
     def values(self, kappa: int) -> np.ndarray:
         """A_ell for ell = 0..kappa."""
         ells = np.arange(kappa + 1, dtype=float)

@@ -22,8 +22,8 @@ spectra) from the package.
 
 The helpers at the end were public in the package although no package code
 called them; the scalar covariances and factors still go through the
-package's private entry functions (noise._wave_entries and friends), so a
-test that compares them with quadrature keeps testing the package.
+package's private entry functions (noise._conv_entries and _factor_entries),
+so a test that compares them with quadrature keeps testing the package.
 """
 
 import math
@@ -36,9 +36,10 @@ from scipy.special import sph_harm_y
 
 from spherewave import noise
 from spherewave.harness import _load_initial_fields
-from spherewave.modes import CoefficientField, laplacian_eigenvalue, mode_count, mode_degrees
+from spherewave.modes import (CoefficientField, degree_offsets, laplacian_eigenvalue, mode_count,
+                              mode_degrees)
 from spherewave.noise import ConvFactorTable, Propagator
-from spherewave.spectrum import random_sobolev_data
+from spherewave.spectrum import PowerSpectrum, random_sobolev_data
 from spherewave.wave import State
 
 
@@ -339,6 +340,34 @@ def path_by_steps(equation, ps, u1, u2, kappa, dim, T, steps, seed, store_every)
     return stored
 
 
+def mp_wave_weak_tails(ps, kappa_ref: int, kappas, t: float, dim: int = 3,
+                       digits: int = 40):
+    """Exact E ||tail above kappa||^2 per kappa of both wave components with zero
+    data: the sums over kappa < ell <= kappa_ref of h(ell, dim) A_ell
+    c_11|22(ell, t), with the closed-form entries evaluated in mpmath at
+    `digits` decimal digits and summed exactly (fsum).  Returns two lists of
+    floats, position then velocity."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        t = mpmath.mpf(t)
+        terms = []
+        for ell in range(kappa_ref + 1):
+            a = (mpmath.mpf(ps.head_value) if ell == 0
+                 else ps.scale * mpmath.mpf(max(ell, ps.ell0)) ** (-mpmath.mpf(ps.alpha)))
+            if ell == 0:
+                c11, c22 = t**3 / 3, t
+            else:
+                sq = mpmath.sqrt(ell * (ell + dim - 2))
+                x = sq * t
+                c11 = (2 * x - mpmath.sin(2 * x)) / (4 * sq**3)
+                c22 = (2 * x + mpmath.sin(2 * x)) / (4 * sq)
+            weight = harmonic_dimension(ell, dim) * a
+            terms.append((weight * c11, weight * c22))
+        return [[float(mpmath.fsum(term[j] for term in terms[k + 1:])) for k in kappas]
+                for j in range(2)]
+
+
 # ---------------------------------------------------------------------------
 # helpers that no package code calls
 # ---------------------------------------------------------------------------
@@ -378,17 +407,45 @@ def assoc_legendre(ell: int, m: int, mu):
     return pm1 if pm1.ndim else float(pm1)
 
 
+def normalized_legendre(ell: int, m: int, theta: float) -> float:
+    """Lbar_{ell,m}(theta) as the normalization factor times P_{ell,m}(cos theta);
+    like assoc_legendre, it overflows near m = 150."""
+    return normalization_factor(ell, m) * assoc_legendre(ell, m, math.cos(theta))
+
+
+def grid_weights(grid) -> np.ndarray:
+    """Full quadrature weight matrix of a SphereGrid, summing to 4 pi."""
+    return np.outer(grid.theta_weights, np.full(grid.n_phi, grid.phi_weight))
+
+
+def grid_integrate(grid, values) -> float:
+    """Quadrature of (n_theta, n_phi) grid values, as a dense weighted sum."""
+    return float(np.sum(grid_weights(grid) * values))
+
+
 def grid_l2_norm(f) -> float:
     """L^2 norm of a GridField via the grid quadrature weights."""
-    return math.sqrt(max(f.grid.integrate(f.values**2), 0.0))
+    return math.sqrt(max(grid_integrate(f.grid, f.values**2), 0.0))
 
 
 def grid_max_abs(f) -> float:
     return float(np.max(np.abs(f.values)))
 
 
+ZERO_SPECTRUM = PowerSpectrum(alpha=1.0, scale=0.0, head_value=0.0)
+
+
 def spectrum_eval(ps, ell: int) -> float:
-    return ps.value(ell)
+    """A_ell from the definition: the head value at ell = 0, then the power law
+    with its flat part below ell0."""
+    if ell == 0:
+        return ps.head_value
+    return ps.scale * float(max(ell, ps.ell0)) ** (-ps.alpha)
+
+
+def degree_power(f: CoefficientField) -> np.ndarray:
+    """Sum of squared coefficients per degree, length kappa + 1."""
+    return np.add.reduceat(f.data**2, degree_offsets(f.kappa, f.dim))
 
 
 def sobolev_norm(f: CoefficientField, s: float) -> float:
@@ -419,27 +476,55 @@ class ConvCovariance:
         return (prod - self.c12**2) / prod
 
 
-def _scalar_entries(entries, ell, dim, t):
-    """(lam, (c11, c12, c22)) of one degree from a package entry function."""
+def _scalar_entries(kind, ell, dim, t):
+    """(lam, (c11, c12, c22)) of one degree from the package's entry function."""
     noise._check_time(t)
     lam = -laplacian_eigenvalue(ell, dim)
-    return lam, entries(np.array([lam]), t)
+    return lam, noise._conv_entries(np.array([lam]), t, kind)
 
 
 def wave_conv_covariance(ell: int, dim: int, t: float) -> ConvCovariance:
-    lam, c = _scalar_entries(noise._wave_entries, ell, dim, t)
+    lam, c = _scalar_entries("wave", ell, dim, t)
     return ConvCovariance(*(float(x[0]) for x in c), lam, t)
 
 
 def wave_conv_cholesky(ell: int, dim: int, t: float) -> tuple[float, float, float]:
     """(d11, d12, d22) with D^T D equal to the wave covariance."""
-    _, c = _scalar_entries(noise._wave_entries, ell, dim, t)
+    _, c = _scalar_entries("wave", ell, dim, t)
     return tuple(float(d[0]) for d in noise._factor_entries(*c))
 
 
 def schrodinger_conv_covariance(ell: int, t: float) -> ConvCovariance:
-    lam, c = _scalar_entries(noise._schrodinger_entries, ell, 3, t)
+    lam, c = _scalar_entries("schrodinger", ell, 3, t)
     return ConvCovariance(*(float(x[0]) for x in c), lam, t)
+
+
+def analytic_second_moment(ps, kappa: int, t: float, dim: int = 3,
+                           v1: CoefficientField | None = None,
+                           v2: CoefficientField | None = None):
+    """Closed-form E ||u1^kappa(t)||^2 and E ||u2^kappa(t)||^2 of the wave equation.
+
+    The noise contributes sum_{ell<=kappa} h(ell, dim) A_ell c_11|22(ell, t),
+    with the scalar covariances above; deterministic data adds its energy
+    after the closed-form rotation, R2 u1 + R1 u2 and -lam R1 u1 + R2 u2 per
+    mode.  Nothing here goes through a factor table, a propagator or a sampler.
+    """
+    pos = vel = 0.0
+    for ell in range(kappa + 1):
+        c = wave_conv_covariance(ell, dim, t)
+        weight = harmonic_dimension(ell, dim) * spectrum_eval(ps, ell)
+        pos += weight * c.c11
+        vel += weight * c.c22
+    if v1 is not None or v2 is not None:
+        lam = np.array([-laplacian_eigenvalue(ell, dim) for ell in mode_degrees(kappa, dim)])
+        sq = np.sqrt(lam)
+        r1 = np.where(lam > 0.0, np.sin(sq * t) / np.where(lam > 0.0, sq, 1.0), t)
+        r2 = np.cos(sq * t)
+        zero = CoefficientField.zeros(kappa, dim)
+        u1, u2 = ((v or zero).truncated(kappa).data for v in (v1, v2))
+        pos += float(np.sum((r2 * u1 + r1 * u2) ** 2))
+        vel += float(np.sum((-lam * r1 * u1 + r2 * u2) ** 2))
+    return pos, vel
 
 
 def wiener_increment(ps, kappa: int, dim: int, h: float,
@@ -462,12 +547,12 @@ def determinants(prop: Propagator) -> np.ndarray:
 def mode_energy(state: State) -> np.ndarray:
     """Per-degree oscillator energy lam |u1|^2 + |u2|^2; conserved without noise."""
     lam = np.array([-laplacian_eigenvalue(ell, state.dim) for ell in range(state.kappa + 1)])
-    return lam * state.u1.degree_power() + state.u2.degree_power()
+    return lam * degree_power(state.u1) + degree_power(state.u2)
 
 
 def mode_modulus(state: State) -> np.ndarray:
     """Per-degree squared modulus |uR|^2 + |uI|^2; conserved without noise."""
-    return state.u1.degree_power() + state.u2.degree_power()
+    return degree_power(state.u1) + degree_power(state.u2)
 
 
 def add_increments(state: State, w1: CoefficientField, w2: CoefficientField) -> State:

@@ -114,14 +114,14 @@ def test_criterion_7_dsphere_rates():
 
 
 def test_criterion_8a_factor_reconstruction():
-    from spherewave.noise import _schrodinger_entries, _wave_entries
+    from spherewave.noise import _conv_entries
     worst = 0.0
     kappa = 512
     lams = np.arange(kappa + 1) * (np.arange(kappa + 1) + 1.0)
     for t in (1e-6, 1e-3, 1.0, 10.0):
-        for entries, table in ((_wave_entries, ConvFactorTable.for_wave(kappa, 3, t)),
-                               (_schrodinger_entries, ConvFactorTable.for_schrodinger(kappa, t))):
-            c11, c12, c22 = entries(lams, t)
+        for kind, table in (("wave", ConvFactorTable.for_wave(kappa, 3, t)),
+                            ("schrodinger", ConvFactorTable.for_schrodinger(kappa, t))):
+            c11, c12, c22 = _conv_entries(lams, t, kind)
             cov = np.stack([np.stack([c11, c12], -1), np.stack([c12, c22], -1)], -2)
             rec = table.covariance_matrices()
             rec[:, [0, 1], [1, 0]] *= table.sign  # D^T D, without the sign of W2
@@ -151,7 +151,7 @@ def test_criterion_8b_covariances_match_quadrature():
 
 
 def test_criterion_8c_conservation_laws():
-    zero = PowerSpectrum.zero()
+    zero = oracles.ZERO_SPECTRUM
     rng = np.random.default_rng(12)
     kappa = 8
     v1 = CoefficientField(rng.standard_normal(mode_count(kappa, 3)), kappa)
@@ -172,7 +172,7 @@ def test_criterion_8c_conservation_laws():
 
 
 def test_criterion_8d_single_step_equals_many_steps():
-    zero = PowerSpectrum.zero()
+    zero = oracles.ZERO_SPECTRUM
     rng = np.random.default_rng(23)
     kappa = 8
     v1 = CoefficientField(rng.standard_normal(mode_count(kappa, 3)), kappa)
@@ -208,7 +208,7 @@ def test_criterion_8f_orthonormality():
     from test_harmonics import _basis_values
     grid = SphereGrid(17, 36)
     basis = _basis_values(grid, 16)
-    gram = (basis * grid.weights().ravel()) @ basis.T
+    gram = (basis * oracles.grid_weights(grid).ravel()) @ basis.T
     dev = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
     assert _check("criterion 8f real-basis orthonormality, ell <= 16", dev <= 1e-10,
                   f"max Gram deviation {dev:.2e}")
@@ -228,7 +228,7 @@ def test_criterion_8g_increment_covariance():
             draws[ell][i] = w1.data[idx], w2.data[idx]
     ok = True
     for ell, idx in indices.items():
-        target = ps.value(ell) * wave_conv_covariance(ell, 3, h).matrix()
+        target = oracles.spectrum_eval(ps, ell) * wave_conv_covariance(ell, 3, h).matrix()
         d = draws[ell]
         prods = np.stack([d[:, 0] ** 2, d[:, 0] * d[:, 1], d[:, 1] ** 2], axis=1)
         est = prods.mean(axis=0)

@@ -61,12 +61,10 @@ def test_terminal_states_equal_the_per_step_reference(
         indices):
     cfg = _config(tmp_path_factory.getbasetemp(), equation, dim, kappa_ref, data, seed,
                   scale=scale, T=T, file_kappa=file_kappa)
-    sampler = _TerminalSampler(cfg)
-    drawn = sampler.draw(indices)
+    drawn = _TerminalSampler(cfg).draw(indices)
     for k, i in enumerate(indices):
         first, second = oracles.terminal_state_by_steps(cfg, i)
         assert _same_bits(drawn[2 * k], first) and _same_bits(drawn[2 * k + 1], second)
-    assert all(_same_bits(a, b) for a, b in zip(sampler(indices[0]), drawn[:2]))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import oracles
 from spherewave import cli, harmonics, harness
 from spherewave import io as spherewave_io
 from spherewave.cli import PRESETS, build_parser, main, resolve_config
@@ -169,7 +170,7 @@ def test_smoother_spectrum_concentrates_energy_at_low_degrees(tmp_path):
         assert run_cli("sample-field", "--alpha", str(alpha), "--kappa-ref", "64",
                        "--seed", "12", "--output", str(out)) == 0
         c = read_coefficient_csv(str(out / "sample_coefficients.csv"))
-        power = c.degree_power()
+        power = oracles.degree_power(c)
         fractions[alpha] = power[:9].sum() / power.sum()
     assert fractions[5.0] >= fractions[3.0]
 
@@ -478,6 +479,15 @@ DEGREE_GOLDEN = [
      "2233748b1fce6498b7306adf2b8db519ce50dca2bc6ed103f54ef1918fef5ce2"),
     (("weak", "--kappas", "2,4,8,63", "--kappa-ref", "64", "--samples", "37"),
      "edccbd1ad16ae888288ce6e27d8eb5c74a18601ff13ad9d76769aad546e67099"),
+    # exact weak errors, recorded once they were summed from the per-degree law
+    (("weak", "--preset", "weak-oracle"),
+     "870fd292ff4b76f06c9f962c2e49451fcce502251d259952270e4d2f3482221f"),
+    (("weak", "--equation", "schrodinger", "--alpha", "4", "--weak-method", "analytic",
+      "--kappa-ref", "64", "--kappas", "2,4,8,16"),
+     "c35d923b2164ddbefef96c9e68c268ab691fa317404b71bd85d1ae724b6d6e82"),
+    (("weak", "--alpha", "10", "--initial-data", "random-sobolev", "--beta", "2", "--gamma",
+      "1.5", "--weak-method", "analytic", "--kappa-ref", "64", "--kappas", "2,4,8,16"),
+     "92d6006a2184b6f8647f192c96e0aeece81a701df857732e7ab325f71d5124af"),
 ]
 
 

@@ -7,14 +7,18 @@ import pytest
 import oracles
 from spherewave import harmonics, harness
 from spherewave.harmonics import synthesize_tails
+from spherewave.cli import PRESETS
 from spherewave.harness import (ErrorTable, ExperimentConfig, _TailErrors,
-                                _TerminalSampler, _degree_tails, analytic_second_moment,
+                                _TerminalSampler, _degree_tails,
                                 analytic_weak_error_experiment, default_fit_range,
                                 fit_rate, pathwise_error_experiment,
                                 strong_error_experiment, theoretical_rates,
                                 weak_error_experiment)
+from spherewave.io import write_coefficient_csv
 from spherewave.modes import CoefficientField, degree_offsets, mode_count
 from spherewave.spectrum import PowerSpectrum
+from oracles import analytic_second_moment
+from test_degree_sampler import _write_field
 
 
 def test_fit_rate_recovers_exact_power_laws():
@@ -82,8 +86,7 @@ def test_strong_experiment_is_deterministic_and_thread_invariant():
 def test_reference_band_gives_zero_error_by_coupling():
     # the kappa = kappa_ref tail is empty; checked through the internal tail helper
     cfg = ExperimentConfig(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, samples=1, seed=0)
-    sampler = _TerminalSampler(cfg)
-    c1, _ = sampler(0)
+    c1, _ = _TerminalSampler(cfg).draw([0])
     per_degree = np.add.reduceat(c1**2, np.concatenate(([0], np.cumsum(
         2 * np.arange(cfg.kappa_ref + 1) + 1)[:-1])))
     assert per_degree[cfg.kappa_ref + 1:].sum() == 0.0  # nothing above the reference
@@ -104,7 +107,7 @@ def test_synthesized_tails_satisfy_parseval(shape):
     cfg = ExperimentConfig(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, seed=21, **grid)
     data = _TerminalSampler(cfg).draw(range(4))
     g = cfg.grid()
-    squares = [g.integrate(harmonics._unfold(c, s, g.n_phi) ** 2)
+    squares = [oracles.grid_integrate(g, harmonics._unfold(c, s, g.n_phi) ** 2)
                for c, s in synthesize_tails(data, cfg.kappa_ref, g, cfg.kappas)]
     quadrature = np.sqrt(np.reshape(squares, (len(data), -1))[:, ::-1])
     np.testing.assert_allclose(quadrature, _coefficient_tails(data, cfg), rtol=1e-12)
@@ -135,8 +138,7 @@ def test_max_grid_error_dominates_scaled_l2():
     # ||f||_inf >= ||f||_2 / sqrt(4 pi) pointwise on the sphere, per sample
     cfg = ExperimentConfig(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, samples=1, seed=3,
                            error_kind="max-grid")
-    sampler = _TerminalSampler(cfg)
-    data = np.array([c for i in range(5) for c in sampler(i)])
+    data = _TerminalSampler(cfg).draw(range(5))
     e_max = _TailErrors(cfg)(data)
     e_l2 = _coefficient_tails(data, cfg)
     assert e_max.shape == e_l2.shape == (10, 3)
@@ -156,7 +158,7 @@ def test_pathwise_experiment_single_realization():
 
 
 def test_analytic_second_moment_closed_forms():
-    zero = PowerSpectrum.zero()
+    zero = oracles.ZERO_SPECTRUM
     assert analytic_second_moment(zero, 4, 1.0) == (0.0, 0.0)
 
     ps = PowerSpectrum(alpha=3.0, head_value=0.6)
@@ -171,7 +173,7 @@ def test_analytic_second_moment_with_deterministic_data():
     v1 = CoefficientField.zeros(3)
     v1.data[oracles.index_of(1, 0)] = 2.0
     t = 0.4
-    pos, vel = analytic_second_moment(PowerSpectrum.zero(), 3, t, v1=v1)
+    pos, vel = analytic_second_moment(oracles.ZERO_SPECTRUM, 3, t, v1=v1)
     assert pos == pytest.approx((2.0 * math.cos(math.sqrt(2.0) * t)) ** 2, rel=1e-13)
     assert vel == pytest.approx((2.0 * math.sqrt(2.0) * math.sin(math.sqrt(2.0) * t)) ** 2,
                                 rel=1e-13)
@@ -183,7 +185,7 @@ def test_analytic_second_moment_agrees_with_monte_carlo():
     sq_pos = np.empty(cfg.samples)
     sq_vel = np.empty(cfg.samples)
     for i in range(cfg.samples):
-        c1, c2 = sampler(i)
+        c1, c2 = sampler.draw([i])
         sq_pos[i] = np.sum(c1**2)
         sq_vel[i] = np.sum(c2**2)
     ref_pos, ref_vel = analytic_second_moment(cfg.power_spectrum(), 16, cfg.T)
@@ -207,22 +209,64 @@ def test_weak_mc_agrees_with_analytic_differences():
 def test_weak_experiment_reference_match_is_exact_zero():
     # phi evaluated on the reference itself cancels under coupling
     cfg = ExperimentConfig(alpha=3.0, kappas=[2, 4, 8], kappa_ref=32, samples=50, seed=2)
-    sampler = _TerminalSampler(cfg)
-    c1, _ = sampler(0)
+    c1, _ = _TerminalSampler(cfg).draw([0])
     full = np.sum(c1**2)
     prefix_full = np.add.reduceat(c1**2, [0]).sum()
     assert prefix_full == pytest.approx(full, rel=1e-15)
 
 
-def test_analytic_weak_experiment_requires_supported_setup():
-    cfg = ExperimentConfig(equation="schrodinger", alpha=4.0, kappas=[2, 4, 8],
-                           kappa_ref=16, samples=1, seed=0)
-    with pytest.raises(ValueError):
+def test_weak_oracle_preset_equals_mpmath_tail_sums():
+    # each error sums the mean power from the top degree down; a difference of
+    # two totals would cancel their leading digits
+    cfg = ExperimentConfig(**PRESETS["weak-oracle"])
+    tables = analytic_weak_error_experiment(cfg)
+    exact = oracles.mp_wave_weak_tails(cfg.power_spectrum(), cfg.kappa_ref, cfg.kappas, cfg.T)
+    for name, expected in zip(("position", "velocity"), exact):
+        np.testing.assert_allclose(tables[name].errors, expected, rtol=1e-13, atol=0)
+
+
+def test_analytic_weak_experiment_refuses_the_exp_functional():
+    cfg = ExperimentConfig(kappas=[2, 4, 8], kappa_ref=16,
+                           weak_functional="exp-neg-squared-norm")
+    with pytest.raises(ValueError, match="squared norm only"):
         analytic_weak_error_experiment(cfg)
-    cfg2 = ExperimentConfig(alpha=10.0, beta=2.0, initial_data="random-sobolev",
-                            kappas=[2, 4, 8], kappa_ref=16)
-    with pytest.raises(ValueError):
-        analytic_weak_error_experiment(cfg2)
+
+
+@pytest.mark.parametrize("params", [
+    dict(equation="schrodinger", alpha=4.0, seed=61),
+    dict(alpha=3.0, beta=1.5, gamma=0.5, initial_data="random-sobolev", seed=62),
+    dict(equation="schrodinger", alpha=4.0, initial_data="file", seed=63),
+    dict(equation="wave-dsphere", dim=4, alpha=4.0, initial_data="file", seed=64)],
+    ids=["schrodinger-zero", "wave-random-sobolev", "schrodinger-file", "dsphere-d4-file"])
+def test_analytic_weak_errors_agree_with_monte_carlo(tmp_path, params):
+    if params.get("initial_data") == "file":
+        dim = params.get("dim", 3)
+        _write_field(tmp_path / "v1.csv", 20, dim, 1, 0.3)
+        _write_field(tmp_path / "v2.csv", 12, dim, 2, 0.5)
+        params = {**params, "v1_file": str(tmp_path / "v1.csv"),
+                  "v2_file": str(tmp_path / "v2.csv")}
+    cfg = ExperimentConfig(kappas=[2, 4, 8, 16], kappa_ref=32, samples=4000, **params)
+    exact = analytic_weak_error_experiment(cfg)
+    mc = weak_error_experiment(cfg, "squared-norm")
+    for name in cfg.component_names():
+        z = np.abs(mc[name].errors - exact[name].errors) / mc[name].stderrs
+        assert np.all(z <= 5.0), f"{name}: {z}"
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_analytic_weak_errors_with_file_data_equal_second_moment_differences(tmp_path, dim):
+    v1 = _write_field(tmp_path / "v1.csv", 20, dim, 3, 0.3)
+    v2 = _write_field(tmp_path / "v2.csv", 12, dim, 4, 0.5)
+    cfg = ExperimentConfig(equation="wave" if dim == 3 else "wave-dsphere", dim=dim,
+                           alpha=3.0, kappas=[2, 4, 8, 16], kappa_ref=32, initial_data="file",
+                           v1_file=str(tmp_path / "v1.csv"), v2_file=str(tmp_path / "v2.csv"))
+    tables = analytic_weak_error_experiment(cfg)
+    ps = cfg.power_spectrum()
+    ref = analytic_second_moment(ps, cfg.kappa_ref, cfg.T, dim, v1, v2)
+    for pos, name in enumerate(("position", "velocity")):
+        expected = [ref[pos] - analytic_second_moment(ps, k, cfg.T, dim, v1, v2)[pos]
+                    for k in cfg.kappas]
+        np.testing.assert_allclose(tables[name].errors, expected, rtol=1e-11, atol=0)
 
 
 def test_analytic_weak_slope_of_synthetic_alpha():
@@ -459,7 +503,6 @@ def test_grid_error_memory_does_not_grow_with_the_samples():
     ("wave", "l2-coefficients", analytic_weak_error_experiment)])
 def test_initial_data_file_of_another_dimension_is_rejected(tmp_path, equation, kind,
                                                             experiment):
-    from spherewave.io import write_coefficient_csv
     path = tmp_path / "v1-dim4.csv"
     write_coefficient_csv(str(path), CoefficientField(np.ones(mode_count(2, 4)), 2, 4))
     cfg = ExperimentConfig(equation=equation, alpha=3.0, kappas=[1, 2, 4], kappa_ref=8,

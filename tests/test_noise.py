@@ -118,9 +118,9 @@ def test_factor_reconstruction_up_to_degree_512(t):
         (ConvFactorTable.for_wave(kappa, 3, t), "wave"),
         (ConvFactorTable.for_schrodinger(kappa, t), "schrodinger"),
     ]:
-        from spherewave.noise import _wave_entries, _schrodinger_entries
+        from spherewave.noise import _conv_entries
         lams = np.arange(kappa + 1) * (np.arange(kappa + 1) + 1.0)
-        c11, c12, c22 = (_wave_entries if entries == "wave" else _schrodinger_entries)(lams, t)
+        c11, c12, c22 = _conv_entries(lams, t, entries)
         cov = np.stack([np.stack([c11, c12], -1), np.stack([c12, c22], -1)], -2)
         rec = table.covariance_matrices()
         rec[:, [0, 1], [1, 0]] *= table.sign  # D^T D, without the sign of W2
@@ -162,7 +162,7 @@ def test_small_x_helpers_match_high_precision(x):
 
 def test_sample_isotropic_grf_zero_spectrum_and_single_mode():
     rng = np.random.default_rng(0)
-    z = sample_isotropic_grf(PowerSpectrum.zero(), 8, 3, rng)
+    z = sample_isotropic_grf(oracles.ZERO_SPECTRUM, 8, 3, rng)
     assert np.all(z.data == 0.0)
 
     draws = np.array([sample_isotropic_grf(PowerSpectrum(alpha=2.0, head_value=0.7), 0, 3,
@@ -186,7 +186,7 @@ def test_sample_isotropic_grf_per_degree_variance():
     for ell in range(kappa + 1):
         block = slice(offsets[ell], offsets[ell] + 2 * ell + 1)
         pooled = est[block].mean()
-        target = ps.value(ell)
+        target = oracles.spectrum_eval(ps, ell)
         stderr = target * math.sqrt(2.0 / (n * (2 * ell + 1)))
         assert abs(pooled - target) < 3.0 * stderr
 
@@ -201,7 +201,7 @@ def test_wiener_increment_variance_scales_linearly_in_h():
     assert abs(ratio - 2.0) < 3.0 * 2.0 * math.sqrt(4.0 / n)
     with pytest.raises(ValueError):
         wiener_increment(ps, 2, 3, 0.0, rng)
-    assert np.all(wiener_increment(PowerSpectrum.zero(), 4, 3, 0.5, rng).data == 0.0)
+    assert np.all(wiener_increment(oracles.ZERO_SPECTRUM, 4, 3, 0.5, rng).data == 0.0)
 
 
 def _empirical_increment_cov(kind, ps, kappa, dim, h, index, n, seed):
@@ -242,7 +242,7 @@ def test_wave_increment_covariance_degree_four():
     field = CoefficientField.zeros(kappa)
     index = oracles.index_of(4, 2, 1)
     draws = _empirical_increment_cov("wave", ps, kappa, 3, h, index, 100000, 100)
-    target = ps.value(4) * wave_conv_covariance(4, 3, h).matrix()
+    target = oracles.spectrum_eval(ps, 4) * wave_conv_covariance(4, 3, h).matrix()
     _assert_cov_close(draws, target)
 
 
@@ -252,13 +252,13 @@ def test_schrodinger_increment_covariance():
     field = CoefficientField.zeros(kappa)
     index = oracles.index_of(3, 1, 2)
     draws = _empirical_increment_cov("schrodinger", ps, kappa, 3, h, index, 100000, 101)
-    target = ps.value(3) * schrodinger_conv_covariance(3, h).matrix()
+    target = oracles.spectrum_eval(ps, 3) * schrodinger_conv_covariance(3, h).matrix()
     _assert_cov_close(draws, target)
 
 
 def test_zero_spectrum_increments_are_zero():
     factors = ConvFactorTable.for_wave(4, 3, 0.3)
-    w1, w2 = sample_wave_conv_increments(PowerSpectrum.zero(), factors, np.random.default_rng(1))
+    w1, w2 = sample_wave_conv_increments(oracles.ZERO_SPECTRUM, factors, np.random.default_rng(1))
     assert np.all(w1.data == 0.0) and np.all(w2.data == 0.0)
 
 

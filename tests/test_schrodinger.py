@@ -11,7 +11,7 @@ from spherewave.schrodinger import run_path_schrodinger, schrodinger_step
 from spherewave.spectrum import PowerSpectrum
 from spherewave.wave import State
 
-ZERO = PowerSpectrum.zero()
+ZERO = oracles.ZERO_SPECTRUM
 
 
 def test_zero_noise_rotation_preserves_mode_modulus():
@@ -105,7 +105,7 @@ def test_state_covariance_matches_kernel_law():
     for i in range(n):
         out = schrodinger_step(State(zero, zero), t, ps, rng, factors)
         draws[i] = out.u1.data[idx], out.u2.data[idx]
-    target = ps.value(1) * schrodinger_conv_covariance(1, t).matrix()
+    target = oracles.spectrum_eval(ps, 1) * schrodinger_conv_covariance(1, t).matrix()
     prods = np.stack([draws[:, 0] ** 2, draws[:, 1] ** 2], axis=1)
     est = prods.mean(axis=0)
     stderr = prods.std(axis=0, ddof=1) / math.sqrt(n)

@@ -10,22 +10,25 @@ from spherewave.modes import CoefficientField, mode_count
 from spherewave.spectrum import PowerSpectrum, random_sobolev_data, sobolev_scale
 
 
-def test_spectrum_eval_power_law():
+def test_spectrum_values_power_law():
     ps = PowerSpectrum(alpha=3.0)
-    assert spectrum_eval(ps, 2) == pytest.approx(0.125, abs=0)
-    assert spectrum_eval(ps, 0) == 1.0
-    assert spectrum_eval(PowerSpectrum(alpha=5.0), 4) == pytest.approx(1.0 / 1024.0, abs=0)
+    assert ps.values(2)[2] == pytest.approx(0.125, abs=0)
+    assert ps.values(0)[0] == 1.0
+    assert PowerSpectrum(alpha=5.0).values(4)[4] == pytest.approx(1.0 / 1024.0, abs=0)
+    for ps in (PowerSpectrum(alpha=3.0), PowerSpectrum(alpha=1.3, scale=2.0, ell0=3,
+                                                       head_value=0.2)):
+        expected = [spectrum_eval(ps, ell) for ell in range(21)]
+        np.testing.assert_allclose(ps.values(20), expected, rtol=1e-15, atol=0)
 
 
 def test_spectrum_flat_head_and_custom_values():
     ps = PowerSpectrum(alpha=2.0, scale=3.0, ell0=4, head_value=0.5)
-    assert ps.value(0) == 0.5
-    for ell in (1, 2, 3):
-        assert ps.value(ell) == pytest.approx(3.0 / 16.0)
-    assert ps.value(4) == pytest.approx(3.0 / 16.0)
-    assert ps.value(8) == pytest.approx(3.0 / 64.0)
     vals = ps.values(8)
-    assert vals[0] == 0.5 and vals[3] == pytest.approx(3.0 / 16.0)
+    assert vals[0] == 0.5
+    for ell in (1, 2, 3):
+        assert vals[ell] == pytest.approx(3.0 / 16.0)
+    assert vals[4] == pytest.approx(3.0 / 16.0)
+    assert vals[8] == pytest.approx(3.0 / 64.0)
 
 
 def test_spectrum_non_increasing_past_ell0():
@@ -41,7 +44,7 @@ def test_spectrum_validation():
         PowerSpectrum(alpha=2.0, scale=-0.5)
     with pytest.raises(ValueError):
         PowerSpectrum(alpha=2.0, ell0=0)
-    assert PowerSpectrum.zero().values(5).sum() == 0.0
+    assert oracles.ZERO_SPECTRUM.values(5).sum() == 0.0
 
 
 def test_sobolev_norm_single_modes():
