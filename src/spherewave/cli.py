@@ -75,8 +75,10 @@ _CONFIG_KEYS = {f.name for f in dataclass_fields(ExperimentConfig)}
 
 
 def _parse_kappas(text):
+    """Comma-separated band limits; a list from a config file is left to
+    ExperimentConfig.validate, which refuses values that are not integers."""
     if isinstance(text, (list, tuple)):
-        return [int(k) for k in text]
+        return list(text)
     return [int(tok) for tok in str(text).split(",") if tok.strip()]
 
 

@@ -266,10 +266,6 @@ class SphereGrid:
         self.phi = 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
         self._phase_tables: dict[int, np.ndarray] = {}
 
-    @property
-    def phi_weight(self) -> float:
-        return 2.0 * math.pi / self.n_phi
-
     def phase_tables(self, kappa: int) -> np.ndarray:
         """Cached phi factors of the real basis at j = 0..n_phi // 2: the cos and
         the sin table, stacked as (2, n_phi // 2 + 1, kappa + 1).
@@ -386,6 +382,11 @@ def synthesize_tails(data: np.ndarray, kappa: int, grid: SphereGrid,
     field.  The degrees are split into shells (kappas[j], kappas[j + 1]] and
     (kappas[-1], kappa].
 
+    Packing: the stack is copied by order and parity (_packed_coefficients)
+    and the generator drops its own reference to `data` before the theta
+    stage allocates anything, so a caller that hands over a freshly drawn
+    stack and keeps no reference holds each field's coefficients once.
+
     Theta: the Legendre rows are generated in order blocks at the northern
     colatitudes only (and the equator when n_theta is odd), applied to the
     whole batch and dropped; no table is stored.  Gauss-Legendre nodes are
@@ -419,22 +420,27 @@ def synthesize_tails(data: np.ndarray, kappa: int, grid: SphereGrid,
         raise ValueError(f"kappas must be strictly increasing and below the band limit "
                          f"{kappa}, got {bottoms}")
     synthesis_field_bytes(kappa, grid)  # refuses a field larger than memory
+    n_fields = len(data)
+    packed = _packed_coefficients(data, kappa)
+    del data  # a stack only this generator holds is freed before the theta stage
     shells = list(zip(bottoms, bottoms[1:] + [kappa]))
-    profiles = _theta_profiles(data, kappa, grid, shells)[::-1]  # top shell first
+    profiles = _theta_profiles(packed, kappa, grid, shells)[::-1]  # top shell first
+    del packed
     tables = grid.phase_tables(kappa)
     halves, products = np.empty((2, 2, grid.n_phi // 2 + 1, grid.n_theta))
-    for b in range(len(data)):
+    for b in range(n_fields):
         for i, profile in enumerate(profiles):
             # each table's orders m <= hi times field b's cos or sin rows
-            for row, out, table in zip((b, len(data) + b), products if i else halves, tables):
+            for row, out, table in zip((b, n_fields + b), products if i else halves, tables):
                 np.matmul(table[:, :len(profile)], profile[:, row], out=out)
             if i:
                 halves += products
             yield halves
 
 
-def _theta_profiles(data, kappa, grid, shells) -> list[np.ndarray]:
-    """Per shell (lo, hi], the theta sums of every field, shape (hi + 1, 2B, n_theta).
+def _theta_profiles(packed, kappa, grid, shells) -> list[np.ndarray]:
+    """Per shell (lo, hi], the theta sums of every field, shape (hi + 1, 2B, n_theta),
+    from the packed coefficients (2, B, n_pairs) of _packed_coefficients.
 
     Row (m, cB + b) holds the sum over the shell's degrees of the cos (c = 0)
     or sin (c = 1) coefficient of order m of field b times Lbar_{ell,m}; in
@@ -442,13 +448,13 @@ def _theta_profiles(data, kappa, grid, shells) -> list[np.ndarray]:
     order the even and odd sums E and O are staged; every FOLD_ORDERS orders,
     one addition writes the northern rows E + O and one subtraction the
     southern rows E - O.  Every row is written: each order m <= hi has a
-    degree in (lo, hi].  The Legendre blocks, the packed coefficients and the
-    staged sums are dropped on return.
+    degree in (lo, hi].  The Legendre blocks and the staged sums are dropped
+    on return.
     """
-    n_fields, n_theta = data.shape[0], grid.n_theta
+    n_fields, n_theta = packed.shape[1], grid.n_theta
     n_north, n_south = (n_theta + 1) // 2, n_theta // 2
     offsets = _pair_offsets(kappa).tolist()
-    packed = _packed_coefficients(data, kappa).reshape(2 * n_fields, -1)
+    packed = packed.reshape(2 * n_fields, -1)
     profiles = [np.empty((hi + 1, 2 * n_fields, n_theta)) for _, hi in shells]
     even, odd = np.empty((2, FOLD_ORDERS, 2 * n_fields, n_north))
     for m0, m1, block in _legendre_blocks(kappa, grid.theta[:n_north]):

@@ -20,14 +20,14 @@ the terminal state:
   array operations.
 
 Both run in chunks of consecutive samples whose size depends on kappa_ref (and
-the grid) only: a per-degree chunk makes each sample's draws into a row of one
-array and does the algebra, tails and functionals once per chunk; a per-mode
-chunk synthesizes all its fields in one batch.  Sample i draws from the
-generator of np.random.SeedSequence(seed, spawn_key=(i,)), so results do not
-depend on the chunk a sample lands in or on how chunks are scheduled across
-workers.  `_sample_rngs` derives a chunk's generators in one pass: the
-SeedSequence pool after the seed's words is computed once per seed, and the
-index words and PCG64 seed words of every sample in a few uint32 array
+the grid and the kappas) only: a per-degree chunk makes each sample's draws
+into a row of one array and does the algebra, tails and functionals once per
+chunk; a per-mode chunk synthesizes all its fields in one batch.  Sample i
+draws from the generator of np.random.SeedSequence(seed, spawn_key=(i,)), so
+results do not depend on the chunk a sample lands in or on how chunks are
+scheduled across workers.  `_sample_rngs` derives a chunk's generators in one
+pass: the SeedSequence pool after the seed's words is computed once per seed,
+and the index words and PCG64 seed words of every sample in a few uint32 array
 operations, bit for bit as SeedSequence would (about 3 µs per sample in a
 31-sample chunk instead of about 20).
 """
@@ -61,6 +61,33 @@ FUNCTIONALS = {
 }
 
 
+# The numeric config keys and their kinds, as JSON can hold them: an int key
+# takes a Python int, a float key a finite int or float; neither takes a bool,
+# a string or a numpy integer, and only the optional keys take None.  `kappas`
+# is a list of int.
+_NUMERIC_KEYS = {
+    "dim": int, "alpha": float, "scale": float, "ell0": int, "head_value": float,
+    "beta": float, "gamma": float, "T": float, "steps": int, "kappas": int,
+    "kappa_ref": int, "samples": int, "seed": int, "n_theta": int, "n_phi": int,
+    "store_every": int, "threads": int,
+}
+_OPTIONAL_KEYS = {"beta", "gamma", "n_theta", "n_phi"}
+
+
+def _named(key: str) -> str:
+    return f"{key} (--{key.replace('_', '-')})"
+
+
+def _check_number(key: str, value, kind: type):
+    """Refuse a value that is not of its key's kind, naming the key."""
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{_named(key)} must be an integer, got {value!r}")
+    elif (isinstance(value, bool) or not isinstance(value, (int, float))
+          or not math.isfinite(value)):
+        raise ValueError(f"{_named(key)} must be a finite number, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Knobs for one convergence experiment (and for path simulation)."""
@@ -92,6 +119,15 @@ class ExperimentConfig:
     output: str = "."
 
     def validate(self):
+        for key, kind in _NUMERIC_KEYS.items():
+            value = getattr(self, key)
+            if key == "kappas":
+                if not isinstance(value, (list, tuple)):
+                    raise ValueError(f"{_named(key)} must be a list of integers, got {value!r}")
+                for k in value:
+                    _check_number(key, k, kind)
+            elif value is not None or key not in _OPTIONAL_KEYS:
+                _check_number(key, value, kind)
         if self.equation not in EQUATIONS:
             raise ValueError(f"unknown equation {self.equation!r}, expected one of {EQUATIONS}")
         if self.error_kind not in ERROR_KINDS:
@@ -111,8 +147,8 @@ class ExperimentConfig:
             raise ValueError("grid-based errors are available for dim == 3 only")
         if not self.T > 0:
             raise ValueError(f"T must be positive, got {self.T}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed (--seed) must be a non-negative integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"{_named('seed')} must be non-negative, got {self.seed!r}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.steps < 1:
@@ -121,7 +157,7 @@ class ExperimentConfig:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if not self.kappas:
             raise ValueError("kappas must be non-empty")
-        ks = list(self.kappas)
+        ks = self.kappas
         if any(k < 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError(f"kappas must be strictly increasing and non-negative, got {ks}")
         if self.kappa_ref < 0:
@@ -224,6 +260,10 @@ def default_fit_range(kappas, kappa_ref) -> list[int]:
 
 def _make_table(cfg, kind, component, kappas, errors, stderrs, sampler,
                 extra=None) -> ErrorTable:
+    errors, stderrs = np.asarray(errors, dtype=float), np.asarray(stderrs, dtype=float)
+    if not (np.all(np.isfinite(errors)) and np.all(np.isfinite(stderrs))):
+        raise ValueError(f"the {kind} errors of the {component} are not finite: errors "
+                         f"{errors.tolist()}, standard errors {stderrs.tolist()}")
     fit_ks = default_fit_range(kappas, cfg.kappa_ref)
     sel = [kappas.index(k) for k in fit_ks]
     if len(fit_ks) >= 3:
@@ -241,8 +281,7 @@ def _make_table(cfg, kind, component, kappas, errors, stderrs, sampler,
     metadata.update(cfg.resolved())
     if extra:
         metadata.update(extra)
-    return ErrorTable(list(kappas), np.asarray(errors, dtype=float),
-                      np.asarray(stderrs, dtype=float), slope, list(fit_ks), metadata)
+    return ErrorTable(list(kappas), errors, stderrs, slope, list(fit_ks), metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -554,41 +593,74 @@ def _degree_tails(per_degree: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
 DEGREE_CHUNK_BYTES = 64 * 2**10
 
 
-# Working memory of one chunk of grid-error samples, two fields each at
-# harmonics.synthesis_field_bytes, up to kappa_ref 256: at kappa_ref 256 on the
-# default grid a chunk holds 9 samples.  Every chunk pays a whole pass of the
-# Legendre recurrence, so above 256 the budget grows as kappa_ref^2, as a
-# field does, and a chunk keeps sharing each pass among several samples, up
-# to MAX_SAMPLE_CHUNK_BYTES: 8 samples at kappa_ref 1024 on the default grid,
-# where max-grid then peaks under 1 GB (0.82 GB measured).
+# Working memory of the fields of one chunk of grid-error samples, two fields
+# each at the per-field bytes of _grid_working_set, up to kappa_ref 256: at
+# kappa_ref 256 on the default grid, with the kappas 2, 4, ..., 32, a chunk
+# holds 17 samples.  Every chunk pays a whole pass of the Legendre recurrence,
+# so above 256 the budget grows as kappa_ref^2, as a field does, and a chunk
+# keeps sharing each pass among several samples.  A worker (its chunk's fields
+# plus what it holds whatever the chunk) stays within MAX_WORKER_BYTES.
 SAMPLE_CHUNK_BYTES = 64 * 2**20
-MAX_SAMPLE_CHUNK_BYTES = 960 * 2**20
+MAX_WORKER_BYTES = 960 * 2**20
+
+# Arrays of 8 bytes per mode that _TerminalSampler.draw holds beside its stack:
+# the expanded increment factors, the rotation, the Sobolev scales and one
+# sample's normals and sums.  Traced at kappa_ref 64 with chunks of 4 samples:
+# 18.2 with random data in both components, 11.2 with zero data.
+DRAW_MODE_ARRAYS = 20
 
 
-def _sample_chunk(kappa_ref: int, field_bytes: int) -> int:
-    """Grid-error samples per chunk: it depends on kappa_ref and the grid only."""
-    budget = min(SAMPLE_CHUNK_BYTES * max(1.0, kappa_ref / 256) ** 2, MAX_SAMPLE_CHUNK_BYTES)
+def _grid_working_set(kappa_ref: int, grid: SphereGrid | GridShape,
+                      kappas) -> tuple[int, int]:
+    """(per field, per worker): the bytes one grid-error worker holds for each
+    field of its chunk, and whatever the chunk.
+
+    Per field, the largest of its stages: the drawn coefficients (one value
+    per mode) with their packed copy (two per (ell, m) pair) while they are
+    packed; then the packed copy with the theta profiles of every shell the
+    kappas cut (2 (hi + 1) x n_theta values for a shell of top degree hi) and
+    the staged even and odd sums; the phi stage holds the profiles alone.  Per
+    worker: the largest Legendre block, the six phi half grids
+    ((n_phi // 2 + 1) x n_theta each) and the draw's DRAW_MODE_ARRAYS per-mode
+    arrays.  The workers share the phase tables (phase_table_bytes).
+    """
+    n_theta = grid.n_theta
+    modes = (kappa_ref + 1) ** 2
+    packed = (kappa_ref + 1) * (kappa_ref + 2)
+    profiles = 2 * n_theta * sum(hi + 1 for hi in [*kappas[1:], kappa_ref])
+    staged = 4 * harmonics.FOLD_ORDERS * ((n_theta + 1) // 2)
+    field = 8 * max(modes + packed, packed + profiles + staged)
+    worker = (legendre_block_bytes(kappa_ref, grid) + 8 * 6 * (grid.n_phi // 2 + 1) * n_theta
+              + 8 * DRAW_MODE_ARRAYS * modes)
+    return field, worker
+
+
+def _sample_chunk(kappa_ref: int, field_bytes: int, worker_bytes: int) -> int:
+    """Grid-error samples per chunk, from the per-field and per-worker bytes of
+    _grid_working_set: it depends on kappa_ref, the grid and the kappas only."""
+    budget = min(SAMPLE_CHUNK_BYTES * max(1.0, kappa_ref / 256) ** 2,
+                 MAX_WORKER_BYTES - worker_bytes)
     return max(1, int(budget // (2 * field_bytes)))
 
 
 class _TailErrors:
-    """Max-norm errors of the tails above every tested kappa, for a stack of fields.
+    """Max-norm errors of the tails above every tested kappa, for chunks of samples.
 
-    One batched synthesis pass (synthesize_tails) serves the whole stack; each
+    One batched synthesis pass (synthesize_tails) serves a whole chunk; each
     field's tails, built from the top as folded halves C and S, are reduced to
     their largest |C| + |S| as they come, so no tail grid is formed.  `chunk`,
     the samples (two fields each) per chunk (_sample_chunk), depends on
-    kappa_ref and the grid shape only, not on --threads or --samples.
+    kappa_ref, the grid shape and the kappas only, not on --threads or
+    --samples; `worker_bytes` is what one worker holds for it.
     """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.grid = cfg.grid()  # refuses a grid beyond physical memory before building it
-        field_bytes = synthesis_field_bytes(cfg.kappa_ref, self.grid)
-        self.chunk = _sample_chunk(cfg.kappa_ref, field_bytes)
-        # one chunk's fields and one Legendre block: what each worker holds at once
-        self.worker_bytes = (2 * self.chunk * field_bytes
-                             + legendre_block_bytes(cfg.kappa_ref, self.grid))
+        self.field_bytes, fixed = _grid_working_set(cfg.kappa_ref, self.grid, cfg.kappas)
+        self.chunk = _sample_chunk(cfg.kappa_ref, self.field_bytes, fixed)
+        self.worker_bytes = 2 * self.chunk * self.field_bytes + fixed
+        self.sampler = _TerminalSampler(cfg)
 
     def check_threads(self, n: int):
         """Refuse, before any worker starts, a thread count whose concurrent
@@ -604,13 +676,26 @@ class _TailErrors:
                 f"{total / 1e9:.3g} GB in all: more than the "
                 f"{memory / 1e9:.3g} GB of physical memory")
 
+    def sample(self, indices) -> np.ndarray:
+        """Errors of the samples `indices`, shape (2 len(indices), len(kappas)),
+        kappas ascending: rows 2k and 2k + 1 are sample indices[k]'s components.
+        The drawn stack goes straight to synthesize_tails, which frees it once
+        packed."""
+        cfg = self.cfg
+        return self._maxima(synthesize_tails(self.sampler.draw(indices), cfg.kappa_ref,
+                                             self.grid, cfg.kappas))
+
     def __call__(self, data: np.ndarray) -> np.ndarray:
         """Errors of the (B, n_modes) stack `data`, shape (B, len(kappas)), kappas ascending."""
+        return self._maxima(synthesize_tails(data, self.cfg.kappa_ref, self.grid,
+                                             self.cfg.kappas))
+
+    def _maxima(self, tails) -> np.ndarray:
         largest_first, work = [], None  # |C| and |S|, allocated once the theta stage is done
-        for halves in synthesize_tails(data, self.cfg.kappa_ref, self.grid, self.cfg.kappas):
+        for halves in tails:
             work = np.abs(halves, out=work)
             largest_first.append(np.add(*work, out=work[0]).max())
-        return np.array(largest_first).reshape(len(data), -1)[:, ::-1]
+        return np.array(largest_first).reshape(-1, len(self.cfg.kappas))[:, ::-1]
 
 
 def _map_samples(cfg, fn, n, sampler):
@@ -653,10 +738,9 @@ def _sample_tail_errors(cfg: ExperimentConfig, n: int):
 
     tails = _TailErrors(cfg)  # refuses a grid beyond physical memory before sampling
     tails.check_threads(n)
-    terminal = _TerminalSampler(cfg)
 
     def per_mode(indices):
-        errors = tails(terminal.draw(indices))
+        errors = tails.sample(indices)
         return list(zip(errors[0::2], errors[1::2]))
 
     return (_map_chunks(cfg, per_mode, n, tails.chunk, "per-mode"), "per-mode",

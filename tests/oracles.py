@@ -414,8 +414,9 @@ def normalized_legendre(ell: int, m: int, theta: float) -> float:
 
 
 def grid_weights(grid) -> np.ndarray:
-    """Full quadrature weight matrix of a SphereGrid, summing to 4 pi."""
-    return np.outer(grid.theta_weights, np.full(grid.n_phi, grid.phi_weight))
+    """Full quadrature weight matrix of a SphereGrid, summing to 4 pi: the
+    Gauss-Legendre weights times the uniform phi weight 2 pi / n_phi."""
+    return np.outer(grid.theta_weights, np.full(grid.n_phi, 2.0 * math.pi / grid.n_phi))
 
 
 def grid_integrate(grid, values) -> float:

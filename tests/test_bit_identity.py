@@ -160,7 +160,7 @@ def test_grid_errors_are_bit_identical_across_chunks(monkeypatch, tmp_path, equa
                                                      kind):
     cfg = _config(tmp_path, equation, 3, 20, data, seed=8, alpha=2.0, kappas=[1, 4, 9],
                   samples=7, error_kind=kind)
-    field_bytes = harness.synthesis_field_bytes(cfg.kappa_ref, cfg.grid())
+    field_bytes = _TailErrors(cfg).field_bytes
     for chunk in (1, 3, cfg.samples):
         monkeypatch.setattr(harness, "SAMPLE_CHUNK_BYTES", 2 * chunk * field_bytes)
         tails = _TailErrors(cfg)

@@ -2,12 +2,15 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
 from spherewave import cli, harmonics, harness
+from spherewave.__main__ import BLAS_THREAD_VARIABLES
 from spherewave import io as spherewave_io
 from spherewave.cli import PRESETS, build_parser, main, resolve_config
 from spherewave.io import read_coefficient_csv, write_coefficient_csv
@@ -227,7 +230,8 @@ def test_file_initial_data_flows_through(tmp_path):
 
 def test_outputs_are_byte_identical_across_thread_counts(tmp_path, monkeypatch):
     # grid errors in chunks of two samples, so that both workers get chunks
-    fields = 2 * 2 * harmonics.synthesis_field_bytes(32, harmonics.SphereGrid(33, 66))
+    fields = 2 * 2 * harness._grid_working_set(32, harmonics.GridShape(33, 66),
+                                               [2, 4, 8, 16])[0]
     monkeypatch.setattr(harness, "SAMPLE_CHUNK_BYTES", fields)
     for command, kind in [("convergence", "l2-coefficients"), ("convergence", "max-grid"),
                           ("path-error", "max-grid")]:
@@ -613,3 +617,74 @@ def test_simulate_rejects_initial_data_of_another_dimension(tmp_path, capsys):
                    "--v2-file", str(path), "--output", str(tmp_path / "out")) == 1
     assert "v2.csv: initial data has dim=4, the experiment needs dim=3" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flags,config,key", [
+    (["--alpha", "nan"], None, "alpha"),
+    (["--T", "inf"], None, "T"),
+    ([], {"alpha": True}, "alpha"),
+    ([], {"T": "1"}, "T"),
+    ([], {"kappas": [2.5, 4, 8]}, "kappas")])
+def test_numeric_keys_that_are_not_finite_numbers_of_their_kind_fail_naming_the_key(
+        tmp_path, capsys, flags, config, key):
+    argv = ["convergence", "--kappa-ref", "16", "--samples", "2", *flags,
+            "--output", str(tmp_path / "out")]
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert run_cli(*argv) == 1
+    assert f"error: {key} (--{key})" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_error_tables_refuse_values_that_are_not_finite():
+    cfg = ExperimentConfig(kappas=[2, 4, 8], kappa_ref=16)
+    with pytest.raises(ValueError, match=r"the strong errors of the velocity are not finite"):
+        harness._make_table(cfg, "strong", "velocity", [2, 4, 8], [1.0, float("nan"), 0.5],
+                            [0.1, 0.1, 0.1], "per-degree")
+    with pytest.raises(ValueError, match=r"the weak-mc errors of the real .*standard errors "
+                                         r"\[0\.1, inf, 0\.1\]"):
+        harness._make_table(cfg, "weak-mc", "real", [2, 4, 8], [1.0, 0.7, 0.5],
+                            [0.1, float("inf"), 0.1], "per-degree")
+
+
+def _spherewave(argv, env_update, drop=()):
+    """Run `python -m spherewave argv` in a fresh process from this checkout's sources."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    env.update(env_update, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "spherewave", *argv], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="BLAS splits products only with two or more CPUs")
+def test_command_line_bytes_do_not_depend_on_the_blas_threads(tmp_path):
+    # at kappa_ref 256 a two-thread BLAS rounds some phi products differently;
+    # the command line runs BLAS on one thread unless the environment says otherwise
+    dirs = []
+    for name, env in [("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})]:
+        out = tmp_path / name
+        _spherewave(["sample-field", "--kappa-ref", "256", "--seed", "5", "--output", str(out)],
+                    env, drop=BLAS_THREAD_VARIABLES)
+        dirs.append(out)
+    for name in ("sample_coefficients.csv", "sample_field.csv"):
+        assert read(dirs[0] / name) == read(dirs[1] / name), name
+
+
+def test_the_package_loads_lazily_and_leaves_the_blas_setting_to_the_command_line():
+    code = ("import os, sys, spherewave; loaded = 'numpy' in sys.modules; "
+            "from spherewave import cli; "
+            "print(loaded, sorted(m for m in sys.modules if m.startswith('spherewave.')), "
+            "os.environ.get('OPENBLAS_NUM_THREADS'), spherewave.synthesize is "
+            "sys.modules['spherewave.harmonics'].synthesize)")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split(" ", 1)
+    modules = [f"spherewave.{m}" for m in ("cli", "harmonics", "harness", "io", "modes",
+                                           "noise", "spectrum", "wave")]
+    assert out == ["False", f"{modules} None True\n"]

@@ -345,18 +345,43 @@ def test_theta_profiles_hold_one_legendre_block_at_a_time(monkeypatch):
     monkeypatch.setattr(harmonics, "LEGENDRE_BLOCK_BYTES", budget)
     assert len(list(_legendre_blocks(kappa, north))) >= 3
     data = np.random.default_rng(1).standard_normal((n_fields, mode_count(kappa, 3)))
+    packed = harmonics._packed_coefficients(data, kappa)
     shells = [(4, 20), (20, kappa)]
     profiles = 8 * sum(2 * (hi + 1) * n_fields * grid.n_theta for _, hi in shells)
-    packed = 8 * 2 * n_fields * _pair_offsets(kappa)[-1]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        harmonics._theta_profiles(data, kappa, grid, shells)
+        harmonics._theta_profiles(packed, kappa, grid, shells)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # the slack covers a block's seeds and recurrence rows and the packing indices
-    assert peak <= budget + profiles + packed + 256 * 2**10
+    # the slack covers a block's seeds and recurrence rows and the staged sums
+    assert peak <= budget + profiles + 256 * 2**10
+
+
+def test_the_theta_stage_holds_no_storage_order_stack(monkeypatch):
+    kappa, n_fields = 96, 8
+    grid = SphereGrid(kappa + 1, 2 * kappa + 2)
+    budget = 512 * 2**10
+    monkeypatch.setattr(harmonics, "LEGENDRE_BLOCK_BYTES", budget)
+    grid.phase_tables(kappa)  # cached
+    rng = np.random.default_rng(1)
+    profiles = 8 * 2 * n_fields * grid.n_theta * (21 + 97)  # the shells (4, 20], (20, 96]
+    packed = 8 * 2 * n_fields * _pair_offsets(kappa)[-1]
+    stack = 8 * n_fields * mode_count(kappa, 3)
+    tracemalloc.start()
+    try:
+        # only the generator holds the drawn stack, and it drops it once packed
+        tails = synthesize_tails(rng.standard_normal((n_fields, mode_count(kappa, 3))),
+                                 kappa, grid, [4, 20])
+        next(tails)  # the theta stage, then the first field's top shell
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the slack covers a block's seeds and recurrence rows and the staged sums;
+    # holding the stack through the theta stage would exceed it
+    slack = 256 * 2**10
+    assert stack > slack and peak <= budget + profiles + packed + slack
 
 
 def test_synthesis_field_bytes_bound_each_fields_working_set():

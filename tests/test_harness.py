@@ -399,7 +399,7 @@ def test_only_per_mode_samples_use_threads(monkeypatch):
 def test_grid_errors_do_not_depend_on_the_chunk_a_sample_lands_in(monkeypatch):
     cfg = ExperimentConfig(alpha=2.0, kappas=[1, 4, 9], kappa_ref=20, samples=7, seed=8,
                            error_kind="max-grid")
-    field_bytes = harness.synthesis_field_bytes(cfg.kappa_ref, cfg.grid())
+    field_bytes = _TailErrors(cfg).field_bytes
     runs = []
     for chunk in (1, 3, cfg.samples):
         monkeypatch.setattr(harness, "SAMPLE_CHUNK_BYTES", 2 * chunk * field_bytes)
@@ -440,43 +440,63 @@ def test_grid_errors_equal_the_max_of_the_grids_synthesize_unfolds(monkeypatch, 
     assert np.array_equal(errors, np.reshape(maxima, errors.shape)[:, ::-1])
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_grid_error_memory_grows_per_field_by_its_profiles_never_by_a_grid():
     kappa, n_theta, n_phi = 16, 17, 600
     cfg = ExperimentConfig(alpha=2.0, kappas=[2, 4, 8], kappa_ref=kappa, seed=1,
                            n_theta=n_theta, n_phi=n_phi, error_kind="max-grid")
     tails = _TailErrors(cfg)
-    data = _TerminalSampler(cfg).draw(range(3))
-    tails(data[:1])  # the phase tables are cached
-
-    def traced_peak(n_fields):
-        tracemalloc.start()
-        try:
-            tails(data[:n_fields])
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
+    tails.sample(range(1))  # the phase tables are cached
     # per field: the theta profiles of the shells (2, 4], (4, 8], (8, 16] and their
-    # staged even and odd sums at the 9 northern colatitudes, the packed
-    # coefficients and the data
+    # staged even and odd sums at the 9 northern colatitudes, and the packed
+    # coefficients; the drawn coefficients are freed once packed
     profiles = 8 * 2 * (5 + 9 + 17) * n_theta
     staged = 8 * 2 * harmonics.FOLD_ORDERS * 2 * (n_theta + 1) // 2
     packed = 8 * 2 * (kappa + 1) * (kappa + 2) // 2
-    per_field = profiles + staged + packed + 8 * mode_count(kappa, 3)
+    per_field = profiles + staged + packed
+    assert tails.field_bytes == per_field
     assert 4 * per_field < 8 * n_theta * n_phi
-    assert traced_peak(6) - traced_peak(2) <= 4 * per_field
+    assert (_traced_peak(tails.sample, range(3)) - _traced_peak(tails.sample, range(1))
+            <= 4 * per_field)
 
 
-def test_grid_error_chunk_depends_on_kappa_ref_and_the_grid_only(monkeypatch):
+def test_grid_error_chunk_depends_on_kappa_ref_the_grid_and_the_kappas_only(monkeypatch):
     base = dict(alpha=1.0, kappas=[2, 4, 8, 16, 32], kappa_ref=256, error_kind="max-grid")
     for threads, samples, memory in [(1, 6, None), (2, 100, 64 * 10**9), (8, 1, 8 * 10**9)]:
         monkeypatch.setattr(harmonics, "_physical_memory", lambda: memory)
         cfg = ExperimentConfig(**base, threads=threads, samples=samples)
-        assert _TailErrors(cfg).chunk == 9
-    # above kappa_ref 256 the budget grows with a field, so chunks keep several samples
-    chunks = [harness._sample_chunk(k, harmonics.synthesis_field_bytes(
-        k, harmonics.GridShape(k + 1, 2 * k + 2))) for k in (256, 512, 1024)]
-    assert chunks == [9, 9, 8]
+        assert _TailErrors(cfg).chunk == 17
+    # above kappa_ref 256 the budget grows with a field, so chunks keep several
+    # samples, up to a worker of MAX_WORKER_BYTES; more shells hold more profiles
+    def chunk(k, kappas):
+        shape = harmonics.GridShape(k + 1, 2 * k + 2)
+        return harness._sample_chunk(k, *harness._grid_working_set(k, shape, kappas))
+    assert [chunk(k, base["kappas"]) for k in (256, 512, 1024)] == [17, 19, 14]
+    assert chunk(1024, [4, 8, 16, 32, 64, 128, 256, 512]) == 8
+
+
+@pytest.mark.parametrize("kappa_ref,kappas,n_theta,n_phi,initial", [
+    (64, [2, 4, 8, 16, 32], None, None, "zero"),
+    (64, [*range(4, 64, 4), 62], None, None, "zero"),
+    (40, [3, 10, 21], 33, 67, "random-sobolev")])
+def test_a_chunk_holds_at_most_its_working_set(kappa_ref, kappas, n_theta, n_phi, initial):
+    cfg = ExperimentConfig(alpha=2.0, kappas=kappas, kappa_ref=kappa_ref, seed=3,
+                           n_theta=n_theta, n_phi=n_phi, error_kind="max-grid",
+                           initial_data=initial, beta=2.0, gamma=1.5)
+    tails = _TailErrors(cfg)
+    tails.sample(range(1))  # the phase tables and the degree tables are cached
+    chunk = range(tails.chunk)
+    assert tails.chunk > 1
+    assert _traced_peak(tails.sample, chunk) <= tails.worker_bytes
 
 
 def test_grid_error_memory_does_not_grow_with_the_samples():
@@ -538,9 +558,18 @@ def test_thread_count_beyond_physical_memory_is_refused_before_sampling(monkeypa
 
 
 def test_worker_bytes_count_one_chunk_of_fields_and_the_largest_legendre_block():
-    cfg = ExperimentConfig(alpha=1.0, kappas=[2, 4, 8], kappa_ref=40, error_kind="max-grid")
+    kappa = 40
+    cfg = ExperimentConfig(alpha=1.0, kappas=[2, 4, 8], kappa_ref=kappa, error_kind="max-grid")
     tails = _TailErrors(cfg)
+    grid = tails.grid
     blocks = [block.nbytes for _, _, block in harmonics._legendre_blocks(
-        cfg.kappa_ref, tails.grid.theta[:(tails.grid.n_theta + 1) // 2])]
-    fields = 2 * tails.chunk * harmonics.synthesis_field_bytes(cfg.kappa_ref, tails.grid)
-    assert tails.worker_bytes == fields + max(blocks)
+        cfg.kappa_ref, grid.theta[:(grid.n_theta + 1) // 2])]
+    # per field the packed coefficients, the profiles of the shells (2, 4], (4, 8],
+    # (8, 40] and the staged sums; per worker the six phi half grids and the
+    # draw's per-mode arrays beside the largest block
+    field = 8 * ((kappa + 1) * (kappa + 2) + 2 * (5 + 9 + 41) * grid.n_theta
+                 + 2 * harmonics.FOLD_ORDERS * 2 * (grid.n_theta + 1) // 2)
+    halves = 6 * 8 * (grid.n_phi // 2 + 1) * grid.n_theta
+    draw = 8 * harness.DRAW_MODE_ARRAYS * mode_count(kappa, 3)
+    assert tails.field_bytes == field
+    assert tails.worker_bytes == 2 * tails.chunk * field + max(blocks) + halves + draw
