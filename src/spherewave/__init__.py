@@ -22,7 +22,7 @@ _EXPORTS = {
                      "sample_schrodinger_conv_increments", "sample_wave_conv_increments"),
                     "noise"),
     **dict.fromkeys(("run_path_schrodinger", "schrodinger_step"), "schrodinger"),
-    **dict.fromkeys(("PowerSpectrum", "random_sobolev_data"), "spectrum"),
+    "PowerSpectrum": "spectrum",
     **dict.fromkeys(("State", "init_state", "run_path", "step"), "wave"),
 }
 

@@ -20,12 +20,13 @@ import numpy as np
 
 from . import harmonics
 from .harmonics import synthesize
-from .harness import (ExperimentConfig, analytic_weak_error_experiment,
-                      pathwise_error_experiment, strong_error_experiment,
+from .harness import (EQUATIONS, ERROR_KINDS, FUNCTIONALS, INITIAL_DATA_MODES, WEAK_METHODS,
+                      ExperimentConfig, _sample_rngs, analytic_weak_error_experiment,
+                      initial_data, pathwise_error_experiment, strong_error_experiment,
                       theoretical_rates, weak_error_experiment)
 from .io import (ensure_dir, write_coefficient_csv, write_error_table_csv,
                  write_error_table_json, write_grid_field_csv, write_wave_trajectory_csv)
-from .modes import mode_count
+from .modes import CoefficientField, mode_count
 from .noise import sample_isotropic_grf
 from .wave import run_path
 
@@ -86,7 +87,7 @@ def _add_flags(parser: argparse.ArgumentParser):
     """The flags of every subcommand: one per config key, then --debug."""
     parser.add_argument("--config", help="JSON file with flat config keys")
     parser.add_argument("--preset", choices=sorted(PRESETS), help="named experiment preset")
-    parser.add_argument("--equation", choices=["wave", "wave-dsphere", "schrodinger"])
+    parser.add_argument("--equation", choices=EQUATIONS)
     parser.add_argument("--dim", type=int, help="ambient dimension (wave-dsphere)")
     parser.add_argument("--alpha", type=float, help="spectrum decay exponent")
     parser.add_argument("--scale", type=float, help="spectrum prefactor (0 = no noise)")
@@ -96,7 +97,7 @@ def _add_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--beta", type=float, help="Sobolev exponent of random v1")
     parser.add_argument("--gamma", type=float, help="Sobolev exponent of random v2")
     parser.add_argument("--initial-data", dest="initial_data",
-                        choices=["zero", "random-sobolev", "file"])
+                        choices=INITIAL_DATA_MODES)
     parser.add_argument("--v1-file", dest="v1_file")
     parser.add_argument("--v2-file", dest="v2_file")
     parser.add_argument("--T", type=float, help="final time")
@@ -107,12 +108,12 @@ def _add_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--samples", type=int, help="Monte Carlo samples")
     parser.add_argument("--seed", type=int, help="base seed")
     parser.add_argument("--error-kind", dest="error_kind",
-                        choices=["l2-coefficients", "max-grid"])
+                        choices=ERROR_KINDS)
     parser.add_argument("--n-theta", dest="n_theta", type=int, help="grid colatitudes")
     parser.add_argument("--n-phi", dest="n_phi", type=int, help="grid longitudes")
     parser.add_argument("--weak-functional", dest="weak_functional",
-                        choices=["squared-norm", "exp-neg-squared-norm"])
-    parser.add_argument("--weak-method", dest="weak_method", choices=["mc", "analytic"],
+                        choices=list(FUNCTIONALS))
+    parser.add_argument("--weak-method", dest="weak_method", choices=WEAK_METHODS,
                         help="mc: coupled Monte Carlo; analytic: exact squared-norm "
                              "errors from the per-degree law, without sampling")
     parser.add_argument("--store-every", dest="store_every", type=int,
@@ -180,19 +181,10 @@ def cmd_weak(cfg: ExperimentConfig) -> list[str]:
 
 
 def _simulate_initial(cfg):
-    from .harness import _load_initial_fields, _sample_rngs
-    from .modes import CoefficientField
-    from .spectrum import random_sobolev_data
-
-    v1, v2 = _load_initial_fields(cfg)
-    if cfg.initial_data == "random-sobolev":
-        rng, = _sample_rngs(cfg.seed, [0])
-        if cfg.beta is not None:
-            v1 = random_sobolev_data(cfg.beta, cfg.kappa_ref, rng, cfg.dim)
-        if cfg.gamma is not None:
-            v2 = random_sobolev_data(cfg.gamma, cfg.kappa_ref, rng, cfg.dim)
-    zero = CoefficientField.zeros(cfg.kappa_ref, cfg.dim)
-    return v1 or zero, v2 or zero
+    """The initial data of grid-error sample 0, drawn from sample 0's generator."""
+    n = mode_count(cfg.kappa_ref, cfg.dim)
+    return tuple(CoefficientField(np.full(n, v), cfg.kappa_ref, cfg.dim)
+                 for v in initial_data(cfg)(*_sample_rngs(cfg.seed, [0])))
 
 
 # Peak resident bytes per mode of simulate and sample-field (states, noise and

@@ -14,9 +14,10 @@ the terminal state:
 * per-degree (`_DegreeSampler`): coefficient-space errors and weak errors see a
   sample only through its per-degree sums of squares, which are drawn directly
   from their exact (Wishart) law at O(kappa_ref) cost, whatever the dimension;
-* per-mode (`_TerminalSampler`): grid errors need every coefficient.  Its
-  per-mode increment factors are expanded once per chunk and fixed data is
-  propagated once per run, so a sample costs its normal draws and a few
+* per-mode (`_TerminalSampler`): grid errors need every coefficient.  A
+  sample is its initial data (`initial_data`) and one step of size T of the
+  path stepper (wave.mode_stepper), expanded once per chunk; fixed data is
+  propagated once per chunk, so a sample costs its normal draws and a few
   array operations.
 
 Both run in chunks of consecutive samples whose size depends on kappa_ref (and
@@ -45,9 +46,9 @@ from . import harmonics
 from .harmonics import (GridShape, SphereGrid, legendre_block_bytes, phase_table_bytes,
                         synthesis_field_bytes, synthesize_tails)
 from .modes import degree_offsets, degree_sizes, mode_count, mode_degrees
-from .noise import ConvFactorTable, ModeFactors, _factor_entries, sample_degree_wishart
+from .noise import ConvFactorTable, _factor_entries, sample_degree_wishart
 from .spectrum import PowerSpectrum, sobolev_scale
-from .wave import expand, rotate
+from .wave import expand, mode_stepper, rotate
 
 EQUATIONS = ("wave", "wave-dsphere", "schrodinger")
 ERROR_KINDS = ("l2-coefficients", "max-grid")
@@ -162,16 +163,27 @@ class ExperimentConfig:
             raise ValueError(f"kappas must be strictly increasing and non-negative, got {ks}")
         if self.kappa_ref < 0:
             raise ValueError(f"kappa_ref must be non-negative, got {self.kappa_ref}")
-        if self.initial_data == "file" and self.v1_file is None and self.v2_file is None:
+        if self.initial_data == "file" and not (self.v1_file or self.v2_file):
             raise ValueError("initial_data == 'file' needs v1_file and/or v2_file")
 
     def validate_experiment(self):
-        """Stricter checks for truncation-error experiments (not needed to simulate)."""
+        """Stricter checks for truncation-error experiments (not needed to simulate):
+        above degree 0 the noise spectrum must have a finite square and, with
+        zero data, must not underflow to 0, which would make every error 0."""
         self.validate()
         if self.kappa_ref <= max(self.kappas):
             raise ValueError(
                 f"kappa_ref ({self.kappa_ref}) must exceed every tested kappa "
                 f"(max {max(self.kappas)})")
+        values = self.power_spectrum().values(self.kappa_ref)[1:]  # degrees 1..kappa_ref
+        with np.errstate(over="ignore"):
+            huge = np.flatnonzero(~np.isfinite(values * values))
+        vanished = np.flatnonzero(values == 0.0) if self.initial_data == "zero" else ()
+        for key, degrees, what in (("scale", huge, "squared spectrum overflows"),
+                                   ("alpha", vanished, "spectrum underflows to 0")):
+            if self.scale > 0 and len(degrees):
+                raise ValueError(f"{_named(key)} = {getattr(self, key)!r}: the {what} at "
+                                 f"degree {degrees[0] + 1}")
 
     def power_spectrum(self) -> PowerSpectrum:
         return PowerSpectrum(self.alpha, self.scale, self.ell0, self.head_value)
@@ -308,6 +320,25 @@ def _load_initial_fields(cfg):
     return load(cfg.v1_file), load(cfg.v2_file)
 
 
+def initial_data(cfg: ExperimentConfig):
+    """draw(rng) -> (v1, v2): the initial data per mode at kappa_ref, a missing
+    component 0.0.
+
+    Random-sobolev data draws the first component (if beta is set), then the
+    second (if gamma is set) from rng, with the Sobolev scales gathered once,
+    here.  Fixed data is read once, here, and ignores rng.
+    """
+    if cfg.initial_data == "random-sobolev":
+        degrees = mode_degrees(cfg.kappa_ref, cfg.dim)
+        scales = [None if exponent is None else sobolev_scale(exponent, cfg.kappa_ref,
+                                                              cfg.dim)[degrees]
+                  for exponent in (cfg.beta, cfg.gamma)]
+        return lambda rng: tuple(0.0 if scale is None else scale * rng.standard_normal(scale.size)
+                                 for scale in scales)
+    fixed = tuple(0.0 if v is None else v.data for v in _load_initial_fields(cfg))
+    return lambda rng: fixed
+
+
 # Constants of numpy's SeedSequence: its entropy pool has 4 uint32 words, the
 # `hashmix` of an entropy word uses the multipliers INIT_A * MULT_A^k in turn,
 # `mix` combines two words, and generate_state hashes the pool with INIT_B, MULT_B.
@@ -415,14 +446,12 @@ def _sample_rngs(seed: int, indices) -> list:
 class _TerminalSampler:
     """Draws coupled (component1, component2) coefficient arrays at kappa_ref.
 
-    Per mode the terminal state is M u0 + (W1, sign * W2) under the law of
-    one step over T: u0 is the initial data, M the noise-free step and W the
-    convolution increment.  Data from files is propagated once per run.
-    `draw` expands the per-mode increment factors once per chunk, with the
-    rotation and the Sobolev scales for random-sobolev data or M 0 for zero
-    data (the sum keeps its signed zeros), and drops them on return, before
-    the chunk is synthesized.  Per sample it then draws the data (if random)
-    and the normals and adds M u0.
+    A sample is its initial data u0 (`initial_data`) and one step of size T
+    of the path stepper (wave.mode_stepper), M u0 + (W1, sign * W2).  `draw`
+    builds the stepper once per chunk and drops it on return, before the chunk
+    is synthesized.  Fixed data is propagated once per chunk, M 0 included (the
+    sum keeps its signed zeros), and the expanded rotation is dropped before
+    the draws: kept, its arrays made glibc trim the heap after every chunk.
 
     Draw order per sample: first component data (if random), second component
     data (if random), then the convolution increments; this pins reproducibility.
@@ -432,45 +461,20 @@ class _TerminalSampler:
         cfg.validate_experiment()
         self.cfg = cfg
         self.ps = cfg.power_spectrum()
-        self.kref = cfg.kappa_ref
-        self.dim = cfg.dim
-        self.law = ConvFactorTable.for_equation(cfg.equation, self.kref, self.dim, cfg.T)
-        self.random = cfg.initial_data == "random-sobolev"
-        self.mean = _propagated_file_data(cfg, self.law)
+        self.law = ConvFactorTable.for_equation(cfg.equation, cfg.kappa_ref, cfg.dim, cfg.T)
+        self.initial = initial_data(cfg)
 
     def draw(self, indices) -> np.ndarray:
         """Terminal states of the samples `indices`, shape (2 len(indices), n_modes):
         row 2k is sample indices[k]'s first component, row 2k + 1 its second."""
-        cfg, kref, dim = self.cfg, self.kref, self.dim
-        data = np.empty((2 * len(indices), mode_count(kref, dim)))
-        noise = ModeFactors.expand(self.ps, self.law)
-        if self.random:
-            rotation = expand(self.law.rotation, kref, dim)
-            degrees = mode_degrees(kref, dim)
-            scales = [None if exponent is None else sobolev_scale(exponent, kref, dim)[degrees]
-                      for exponent in (cfg.beta, cfg.gamma)]
-        elif self.mean is None:  # zero data
-            mean = expand(rotate(self.law.rotation, 0.0, 0.0), kref, dim)
-        else:
-            mean = self.mean
-        for k, rng in enumerate(_sample_rngs(cfg.seed, indices)):
-            if self.random:  # the data of random_sobolev_data, from the expanded scales
-                mean = rotate(rotation, *(0.0 if scale is None
-                                          else scale * rng.standard_normal(scale.size)
-                                          for scale in scales))
-            data[2 * k], data[2 * k + 1] = noise.add(*mean, rng)
+        data = np.empty((2 * len(indices), mode_count(self.cfg.kappa_ref, self.cfg.dim)))
+        advance = mode_stepper(self.law, self.ps)
+        if self.cfg.initial_data != "random-sobolev":  # M u0 once per chunk, rotation dropped
+            mean, noise = rotate(advance.rotation, *self.initial(None)), advance.noise
+            advance = lambda _u1, _u2, rng: noise.add(*mean, rng)  # noqa: E731
+        for k, rng in enumerate(_sample_rngs(self.cfg.seed, indices)):
+            data[2 * k], data[2 * k + 1] = advance(*self.initial(rng), rng)
         return data
-
-
-def _propagated_file_data(cfg: ExperimentConfig, law: ConvFactorTable):
-    """M u0 per mode for initial data from files (a missing file is zero data),
-    or None without file data: the mean of the terminal state."""
-    v1, v2 = _load_initial_fields(cfg)
-    if v1 is None and v2 is None:
-        return None
-    zero = np.zeros(mode_count(cfg.kappa_ref, cfg.dim))
-    return rotate(expand(law.rotation, cfg.kappa_ref, cfg.dim),
-                  zero if v1 is None else v1.data, zero if v2 is None else v2.data)
 
 
 def _terminal_law(cfg: ExperimentConfig):
@@ -493,7 +497,9 @@ def _terminal_law(cfg: ExperimentConfig):
             if exponent is not None:
                 var[:, j] = sobolev_scale(exponent, kref, dim) ** 2
         sigma = sigma + np.einsum("lij,lj,lkj->lik", rot, var, rot)
-    return sigma, _propagated_file_data(cfg, law)
+    if cfg.initial_data != "file":
+        return sigma, None
+    return sigma, rotate(expand(law.rotation, kref, dim), *initial_data(cfg)(None))
 
 
 def _mean_gram(mu1, mu2, offsets):
@@ -603,10 +609,11 @@ DEGREE_CHUNK_BYTES = 64 * 2**10
 SAMPLE_CHUNK_BYTES = 64 * 2**20
 MAX_WORKER_BYTES = 960 * 2**20
 
-# Arrays of 8 bytes per mode that _TerminalSampler.draw holds beside its stack:
-# the expanded increment factors, the rotation, the Sobolev scales and one
-# sample's normals and sums.  Traced at kappa_ref 64 with chunks of 4 samples:
-# 18.2 with random data in both components, 11.2 with zero data.
+# Arrays of 8 bytes per mode that a grid-error sampler holds beside its stack:
+# the stepper's increment factors and rotation, one sample's normals and sums,
+# and the initial data's Sobolev scales, which it holds for the whole run.
+# Traced at kappa_ref 64 with chunks of 4 samples: 16.2 in draw plus the 2
+# scales with random data in both components, 11.2 with zero data.
 DRAW_MODE_ARRAYS = 20
 
 
@@ -682,20 +689,12 @@ class _TailErrors:
         The drawn stack goes straight to synthesize_tails, which frees it once
         packed."""
         cfg = self.cfg
-        return self._maxima(synthesize_tails(self.sampler.draw(indices), cfg.kappa_ref,
-                                             self.grid, cfg.kappas))
-
-    def __call__(self, data: np.ndarray) -> np.ndarray:
-        """Errors of the (B, n_modes) stack `data`, shape (B, len(kappas)), kappas ascending."""
-        return self._maxima(synthesize_tails(data, self.cfg.kappa_ref, self.grid,
-                                             self.cfg.kappas))
-
-    def _maxima(self, tails) -> np.ndarray:
         largest_first, work = [], None  # |C| and |S|, allocated once the theta stage is done
-        for halves in tails:
+        for halves in synthesize_tails(self.sampler.draw(indices), cfg.kappa_ref, self.grid,
+                                       cfg.kappas):
             work = np.abs(halves, out=work)
             largest_first.append(np.add(*work, out=work[0]).max())
-        return np.array(largest_first).reshape(-1, len(self.cfg.kappas))[:, ::-1]
+        return np.array(largest_first).reshape(-1, len(cfg.kappas))[:, ::-1]
 
 
 def _map_samples(cfg, fn, n, sampler):
@@ -777,18 +776,14 @@ def pathwise_error_experiment(cfg: ExperimentConfig) -> dict[str, ErrorTable]:
     return out
 
 
-def weak_error_experiment(cfg: ExperimentConfig,
-                          functional: str | None = None) -> dict[str, ErrorTable]:
+def weak_error_experiment(cfg: ExperimentConfig) -> dict[str, ErrorTable]:
     """|E phi(u^kref) - E phi(u^kappa)| with common random numbers.
 
     Both supported functionals depend on u only through its squared L^2 norm,
     which is a prefix sum of the per-degree sums of squares under the coupling.
     """
-    name_phi = functional or cfg.weak_functional
-    if name_phi not in FUNCTIONALS:
-        raise ValueError(f"unknown test functional {name_phi!r}")
-    phi = FUNCTIONALS[name_phi]
-    sampler = _DegreeSampler(cfg)
+    sampler = _DegreeSampler(cfg)  # validates cfg.weak_functional
+    phi = FUNCTIONALS[cfg.weak_functional]
     # phi of the tested prefixes and of the full norm in one call per chunk
     columns = np.append(cfg.kappas, cfg.kappa_ref)
 
@@ -810,7 +805,7 @@ def weak_error_experiment(cfg: ExperimentConfig,
                   if cfg.samples > 1 else np.zeros_like(mean))
         out[name] = _make_table(cfg, "weak-mc", name, list(cfg.kappas),
                                 np.abs(mean), stderr, "per-degree",
-                                extra={"functional": name_phi})
+                                extra={"functional": cfg.weak_functional})
     return out
 
 

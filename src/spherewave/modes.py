@@ -31,6 +31,13 @@ def laplacian_eigenvalue(ell: int, dim: int = 3) -> float:
     return -float(ell * (ell + dim - 2))
 
 
+def laplacian_lambdas(kappa: int, dim: int = 3) -> np.ndarray:
+    """lam_ell = ell (ell + dim - 2) = -laplacian_eigenvalue(ell, dim) for ell = 0..kappa;
+    exact integers below 2**53, so bit for bit the scalar function's values."""
+    ells = np.arange(kappa + 1, dtype=np.int64)
+    return (ells * (ells + dim - 2)).astype(float)
+
+
 def harmonic_dimension(ell: int, dim: int = 3) -> int:
     """Number of linearly independent degree-ell harmonics on S^{dim-1}."""
     if ell < 0:

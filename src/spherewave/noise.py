@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import CoefficientField, laplacian_eigenvalue, mode_degrees
+from .modes import CoefficientField, laplacian_lambdas, mode_degrees
 from .spectrum import PowerSpectrum
 
 # Taylor/direct switchover for x = sqrt(lam) * t.  At x = 0.05 the series below
@@ -114,7 +114,7 @@ class Propagator:
 
     @classmethod
     def build(cls, kappa: int, dim: int, h: float) -> "Propagator":
-        lam = np.array([-laplacian_eigenvalue(ell, dim) for ell in range(kappa + 1)])
+        lam = laplacian_lambdas(kappa, dim)
         r1 = np.empty(kappa + 1)
         r2 = np.empty(kappa + 1)
         r1[0] = h  # lam -> 0 limit of sin(sqrt(lam) h)/sqrt(lam)
@@ -174,7 +174,7 @@ class ConvFactorTable:
     def for_schrodinger(cls, kappa: int, h: float) -> "ConvFactorTable":
         """The rotation has entries (cos x, sin x, -sin x) with x = sqrt(lam) h."""
         _check_time(h)
-        lams = np.array([-laplacian_eigenvalue(ell, 3) for ell in range(kappa + 1)])
+        lams = laplacian_lambdas(kappa)
         x = np.sqrt(lams) * h
         s = np.sin(x)
         d11, d12, d22 = _factor_entries(*_conv_entries(lams, h, "schrodinger"))

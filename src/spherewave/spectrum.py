@@ -1,4 +1,4 @@
-"""Angular power spectra of the driving noise and Sobolev-regular random data."""
+"""Angular power spectra of the driving noise and scales of Sobolev-regular random data."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import CoefficientField, degree_sizes, laplacian_eigenvalue, mode_count, mode_degrees
+from .modes import degree_sizes, laplacian_lambdas
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class PowerSpectrum:
 
 
 def sobolev_scale(beta: float, kappa: int, dim: int = 3) -> np.ndarray:
-    """Per-degree coefficient standard deviation used by random_sobolev_data.
+    """Per-degree coefficient standard deviation of random-sobolev initial data.
 
     The scaling (1 + lam)^(-(2 beta + 1)/4) * h(ell, dim)^(-1/2) puts the field on
     the H^beta smoothness boundary: the expected squared tail above degree kappa
@@ -49,16 +49,7 @@ def sobolev_scale(beta: float, kappa: int, dim: int = 3) -> np.ndarray:
     rate beta that H^beta data admits (the expected squared H^beta norm per
     degree falls off like 1/ell).
     """
-    lam = np.array([-laplacian_eigenvalue(ell, dim) for ell in range(kappa + 1)])
+    lam = laplacian_lambdas(kappa, dim)
     sizes = degree_sizes(kappa, dim).astype(float)
     return (1.0 + lam) ** (-(2.0 * beta + 1.0) / 4.0) / np.sqrt(sizes)
 
-
-def random_sobolev_data(beta: float, kappa: int, rng: np.random.Generator,
-                        dim: int = 3) -> CoefficientField:
-    """Draw a centered Gaussian field whose truncation error saturates rate beta."""
-    if kappa < 0:
-        raise ValueError(f"band limit must be non-negative, got {kappa}")
-    sigma = sobolev_scale(beta, kappa, dim)[mode_degrees(kappa, dim)]
-    data = sigma * rng.standard_normal(mode_count(kappa, dim))
-    return CoefficientField(data, kappa, dim)

@@ -72,20 +72,29 @@ def expand(per_degree, kappa: int, dim: int) -> tuple[np.ndarray, ...]:
     return tuple(a[degrees] for a in per_degree)
 
 
-def mode_stepper(law: ConvFactorTable, ps: PowerSpectrum,
-                 rng: np.random.Generator) -> Callable:
-    """advance(u1, u2): one exact step of every mode under `law`, M u + (W1, +-W2).
+@dataclass(frozen=True, eq=False)
+class ModeStepper:
+    """advance(u1, u2, rng): one exact step of every mode, M u + (W1, +-W2).
 
-    The per-degree rotation entries and the increment factors are expanded to
-    every mode once, here, not on every step.
+    `rotation` holds the per-mode entries of M (see rotate) and `noise` the
+    per-mode increment factors, so a caller can form M u once for data that
+    several steps start from.
     """
-    rotation = expand(law.rotation, law.kappa, law.dim)
-    noise = ModeFactors.expand(ps, law)
-    return lambda u1, u2: noise.add(*rotate(rotation, u1, u2), rng)
+
+    rotation: tuple[np.ndarray, ...]
+    noise: ModeFactors
+
+    def __call__(self, u1, u2, rng: np.random.Generator):
+        return self.noise.add(*rotate(self.rotation, u1, u2), rng)
 
 
-def _advanced(state: State, advance: Callable, h: float) -> State:
-    u1, u2 = advance(state.u1.data, state.u2.data)
+def mode_stepper(law: ConvFactorTable, ps: PowerSpectrum) -> ModeStepper:
+    """The step of `law`, its per-degree entries expanded to every mode once,
+    here, not on every step."""
+    return ModeStepper(expand(law.rotation, law.kappa, law.dim), ModeFactors.expand(ps, law))
+
+
+def _advanced(state: State, h: float, u1: np.ndarray, u2: np.ndarray) -> State:
     return State(CoefficientField(u1, state.kappa, state.dim),
                  CoefficientField(u2, state.kappa, state.dim), t=state.t + h)
 
@@ -93,14 +102,14 @@ def _advanced(state: State, advance: Callable, h: float) -> State:
 def propagate(state: State, prop: Propagator) -> State:
     """Deterministic part of one wave step (exact rotation, zero noise)."""
     rotation = expand(prop.rotation(), state.kappa, state.dim)
-    return _advanced(state, lambda u1, u2: rotate(rotation, u1, u2), prop.h)
+    return _advanced(state, prop.h, *rotate(rotation, state.u1.data, state.u2.data))
 
 
 def step(state: State, h: float, ps: PowerSpectrum, rng: np.random.Generator,
          factors: ConvFactorTable) -> State:
     """One exact step of size h under the law `factors`, of either equation."""
     factors.require(state.kappa, state.dim, h)
-    return _advanced(state, mode_stepper(factors, ps, rng), h)
+    return _advanced(state, h, *mode_stepper(factors, ps)(state.u1.data, state.u2.data, rng))
 
 
 def run_path(ps: PowerSpectrum, v1: CoefficientField, v2: CoefficientField,
@@ -120,9 +129,10 @@ def run_path(ps: PowerSpectrum, v1: CoefficientField, v2: CoefficientField,
     if store_every < 1:
         raise ValueError(f"store_every must be >= 1, got {store_every}")
     h = T / steps
-    law = ConvFactorTable.for_equation(equation, kappa, dim, h)
-    advance = mode_stepper(law, ps, np.random.default_rng(np.random.SeedSequence(seed)))
-    return stored_states(init_state(v1, v2, kappa, dim), lambda s: _advanced(s, advance, h),
+    advance = mode_stepper(ConvFactorTable.for_equation(equation, kappa, dim, h), ps)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return stored_states(init_state(v1, v2, kappa, dim),
+                         lambda s: _advanced(s, h, *advance(s.u1.data, s.u2.data, rng)),
                          steps, store_every)
 
 

@@ -35,11 +35,12 @@ from scipy import integrate
 from scipy.special import sph_harm_y
 
 from spherewave import noise
+from spherewave.harmonics import synthesize_tails
 from spherewave.harness import _load_initial_fields
 from spherewave.modes import (CoefficientField, degree_offsets, laplacian_eigenvalue, mode_count,
                               mode_degrees)
 from spherewave.noise import ConvFactorTable, Propagator
-from spherewave.spectrum import PowerSpectrum, random_sobolev_data
+from spherewave.spectrum import PowerSpectrum, sobolev_scale
 from spherewave.wave import State
 
 
@@ -218,6 +219,16 @@ def mode_labels(kappa: int, dim: int) -> list[tuple[int, int, int]]:
             for j in range(1, harmonic_dimension(ell, dim) + 1)]
 
 
+def random_sobolev_data(beta: float, kappa: int, rng: np.random.Generator,
+                        dim: int = 3) -> CoefficientField:
+    """A centered Gaussian field whose truncation error saturates rate beta:
+    the package's Sobolev scales gathered per mode on the spot."""
+    if kappa < 0:
+        raise ValueError(f"band limit must be non-negative, got {kappa}")
+    sigma = sobolev_scale(beta, kappa, dim)[mode_degrees(kappa, dim)]
+    return CoefficientField(sigma * rng.standard_normal(mode_count(kappa, dim)), kappa, dim)
+
+
 def sample_rng(seed: int, index: int) -> np.random.Generator:
     """Sample `index`'s generator, built by numpy's own SeedSequence."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
@@ -323,6 +334,15 @@ def terminal_state_by_steps(cfg, index):
             data.append(np.zeros(mode_count(kappa, dim)))
     factors = _factor_table(cfg.equation, kappa, dim, cfg.T)
     return step_by_gathers(cfg.equation, *data, cfg.T, cfg.power_spectrum(), factors, rng)
+
+
+def grid_tail_errors(data, cfg, grid) -> np.ndarray:
+    """Max-norm tail errors of the (B, n_modes) stack `data`, shape
+    (B, len(kappas)), kappas ascending: the largest |C| + |S| of each of
+    synthesize_tails' folded halves, taken before the generator advances."""
+    maxima = [np.max(np.abs(c) + np.abs(s))
+              for c, s in synthesize_tails(data, cfg.kappa_ref, grid, cfg.kappas)]
+    return np.array(maxima).reshape(-1, len(cfg.kappas))[:, ::-1]
 
 
 def path_by_steps(equation, ps, u1, u2, kappa, dim, T, steps, seed, store_every):

@@ -166,9 +166,9 @@ def test_grid_errors_are_bit_identical_across_chunks(monkeypatch, tmp_path, equa
         tails = _TailErrors(cfg)
         assert tails.chunk == chunk
         # a batch's synthesis rounds alike only for the same batch
-        reference = np.concatenate([tails(np.array(
+        reference = np.concatenate([oracles.grid_tail_errors(np.array(
             [c for i in range(j, min(j + chunk, cfg.samples))
-             for c in oracles.terminal_state_by_steps(cfg, i)]))
+             for c in oracles.terminal_state_by_steps(cfg, i)]), cfg, tails.grid)
             for j in range(0, cfg.samples, chunk)])
         run = harness._sample_tail_errors(cfg, cfg.samples)[0]
         assert _same_bits(np.array(run).reshape(reference.shape), reference)

@@ -649,14 +649,50 @@ def test_error_tables_refuse_values_that_are_not_finite():
                             [0.1, float("inf"), 0.1], "per-degree")
 
 
-def _spherewave(argv, env_update, drop=()):
+def _spherewave(argv, env_update, drop=(), check=True):
     """Run `python -m spherewave argv` in a fresh process from this checkout's sources."""
     src = os.path.dirname(os.path.dirname(harness.__file__))
     env = {k: v for k, v in os.environ.items() if k not in drop}
     env.update(env_update, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-m", "spherewave", *argv], env=env,
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=check)
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--alpha", "800"], "alpha (--alpha) = 800.0: the spectrum underflows to 0 at degree 3"),
+    (["--scale", "1e300"], "scale (--scale) = 1e+300: the squared spectrum overflows at degree 1")])
+def test_a_spectrum_that_vanishes_or_overflows_fails_with_one_error_line(tmp_path, flags,
+                                                                        message):
+    # before the guard, --alpha 800 wrote all-zero tables and --scale 1e300
+    # printed numpy's overflow warning before its error line
+    run = _spherewave(["convergence", *flags, "--kappa-ref", "16", "--kappas", "2,4,8",
+                       "--samples", "5", "--output", str(tmp_path / "out")], {}, check=False)
+    assert run.returncode == 1
+    assert run.stderr.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_random_data_keeps_the_errors_of_a_vanishing_spectrum(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("convergence", "--alpha", "800", "--initial-data", "random-sobolev",
+                   "--beta", "2", "--output", str(out)) == 0
+    meta = json.loads((out / "convergence_position.json").read_text())
+    assert meta["slope"] == pytest.approx(-1.85, abs=0.01)
+
+
+def test_simulate_starts_from_the_initial_data_of_grid_error_sample_0(tmp_path):
+    argv = ["simulate", "--initial-data", "random-sobolev", "--beta", "2", "--gamma", "1.5",
+            "--kappa-ref", "12", "--seed", "4", "--output", str(tmp_path)]
+    assert run_cli(*argv) == 0
+    block = (tmp_path / "trajectory.csv").read_text().split("# t=")[1]
+    assert block.startswith("0.0 ")
+    written = [np.array([float(row.rsplit(",", 1)[1]) for row in part.splitlines()[1:]])
+               for part in block.split("# field=")[1:]]
+    cfg = resolve_config(build_parser().parse_args(argv))
+    for got, expected in zip(written, harness.initial_data(cfg)(oracles.sample_rng(4, 0)),
+                             strict=True):
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,

@@ -8,6 +8,7 @@ must lie within Z_LIMIT standard errors of the sample; degrees whose
 reference variance is exactly zero must match exactly.
 """
 
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -319,8 +320,8 @@ def test_chunked_wishart_matches_one_generator_gamma_reference(dof, seed, rows):
 def _experiment_arrays(cfg):
     """Every per-degree table's errors and stderrs, for bit-for-bit comparison."""
     tables = [strong_error_experiment(cfg), pathwise_error_experiment(cfg),
-              weak_error_experiment(cfg, "squared-norm"),
-              weak_error_experiment(cfg, "exp-neg-squared-norm")]
+              *(weak_error_experiment(dataclasses.replace(cfg, weak_functional=name))
+                for name in ("squared-norm", "exp-neg-squared-norm"))]
     return [a for t in tables for table in t.values() for a in (table.errors, table.stderrs)]
 
 

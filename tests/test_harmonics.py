@@ -10,7 +10,7 @@ from spherewave.harmonics import (MAX_SYNTHESIS_BAND, SphereGrid, GridField,
                                   normalized_legendre_table, synthesis_field_bytes, synthesize,
                                   synthesize_tails, _legendre_blocks, _pair_offsets)
 from spherewave.modes import (CoefficientField, harmonic_dimension,
-                              laplacian_eigenvalue, mode_count)
+                              laplacian_eigenvalue, laplacian_lambdas, mode_count)
 
 import oracles
 from oracles import (assoc_legendre, grid_l2_norm, grid_max_abs, loop_legendre_table,
@@ -105,6 +105,15 @@ def test_laplacian_eigenvalue_integer_exact():
     assert laplacian_eigenvalue(0, 3) == 0.0
     assert laplacian_eigenvalue(1, 3) == -2.0
     assert laplacian_eigenvalue(2, 4) == -8.0
+
+
+@pytest.mark.parametrize("dim", range(3, 9))
+def test_laplacian_lambdas_equal_the_scalar_eigenvalues_bit_for_bit(dim):
+    for kappa in (0, 1, 7, 2000):
+        expected = np.array([-laplacian_eigenvalue(ell, dim) for ell in range(kappa + 1)])
+        got = laplacian_lambdas(kappa, dim)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_harmonic_dimension_values():

@@ -139,7 +139,7 @@ def test_max_grid_error_dominates_scaled_l2():
     cfg = ExperimentConfig(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, samples=1, seed=3,
                            error_kind="max-grid")
     data = _TerminalSampler(cfg).draw(range(5))
-    e_max = _TailErrors(cfg)(data)
+    e_max = oracles.grid_tail_errors(data, cfg, cfg.grid())
     e_l2 = _coefficient_tails(data, cfg)
     assert e_max.shape == e_l2.shape == (10, 3)
     assert np.all(e_max >= e_l2 / math.sqrt(4.0 * math.pi) - 1e-12)
@@ -196,7 +196,7 @@ def test_analytic_second_moment_agrees_with_monte_carlo():
 
 def test_weak_mc_agrees_with_analytic_differences():
     cfg = ExperimentConfig(alpha=3.0, kappas=[2, 4, 8], kappa_ref=32, samples=4000, seed=31)
-    tables = weak_error_experiment(cfg, "squared-norm")
+    tables = weak_error_experiment(cfg)
     ps = cfg.power_spectrum()
     ref = analytic_second_moment(ps, cfg.kappa_ref, cfg.T)
     for pos, name in enumerate(("position", "velocity")):
@@ -247,7 +247,7 @@ def test_analytic_weak_errors_agree_with_monte_carlo(tmp_path, params):
                   "v2_file": str(tmp_path / "v2.csv")}
     cfg = ExperimentConfig(kappas=[2, 4, 8, 16], kappa_ref=32, samples=4000, **params)
     exact = analytic_weak_error_experiment(cfg)
-    mc = weak_error_experiment(cfg, "squared-norm")
+    mc = weak_error_experiment(cfg)
     for name in cfg.component_names():
         z = np.abs(mc[name].errors - exact[name].errors) / mc[name].stderrs
         assert np.all(z <= 5.0), f"{name}: {z}"
@@ -419,7 +419,6 @@ def test_grid_errors_equal_the_max_of_the_grids_synthesize_unfolds(monkeypatch, 
     cfg = ExperimentConfig(alpha=2.0, kappas=[1, 6], kappa_ref=24, seed=3, n_theta=13,
                            n_phi=n_phi, error_kind="max-grid")
     tails = _TailErrors(cfg)
-    data = _TerminalSampler(cfg).draw(range(2))
     recorded = []
 
     def recording(*args):
@@ -428,7 +427,7 @@ def test_grid_errors_equal_the_max_of_the_grids_synthesize_unfolds(monkeypatch, 
             yield halves
 
     monkeypatch.setattr(harness, "synthesize_tails", recording)
-    errors = tails(data)
+    errors = tails.sample(range(2))
     maxima = []
     for halves in recorded:  # field by field, largest tail first
         sin = halves[1]

@@ -6,8 +6,9 @@ import pytest
 import oracles
 from oracles import grid_l2_norm, sobolev_norm, spectrum_eval
 from spherewave.harmonics import SphereGrid, synthesize
+from spherewave.harness import ExperimentConfig, initial_data
 from spherewave.modes import CoefficientField, mode_count
-from spherewave.spectrum import PowerSpectrum, random_sobolev_data, sobolev_scale
+from spherewave.spectrum import PowerSpectrum, sobolev_scale
 
 
 def test_spectrum_values_power_law():
@@ -80,12 +81,18 @@ def test_cross_module_parseval():
     assert sobolev_norm(f, 0.0) == pytest.approx(grid_l2_norm(synthesize(f, grid)), rel=1e-8)
 
 
+def _sobolev_data(beta, kappa, gamma=None, dim=3):
+    """harness.initial_data's draw of random-sobolev data at band kappa."""
+    return initial_data(ExperimentConfig(initial_data="random-sobolev", beta=beta, gamma=gamma,
+                                         kappa_ref=kappa, dim=dim))
+
+
 def test_random_sobolev_data_kappa_zero():
-    rng = np.random.default_rng(0)
-    v = random_sobolev_data(2.0, 0, rng)
-    assert v.data.shape == (1,)
-    draws = np.array([random_sobolev_data(0.0, 0, np.random.default_rng(i)).data[0]
-                      for i in range(4000)])
+    draw = _sobolev_data(2.0, 0)
+    v1, v2 = draw(np.random.default_rng(0))
+    assert v1.shape == (1,) and v2 == 0.0  # no gamma: the second component is zero
+    draw = _sobolev_data(0.0, 0)
+    draws = np.array([draw(np.random.default_rng(i))[0][0] for i in range(4000)])
     # at kappa = 0 the single coefficient is a standard normal
     assert abs(draws.var(ddof=1) - 1.0) < 3.0 * math.sqrt(2.0 / 4000)
 
@@ -96,8 +103,8 @@ def test_random_sobolev_data_matches_analytic_l2_mean():
     sizes = 2 * np.arange(kappa + 1) + 1
     expected = float(np.dot(sizes, sobolev_scale(beta, kappa) ** 2))
     rng = np.random.default_rng(123)
-    draws = np.array([np.sum(random_sobolev_data(beta, kappa, rng).data ** 2)
-                      for i in range(n)])
+    draw = _sobolev_data(beta, kappa)
+    draws = np.array([np.sum(draw(rng)[0] ** 2) for i in range(n)])
     stderr = draws.std(ddof=1) / math.sqrt(n)
     assert abs(draws.mean() - expected) < 3.0 * stderr
 
@@ -108,10 +115,21 @@ def test_random_sobolev_data_h_beta_norm_stable_in_kappa():
     means = []
     for kappa in (64, 128):
         rng = np.random.default_rng(77)
-        vals = [sobolev_norm(random_sobolev_data(beta, kappa, rng), beta) for _ in range(n)]
+        draw = _sobolev_data(beta, kappa)
+        vals = [sobolev_norm(CoefficientField(draw(rng)[0], kappa), beta) for _ in range(n)]
         means.append(np.mean(vals))
     ratio = means[1] / means[0]
     assert 0.9 <= ratio <= 1.1
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_random_sobolev_data_draws_the_first_component_then_the_second(dim):
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    v1, v2 = _sobolev_data(1.5, 10, gamma=0.5, dim=dim)(rng)
+    for v, exponent in ((v1, 1.5), (v2, 0.5)):
+        expected = oracles.random_sobolev_data(exponent, 10, ref, dim).data
+        assert np.array_equal(v.view(np.uint64), expected.view(np.uint64))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_random_sobolev_truncation_tail_saturates_rate():

@@ -8,7 +8,7 @@ import oracles
 from oracles import add_increments, mode_energy, sobolev_norm, wave_conv_covariance
 from spherewave.modes import CoefficientField, mode_count
 from spherewave.noise import ConvFactorTable
-from spherewave.spectrum import PowerSpectrum, random_sobolev_data
+from spherewave.spectrum import PowerSpectrum
 from spherewave.wave import Propagator, State, init_state, propagate, run_path, step
 
 ZERO = oracles.ZERO_SPECTRUM
@@ -142,7 +142,7 @@ def test_init_state_truncates_and_preserves_norms():
     assert sobolev_norm(state.u1, 0.0) <= sobolev_norm(v1, 0.0)
     assert np.array_equal(state.u1.data, v1.data[:mode_count(8, 3)])
 
-    smooth = random_sobolev_data(2.0, 6, np.random.default_rng(1))
+    smooth = oracles.random_sobolev_data(2.0, 6, np.random.default_rng(1))
     lifted = init_state(smooth, CoefficientField.zeros(6), 10)
     assert sobolev_norm(lifted.u1, 2.0) == pytest.approx(sobolev_norm(smooth, 2.0),
                                                                rel=1e-15)
