@@ -20,8 +20,7 @@ import numpy as np
 
 from . import harmonics
 from .harmonics import synthesize
-from .harness import (EQUATIONS, ERROR_KINDS, FUNCTIONALS, INITIAL_DATA_MODES, WEAK_METHODS,
-                      ExperimentConfig, _sample_rngs, analytic_weak_error_experiment,
+from .harness import (ExperimentConfig, _sample_rngs, analytic_weak_error_experiment,
                       initial_data, pathwise_error_experiment, strong_error_experiment,
                       theoretical_rates, weak_error_experiment)
 from .io import (ensure_dir, write_coefficient_csv, write_error_table_csv,
@@ -75,52 +74,21 @@ PRESETS: dict[str, dict] = {
 _CONFIG_KEYS = {f.name for f in dataclass_fields(ExperimentConfig)}
 
 
-def _parse_kappas(text):
-    """Comma-separated band limits; a list from a config file is left to
-    ExperimentConfig.validate, which refuses values that are not integers."""
-    if isinstance(text, (list, tuple)):
-        return list(text)
-    return [int(tok) for tok in str(text).split(",") if tok.strip()]
+def _parse_kappas(text: str) -> list[int]:
+    """The comma-separated band limits of --kappas."""
+    return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _add_flags(parser: argparse.ArgumentParser):
-    """The flags of every subcommand: one per config key, then --debug."""
+    """The flags of every subcommand: --config and --preset, one per config key
+    from its schema (harness._key), then --debug."""
     parser.add_argument("--config", help="JSON file with flat config keys")
     parser.add_argument("--preset", choices=sorted(PRESETS), help="named experiment preset")
-    parser.add_argument("--equation", choices=EQUATIONS)
-    parser.add_argument("--dim", type=int, help="ambient dimension (wave-dsphere)")
-    parser.add_argument("--alpha", type=float, help="spectrum decay exponent")
-    parser.add_argument("--scale", type=float, help="spectrum prefactor (0 = no noise)")
-    parser.add_argument("--ell0", type=int, help="start of the power-law tail")
-    parser.add_argument("--head-value", dest="head_value", type=float,
-                        help="spectrum value at ell = 0")
-    parser.add_argument("--beta", type=float, help="Sobolev exponent of random v1")
-    parser.add_argument("--gamma", type=float, help="Sobolev exponent of random v2")
-    parser.add_argument("--initial-data", dest="initial_data",
-                        choices=INITIAL_DATA_MODES)
-    parser.add_argument("--v1-file", dest="v1_file")
-    parser.add_argument("--v2-file", dest="v2_file")
-    parser.add_argument("--T", type=float, help="final time")
-    parser.add_argument("--steps", type=int, help="time steps for simulate")
-    parser.add_argument("--kappas", type=_parse_kappas, help="comma-separated band limits")
-    parser.add_argument("--kappa-ref", dest="kappa_ref", type=int,
-                        help="reference band limit")
-    parser.add_argument("--samples", type=int, help="Monte Carlo samples")
-    parser.add_argument("--seed", type=int, help="base seed")
-    parser.add_argument("--error-kind", dest="error_kind",
-                        choices=ERROR_KINDS)
-    parser.add_argument("--n-theta", dest="n_theta", type=int, help="grid colatitudes")
-    parser.add_argument("--n-phi", dest="n_phi", type=int, help="grid longitudes")
-    parser.add_argument("--weak-functional", dest="weak_functional",
-                        choices=list(FUNCTIONALS))
-    parser.add_argument("--weak-method", dest="weak_method", choices=WEAK_METHODS,
-                        help="mc: coupled Monte Carlo; analytic: exact squared-norm "
-                             "errors from the per-degree law, without sampling")
-    parser.add_argument("--store-every", dest="store_every", type=int,
-                        help="trajectory storage stride")
-    parser.add_argument("--threads", type=int,
-                        help="worker threads for chunks of per-mode samples (grid errors)")
-    parser.add_argument("--output", help="output directory")
+    for f in dataclass_fields(ExperimentConfig):
+        kind = f.metadata["kind"]
+        parser.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"],
+                            choices=f.metadata["choices"],
+                            type=_parse_kappas if kind is list else kind)
     parser.add_argument("--debug", action="store_true",
                         help="re-raise a failure with its traceback after the error line")
 
@@ -135,8 +103,6 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         unknown = set(file_cfg) - _CONFIG_KEYS
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "kappas" in file_cfg:
-            file_cfg["kappas"] = _parse_kappas(file_cfg["kappas"])
         merged.update(file_cfg)
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)

@@ -37,8 +37,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -50,11 +51,6 @@ from .noise import ConvFactorTable, _factor_entries, sample_degree_wishart
 from .spectrum import PowerSpectrum, sobolev_scale
 from .wave import expand, mode_stepper, rotate
 
-EQUATIONS = ("wave", "wave-dsphere", "schrodinger")
-ERROR_KINDS = ("l2-coefficients", "max-grid")
-INITIAL_DATA_MODES = ("zero", "random-sobolev", "file")
-WEAK_METHODS = ("mc", "analytic")
-
 # Test functionals phi(u); both depend on u only through the squared L^2 norm.
 FUNCTIONALS = {
     "squared-norm": lambda s: s,
@@ -62,128 +58,157 @@ FUNCTIONALS = {
 }
 
 
-# The numeric config keys and their kinds, as JSON can hold them: an int key
-# takes a Python int, a float key a finite int or float; neither takes a bool,
-# a string or a numpy integer, and only the optional keys take None.  `kappas`
-# is a list of int.
-_NUMERIC_KEYS = {
-    "dim": int, "alpha": float, "scale": float, "ell0": int, "head_value": float,
-    "beta": float, "gamma": float, "T": float, "steps": int, "kappas": int,
-    "kappa_ref": int, "samples": int, "seed": int, "n_theta": int, "n_phi": int,
-    "store_every": int, "threads": int,
+# The config schema: every key of ExperimentConfig is declared once, by _key;
+# `validate` checks each key and cli._add_flags builds each flag from it.  Per
+# kind, as JSON holds it: (what it takes, test).  No kind takes a bool, and an
+# int beyond the float range is compared exactly, without converting it.
+_KINDS = {
+    str: ("a string", lambda v: isinstance(v, str)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite number", lambda v: isinstance(v, (int, float))
+            and not isinstance(v, bool) and abs(v) <= sys.float_info.max),
 }
-_OPTIONAL_KEYS = {"beta", "gamma", "n_theta", "n_phi"}
+
+
+def _key(default, kind=str, help=None, choices=None, low=None, above=None):
+    """A config key: its default (a key whose default is None also takes None),
+    kind (str, int, float, or list: a non-empty list of ints), choices, bound
+    (>= low, or > above) and help line."""
+    spec = {"kind": kind, "help": help, "choices": choices, "low": low, "above": above}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=spec)
+    return field(default=default, metadata=spec)
 
 
 def _named(key: str) -> str:
     return f"{key} (--{key.replace('_', '-')})"
 
 
-def _check_number(key: str, value, kind: type):
-    """Refuse a value that is not of its key's kind, naming the key."""
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{_named(key)} must be an integer, got {value!r}")
-    elif (isinstance(value, bool) or not isinstance(value, (int, float))
-          or not math.isfinite(value)):
-        raise ValueError(f"{_named(key)} must be a finite number, got {value!r}")
+def _check_memory(key: str, value, nbytes: int, what: str):
+    """Refuse, naming the key, a value whose `what` would not fit in physical memory."""
+    memory = harmonics._physical_memory()
+    if memory is not None and nbytes > memory:
+        raise ValueError(f"{_named(key)} = {value}: the {what} need about {nbytes / 1e9:.3g} GB, "
+                         f"more than the {memory / 1e9:.3g} GB of physical memory")
+
+
+def _check_key(key: str, value, spec):
+    """Refuse a value that is not of its key's kind, choices or bound, naming the key."""
+    kind, low, above = spec["kind"], spec["low"], spec["above"]
+    items = [value]
+    if kind is list:
+        if not (isinstance(value, (list, tuple)) and value):
+            raise ValueError(f"{_named(key)} must be a non-empty list of integers, got {value!r}")
+        items, kind = value, int
+    what, is_kind = _KINDS[kind]
+    for v in items:
+        if not is_kind(v):
+            raise ValueError(f"{_named(key)} must be {what}, got {v!r}")
+        if (low is not None and v < low) or (above is not None and not v > above):
+            bound = f">= {low}" if low is not None else f"> {above}"
+            raise ValueError(f"{_named(key)} must be {bound}, got {v!r}")
+    if spec["choices"] is not None and value not in spec["choices"]:
+        raise ValueError(f"{_named(key)} must be one of {', '.join(spec['choices'])}, "
+                         f"got {value!r}")
 
 
 @dataclass
 class ExperimentConfig:
     """Knobs for one convergence experiment (and for path simulation)."""
 
-    equation: str = "wave"
-    dim: int = 3
-    alpha: float = 3.0
-    scale: float = 1.0
-    ell0: int = 1
-    head_value: float = 1.0
-    beta: float | None = None
-    gamma: float | None = None
-    initial_data: str = "zero"
-    v1_file: str | None = None
-    v2_file: str | None = None
-    T: float = 1.0
-    steps: int = 1
-    kappas: list[int] = field(default_factory=lambda: [2, 4, 8, 16, 32])
-    kappa_ref: int = 64
-    samples: int = 100
-    seed: int = 0
-    error_kind: str = "l2-coefficients"
-    n_theta: int | None = None
-    n_phi: int | None = None
-    weak_functional: str = "squared-norm"
-    weak_method: str = "mc"
-    store_every: int = 1
-    threads: int = 1
-    output: str = "."
+    equation: str = _key("wave", choices=("wave", "wave-dsphere", "schrodinger"))
+    dim: int = _key(3, int, "ambient dimension (wave-dsphere)", low=3)
+    alpha: float = _key(3.0, float, "spectrum decay exponent", above=0)
+    scale: float = _key(1.0, float, "spectrum prefactor (0 = no noise)", low=0)
+    ell0: int = _key(1, int, "start of the power-law tail", low=1)
+    head_value: float = _key(1.0, float, "spectrum value at ell = 0", low=0)
+    beta: float | None = _key(None, float, "Sobolev exponent of random v1")
+    gamma: float | None = _key(None, float, "Sobolev exponent of random v2")
+    initial_data: str = _key("zero", choices=("zero", "random-sobolev", "file"))
+    v1_file: str | None = _key(None)
+    v2_file: str | None = _key(None)
+    T: float = _key(1.0, float, "final time", above=0)
+    steps: int = _key(1, int, "time steps for simulate", low=1)
+    kappas: list[int] = _key([2, 4, 8, 16, 32], list, "comma-separated band limits", low=0)
+    kappa_ref: int = _key(64, int, "reference band limit", low=0)
+    samples: int = _key(100, int, "Monte Carlo samples", low=1)
+    seed: int = _key(0, int, "base seed", low=0)
+    error_kind: str = _key("l2-coefficients", choices=("l2-coefficients", "max-grid"))
+    n_theta: int | None = _key(None, int, "grid colatitudes", low=1)
+    n_phi: int | None = _key(None, int, "grid longitudes", low=1)
+    weak_functional: str = _key("squared-norm", choices=tuple(FUNCTIONALS))
+    weak_method: str = _key("mc", choices=("mc", "analytic"),
+                            help="mc: coupled Monte Carlo; analytic: exact squared-norm "
+                                 "errors from the per-degree law, without sampling")
+    store_every: int = _key(1, int, "trajectory storage stride", low=1)
+    threads: int = _key(1, int, "worker threads for chunks of per-mode samples (grid errors)",
+                        low=1)
+    output: str = _key(".", help="output directory")
 
     def validate(self):
-        for key, kind in _NUMERIC_KEYS.items():
-            value = getattr(self, key)
-            if key == "kappas":
-                if not isinstance(value, (list, tuple)):
-                    raise ValueError(f"{_named(key)} must be a list of integers, got {value!r}")
-                for k in value:
-                    _check_number(key, k, kind)
-            elif value is not None or key not in _OPTIONAL_KEYS:
-                _check_number(key, value, kind)
-        if self.equation not in EQUATIONS:
-            raise ValueError(f"unknown equation {self.equation!r}, expected one of {EQUATIONS}")
-        if self.error_kind not in ERROR_KINDS:
-            raise ValueError(f"unknown error kind {self.error_kind!r}, expected one of "
-                             f"{ERROR_KINDS} (grid L^2 errors equal l2-coefficients)")
-        if self.initial_data not in INITIAL_DATA_MODES:
-            raise ValueError(f"unknown initial data mode {self.initial_data!r}")
-        if self.weak_functional not in FUNCTIONALS:
-            raise ValueError(f"unknown test functional {self.weak_functional!r}")
-        if self.weak_method not in WEAK_METHODS:
-            raise ValueError(f"unknown weak method {self.weak_method!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                _check_key(f.name, value, f.metadata)
         if self.equation != "wave-dsphere" and self.dim != 3:
-            raise ValueError("dim != 3 requires equation == 'wave-dsphere'")
-        if self.dim < 3:
-            raise ValueError(f"ambient dimension must be >= 3, got {self.dim}")
+            raise ValueError(f"{_named('dim')} = {self.dim} requires equation 'wave-dsphere'")
         if self.dim != 3 and self.error_kind != "l2-coefficients":
             raise ValueError("grid-based errors are available for dim == 3 only")
-        if not self.T > 0:
-            raise ValueError(f"T must be positive, got {self.T}")
-        if self.seed < 0:
-            raise ValueError(f"{_named('seed')} must be non-negative, got {self.seed!r}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if not self.kappas:
-            raise ValueError("kappas must be non-empty")
         ks = self.kappas
-        if any(k < 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
-            raise ValueError(f"kappas must be strictly increasing and non-negative, got {ks}")
-        if self.kappa_ref < 0:
-            raise ValueError(f"kappa_ref must be non-negative, got {self.kappa_ref}")
+        if any(b <= a for a, b in zip(ks, ks[1:])):
+            raise ValueError(f"{_named('kappas')} must be strictly increasing, got {ks}")
         if self.initial_data == "file" and not (self.v1_file or self.v2_file):
             raise ValueError("initial_data == 'file' needs v1_file and/or v2_file")
+        _check_memory("kappa_ref", self.kappa_ref, DEGREE_BYTES * (self.kappa_ref + 1),
+                      "per-degree tables")
+        try:
+            degree_sizes(self.kappa_ref, self.dim)
+        except OverflowError as exc:
+            raise ValueError(f"{_named('dim')} = {self.dim} with {_named('kappa_ref')} = "
+                             f"{self.kappa_ref}: {exc}") from None
+        for key in ("beta", "gamma") if self.initial_data == "random-sobolev" else ():
+            exponent = getattr(self, key)
+            with np.errstate(over="ignore"):
+                huge = exponent is not None and not np.all(
+                    np.isfinite(sobolev_scale(exponent, self.kappa_ref, self.dim) ** 2))
+            if huge:
+                raise ValueError(f"{_named(key)} = {exponent!r}: the variance of the random "
+                                 f"data overflows")
+        try:  # the law's entries are largest at degree 0, the wave's c11 = T^3 / 3
+            ConvFactorTable.for_equation(self.equation, 0, self.dim, self.T)
+        except OverflowError:
+            raise ValueError(f"{_named('T')} = {self.T!r}: the noise law's covariance is not "
+                             f"finite") from None
 
-    def validate_experiment(self):
+    def validate_experiment(self) -> ConvFactorTable:
         """Stricter checks for truncation-error experiments (not needed to simulate):
-        above degree 0 the noise spectrum must have a finite square and, with
-        zero data, must not underflow to 0, which would make every error 0."""
+        above degree 0 the spectrum and the noise variance must have finite
+        squares and, with zero data, must not underflow to 0, which would make
+        errors 0.  Each names the key at fault.  Returns the noise law over T at
+        kappa_ref that it checked."""
         self.validate()
         if self.kappa_ref <= max(self.kappas):
             raise ValueError(
-                f"kappa_ref ({self.kappa_ref}) must exceed every tested kappa "
-                f"(max {max(self.kappas)})")
+                f"{_named('kappa_ref')} = {self.kappa_ref} must exceed every tested kappa "
+                f"of {_named('kappas')} (max {max(self.kappas)})")
         values = self.power_spectrum().values(self.kappa_ref)[1:]  # degrees 1..kappa_ref
+        decay = PowerSpectrum(self.alpha, 1.0, self.ell0).values(self.kappa_ref)[1:]
+        law = ConvFactorTable.for_equation(self.equation, self.kappa_ref, self.dim, self.T)
+        c11, c22 = law.covariance_matrices()[1:, [0, 1], [0, 1]].T
         with np.errstate(over="ignore"):
-            huge = np.flatnonzero(~np.isfinite(values * values))
-        vanished = np.flatnonzero(values == 0.0) if self.initial_data == "zero" else ()
-        for key, degrees, what in (("scale", huge, "squared spectrum overflows"),
-                                   ("alpha", vanished, "spectrum underflows to 0")):
-            if self.scale > 0 and len(degrees):
+            checks = [("scale", ~np.isfinite(values * values), "squared spectrum overflows"),
+                      ("T", ~np.isfinite((values * np.maximum(c11, c22)) ** 2),
+                       "squared noise variance overflows")]
+        if self.initial_data == "zero":
+            checks += [("alpha", decay == 0.0, "spectrum underflows to 0"),
+                       ("scale", values == 0.0, "spectrum underflows to 0"),
+                       ("T", values * np.minimum(c11, c22) == 0.0,
+                        "noise variance underflows to 0")]
+        for key, bad, what in checks:
+            if self.scale > 0 and bad.any():
                 raise ValueError(f"{_named(key)} = {getattr(self, key)!r}: the {what} at "
-                                 f"degree {degrees[0] + 1}")
+                                 f"degree {np.argmax(bad) + 1}")
+        return law
 
     def power_spectrum(self) -> PowerSpectrum:
         return PowerSpectrum(self.alpha, self.scale, self.ell0, self.head_value)
@@ -386,8 +411,6 @@ def _seed_pool(seed: int):
     """
     from numpy.random import SeedSequence
 
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     n_words = max(_POOL_WORDS, -(-seed.bit_length() // 32))
     words = [(seed >> 32 * k) & _MASK32 for k in range(n_words)]
     pool = SeedSequence(np.array(words, dtype=np.uint32)).pool
@@ -458,10 +481,9 @@ class _TerminalSampler:
     """
 
     def __init__(self, cfg: ExperimentConfig):
-        cfg.validate_experiment()
+        self.law = cfg.validate_experiment()
         self.cfg = cfg
         self.ps = cfg.power_spectrum()
-        self.law = ConvFactorTable.for_equation(cfg.equation, cfg.kappa_ref, cfg.dim, cfg.T)
         self.initial = initial_data(cfg)
 
     def draw(self, indices) -> np.ndarray:
@@ -477,9 +499,9 @@ class _TerminalSampler:
         return data
 
 
-def _terminal_law(cfg: ExperimentConfig):
-    """(Sigma, mean) of the state at T: within degree ell its h(ell, dim) modes
-    are i.i.d. N(mu_m, Sigma_ell).
+def _terminal_law(cfg: ExperimentConfig, law: ConvFactorTable):
+    """(Sigma, mean) of the state at T under `law`, the noise law over T at
+    kappa_ref: within degree ell its h(ell, dim) modes are i.i.d. N(mu_m, Sigma_ell).
 
     Sigma, shape (kappa_ref + 1, 2, 2), is A_ell C_ell(T) for the noise, with
     C_ell the law's covariance of (W1, sign * W2), plus M_ell diag(s1^2, s2^2)
@@ -488,7 +510,6 @@ def _terminal_law(cfg: ExperimentConfig):
     None without file data.
     """
     kref, dim = cfg.kappa_ref, cfg.dim
-    law = ConvFactorTable.for_equation(cfg.equation, kref, dim, cfg.T)
     sigma = cfg.power_spectrum().values(kref)[:, None, None] * law.covariance_matrices()
     if cfg.initial_data == "random-sobolev":
         rot = law.rotation_matrices()
@@ -533,10 +554,10 @@ class _DegreeSampler:
     """
 
     def __init__(self, cfg: ExperimentConfig):
-        cfg.validate_experiment()
+        law = cfg.validate_experiment()
         self.cfg = cfg
         sizes = degree_sizes(cfg.kappa_ref, cfg.dim)
-        sigma, mean = _terminal_law(cfg)
+        sigma, mean = _terminal_law(cfg, law)
         self.l11, self.l21, self.l22 = _factor_entries(sigma[:, 0, 0], sigma[:, 0, 1],
                                                        sigma[:, 1, 1])
         self.chunk = max(1, DEGREE_CHUNK_BYTES // (8 * (cfg.kappa_ref + 1)))
@@ -593,6 +614,11 @@ def _degree_tails(per_degree: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
     """Tail norms above every tested kappa from the per-degree sums of squares."""
     return np.sqrt(np.maximum(_tail_sums(per_degree, cfg), 0.0))
 
+
+# Peak resident bytes per degree of the per-degree tables: the growth of peak
+# RSS between kappa_ref 1e6 and 4e6 was 154 B per degree for `convergence
+# --samples 2` and 138 B for `weak --weak-method analytic`.
+DEGREE_BYTES = 160
 
 # Size of one (chunk, kappa_ref + 1) array of per-degree draws: at kappa_ref
 # 256 a chunk holds 31 samples, and the chunk's arrays stay in the cache.
@@ -711,69 +737,63 @@ def _map_samples(cfg, fn, n, sampler):
     return [fn(i) for i in range(n)]
 
 
-def _map_chunks(cfg, fn, n, size, sampler):
-    """Per-sample results of samples 0..n-1 in index order, where fn(indices)
-    returns those of one chunk of at most `size` consecutive samples."""
-    chunks = _map_samples(cfg, lambda j: fn(range(j * size, min(n, (j + 1) * size))),
-                          -(-n // size), sampler)
-    return [r for chunk in chunks for r in chunk]
+def _sample_values(cfg: ExperimentConfig, n: int, per_degree=None):
+    """Both components' values of samples 0..n-1, shape (n, 2, len(kappas)), the
+    sampler name and grid metadata, chunk by chunk through _map_samples.
 
-
-def _sample_tail_errors(cfg: ExperimentConfig, n: int):
-    """Both components' tail errors of samples 0..n-1, the sampler name, grid metadata.
-
-    Coefficient-space errors need only per-degree sums of squares, so they use
-    the per-degree sampler.  Grid errors synthesize every coefficient: each
-    task draws a chunk of samples and synthesizes both components of all of
-    them in one batch.
+    The per-degree sampler serves coefficient-space values: per_degree maps a
+    component's per-degree sums of squares (a row per sample) to its values,
+    by default the tail norms.  Max-grid tail errors (no per_degree) draw every
+    coefficient and synthesize a chunk's fields in one batch.
     """
-    if cfg.error_kind == "l2-coefficients":
-        sampler = _DegreeSampler(cfg)
+    if per_degree is not None or cfg.error_kind == "l2-coefficients":
+        sampler, name, meta = _DegreeSampler(cfg), "per-degree", {}
+        reduce = per_degree or (lambda sums: _degree_tails(sums, cfg))
 
-        def per_degree(indices):
+        def chunk_values(indices):
             s11, _, s22 = sampler.draw(indices)
-            return list(zip(_degree_tails(s11, cfg), _degree_tails(s22, cfg)))
-        return _map_chunks(cfg, per_degree, n, sampler.chunk, "per-degree"), "per-degree", {}
+            return np.stack([reduce(s11), reduce(s22)], axis=1)
+    else:
+        sampler, name = _TailErrors(cfg), "per-mode"  # refuses a grid beyond memory
+        sampler.check_threads(n)
+        meta = {"grid_n_theta": sampler.grid.n_theta, "grid_n_phi": sampler.grid.n_phi}
 
-    tails = _TailErrors(cfg)  # refuses a grid beyond physical memory before sampling
-    tails.check_threads(n)
+        def chunk_values(indices):
+            return sampler.sample(indices).reshape(len(indices), 2, len(cfg.kappas))
+    _check_memory("samples", n, 16 * n * len(cfg.kappas), "per-sample values")
+    size = sampler.chunk
+    chunks = _map_samples(cfg, lambda j: chunk_values(range(j * size, min(n, (j + 1) * size))),
+                          -(-n // size), name)
+    return np.concatenate(chunks), name, meta
 
-    def per_mode(indices):
-        errors = tails.sample(indices)
-        return list(zip(errors[0::2], errors[1::2]))
 
-    return (_map_chunks(cfg, per_mode, n, tails.chunk, "per-mode"), "per-mode",
-            {"grid_n_theta": tails.grid.n_theta, "grid_n_phi": tails.grid.n_phi})
+def _tables(cfg, kind, errors, stderrs, sampler, extra) -> dict[str, ErrorTable]:
+    """One table per component from errors and standard errors of shape (2, len(kappas))."""
+    return {name: _make_table(cfg, kind, name, list(cfg.kappas), e, s, sampler, extra)
+            for name, e, s in zip(cfg.component_names(), errors, stderrs)}
+
+
+def _mean_and_stderr(values: np.ndarray):
+    """Sample mean over the first axis and its standard error (0 for one sample)."""
+    mean = values.mean(axis=0)
+    if len(values) < 2:
+        return mean, np.zeros_like(mean)
+    return mean, values.std(axis=0, ddof=1) / math.sqrt(len(values))
 
 
 def strong_error_experiment(cfg: ExperimentConfig) -> dict[str, ErrorTable]:
     """Mean-square truncation errors per kappa for both solution components."""
-    results, sampler, grid_meta = _sample_tail_errors(cfg, cfg.samples)
-    names = cfg.component_names()
-    out = {}
-    for pos, name in enumerate(names):
-        sq = np.array([r[pos] ** 2 for r in results])
-        mean_sq = sq.mean(axis=0)
-        rms = np.sqrt(mean_sq)
-        if cfg.samples > 1:
-            se_mean = sq.std(axis=0, ddof=1) / math.sqrt(cfg.samples)
-            stderr = np.where(rms > 0, se_mean / (2.0 * np.maximum(rms, 1e-300)), 0.0)
-        else:
-            stderr = np.zeros_like(rms)
-        out[name] = _make_table(cfg, "strong", name, list(cfg.kappas), rms, stderr,
-                                sampler, extra=grid_meta)
-    return out
+    errors, sampler, grid_meta = _sample_values(cfg, cfg.samples)
+    mean_sq, se_mean = _mean_and_stderr(errors ** 2)
+    rms = np.sqrt(mean_sq)
+    stderr = np.where(rms > 0, se_mean / (2.0 * np.maximum(rms, 1e-300)), 0.0)
+    return _tables(cfg, "strong", rms, stderr, sampler, grid_meta)
 
 
 def pathwise_error_experiment(cfg: ExperimentConfig) -> dict[str, ErrorTable]:
     """Truncation errors along a single realization (sample index 0)."""
-    (first,), sampler, grid_meta = _sample_tail_errors(cfg, 1)
-    names = cfg.component_names()
-    out = {}
-    for name, errs in zip(names, first):
-        out[name] = _make_table(cfg, "pathwise", name, list(cfg.kappas), errs,
-                                np.zeros_like(errs), sampler, extra=grid_meta)
-    return out
+    (errors,), sampler, grid_meta = _sample_values(cfg, 1)
+    return _tables(cfg, "pathwise", errors, np.zeros_like(errors), sampler, grid_meta)
 
 
 def weak_error_experiment(cfg: ExperimentConfig) -> dict[str, ErrorTable]:
@@ -782,31 +802,16 @@ def weak_error_experiment(cfg: ExperimentConfig) -> dict[str, ErrorTable]:
     Both supported functionals depend on u only through its squared L^2 norm,
     which is a prefix sum of the per-degree sums of squares under the coupling.
     """
-    sampler = _DegreeSampler(cfg)  # validates cfg.weak_functional
-    phi = FUNCTIONALS[cfg.weak_functional]
     # phi of the tested prefixes and of the full norm in one call per chunk
     columns = np.append(cfg.kappas, cfg.kappa_ref)
 
     def deltas(per_degree):
-        values = phi(np.cumsum(per_degree, axis=1)[:, columns])
+        values = FUNCTIONALS[cfg.weak_functional](np.cumsum(per_degree, axis=1)[:, columns])
         return values[:, -1:] - values[:, :-1]
 
-    def per_chunk(indices):
-        s11, _, s22 = sampler.draw(indices)
-        return list(zip(deltas(s11), deltas(s22)))
-
-    results = _map_chunks(cfg, per_chunk, cfg.samples, sampler.chunk, "per-degree")
-    names = cfg.component_names()
-    out = {}
-    for pos, name in enumerate(names):
-        d = np.array([r[pos] for r in results])
-        mean = d.mean(axis=0)
-        stderr = (d.std(axis=0, ddof=1) / math.sqrt(cfg.samples)
-                  if cfg.samples > 1 else np.zeros_like(mean))
-        out[name] = _make_table(cfg, "weak-mc", name, list(cfg.kappas),
-                                np.abs(mean), stderr, "per-degree",
-                                extra={"functional": cfg.weak_functional})
-    return out
+    mean, stderr = _mean_and_stderr(_sample_values(cfg, cfg.samples, deltas)[0])
+    return _tables(cfg, "weak-mc", np.abs(mean), stderr, "per-degree",
+                   {"functional": cfg.weak_functional})
 
 
 def analytic_weak_error_experiment(cfg: ExperimentConfig) -> dict[str, ErrorTable]:
@@ -818,21 +823,18 @@ def analytic_weak_error_experiment(cfg: ExperimentConfig) -> dict[str, ErrorTabl
     Gram of file data, else zero).  Each error sums these from the top degree
     down, so no digits cancel in a difference of two totals.
     """
-    cfg.validate_experiment()
+    law = cfg.validate_experiment()
     if cfg.weak_functional != "squared-norm":
         raise ValueError("analytic weak errors cover the squared norm only")
     kref, dim = cfg.kappa_ref, cfg.dim
-    sigma, mean = _terminal_law(cfg)
+    sigma, mean = _terminal_law(cfg, law)
     power = degree_sizes(kref, dim)[:, None] * sigma[:, [0, 1], [0, 1]]
     if mean is not None:
         g11, _, g22 = _mean_gram(*mean, degree_offsets(kref, dim))
         power += np.stack([g11, g22], axis=1)
-    return {
-        name: _make_table(cfg, "weak-analytic", name, list(cfg.kappas), errors,
-                          np.zeros(len(cfg.kappas)), "none",
-                          extra={"functional": "squared-norm"})
-        for name, errors in zip(cfg.component_names(), _tail_sums(power.T, cfg))
-    }
+    errors = _tail_sums(power.T, cfg)
+    return _tables(cfg, "weak-analytic", errors, np.zeros_like(errors), "none",
+                   {"functional": "squared-norm"})
 
 
 def theoretical_rates(cfg: ExperimentConfig) -> dict[str, float]:

@@ -52,14 +52,34 @@ def harmonic_dimension(ell: int, dim: int = 3) -> int:
     return h
 
 
-@functools.lru_cache(maxsize=None)
-def _degree_sizes_cached(kappa: int, dim: int) -> tuple[int, ...]:
-    return tuple(harmonic_dimension(ell, dim) for ell in range(kappa + 1))
-
-
+@functools.lru_cache(maxsize=16)
 def degree_sizes(kappa: int, dim: int = 3) -> np.ndarray:
-    """h(ell, dim) for ell = 0..kappa."""
-    return np.array(_degree_sizes_cached(kappa, dim), dtype=np.int64)
+    """h(ell, dim) for ell = 0..kappa, exact in int64; read-only, as one array
+    serves every caller.
+
+    From the circle's h(ell, 2) (1, then 2), each pass is a cumulative sum,
+    h(ell, d) = sum_{j <= ell} h(j, d - 1).  Every partial sum is some
+    h(ell, d') <= h(ell, dim), so the first one beyond int64 adds two valid
+    values and wraps negative; the passes go on over the degrees before it, and
+    with fewer degrees left than passes, each is computed on its own.
+    """
+    if dim < 3:
+        raise ValueError(f"ambient dimension must be >= 3, got {dim}")
+    sizes = np.full(kappa + 1, 2, dtype=np.int64)
+    sizes[:1] = 1
+    for done in range(dim - 2):
+        if sizes.size < dim - 2 - done:
+            sizes = np.array([harmonic_dimension(ell, dim) for ell in range(sizes.size)],
+                             dtype=np.int64)
+            break
+        sizes = np.cumsum(sizes)
+        wrapped = sizes < 0
+        if wrapped.any():
+            sizes = sizes[:np.argmax(wrapped)]  # the degrees past it are garbage
+    if sizes.size <= kappa:
+        raise OverflowError(f"harmonic dimension overflows int64 at ell={sizes.size}, dim={dim}")
+    sizes.flags.writeable = False
+    return sizes
 
 
 def degree_offsets(kappa: int, dim: int = 3) -> np.ndarray:
@@ -69,8 +89,10 @@ def degree_offsets(kappa: int, dim: int = 3) -> np.ndarray:
 
 
 def mode_count(kappa: int, dim: int = 3) -> int:
-    """Total number of real coefficients up to band limit kappa."""
-    return int(degree_sizes(kappa, dim).sum())
+    """Total number of real coefficients up to band limit kappa, exact: the sum
+    of the sizes, each within int64, may not be."""
+    degree_sizes(kappa, dim)  # refuses a degree whose size overflows int64
+    return math.comb(kappa + dim - 1, dim - 1) + math.comb(kappa + dim - 2, dim - 1)
 
 
 def mode_degrees(kappa: int, dim: int = 3) -> np.ndarray:

@@ -50,15 +50,17 @@ SMALL_X = 0.05
 def _two_x_minus_sin_2x(x: np.ndarray) -> np.ndarray:
     """2x - sin(2x), stable for small x (leading order x^3)."""
     x = np.asarray(x, dtype=float)
-    x2 = x * x
-    series = x2 * x * (4.0 / 3.0 + x2 * (-4.0 / 15.0 + x2 * (8.0 / 315.0 - x2 * 4.0 / 2835.0)))
+    small = np.minimum(x, SMALL_X)  # the series of a large x would overflow
+    x2 = small * small
+    series = x2 * small * (4.0 / 3.0 + x2 * (-4.0 / 15.0 + x2 * (8.0 / 315.0 - x2 * 4.0 / 2835.0)))
     return np.where(x < SMALL_X, series, 2.0 * x - np.sin(2.0 * x))
 
 
 def _sin_squared(x: np.ndarray) -> np.ndarray:
     """sin(x)^2, stable for small x (leading order x^2)."""
     x = np.asarray(x, dtype=float)
-    x2 = x * x
+    small = np.minimum(x, SMALL_X)  # the series of a large x would overflow
+    x2 = small * small
     series = x2 * (1.0 + x2 * (-1.0 / 3.0 + x2 * (2.0 / 45.0 - x2 / 315.0)))
     return np.where(x < SMALL_X, series, np.sin(x) ** 2)
 

@@ -170,7 +170,7 @@ def test_grid_errors_are_bit_identical_across_chunks(monkeypatch, tmp_path, equa
             [c for i in range(j, min(j + chunk, cfg.samples))
              for c in oracles.terminal_state_by_steps(cfg, i)]), cfg, tails.grid)
             for j in range(0, cfg.samples, chunk)])
-        run = harness._sample_tail_errors(cfg, cfg.samples)[0]
+        run = harness._sample_values(cfg, cfg.samples)[0]
         assert _same_bits(np.array(run).reshape(reference.shape), reference)
 
 
