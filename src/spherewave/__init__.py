@@ -16,12 +16,8 @@ _EXPORTS = {
     **dict.fromkeys(("ErrorTable", "ExperimentConfig", "analytic_weak_error_experiment",
                      "fit_rate", "pathwise_error_experiment", "strong_error_experiment",
                      "theoretical_rates", "weak_error_experiment"), "harness"),
-    **dict.fromkeys(("CoefficientField", "harmonic_dimension", "laplacian_eigenvalue",
-                     "mode_count"), "modes"),
-    **dict.fromkeys(("ConvFactorTable", "Propagator", "sample_isotropic_grf",
-                     "sample_schrodinger_conv_increments", "sample_wave_conv_increments"),
-                    "noise"),
-    **dict.fromkeys(("run_path_schrodinger", "schrodinger_step"), "schrodinger"),
+    **dict.fromkeys(("CoefficientField", "harmonic_dimension", "mode_count"), "modes"),
+    **dict.fromkeys(("ConvFactorTable", "sample_isotropic_grf"), "noise"),
     "PowerSpectrum": "spectrum",
     **dict.fromkeys(("State", "init_state", "run_path", "step"), "wave"),
 }

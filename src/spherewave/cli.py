@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import os
+import shutil
 import sys
 from dataclasses import fields as dataclass_fields
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import harmonics
 from .harmonics import synthesize
-from .harness import (ExperimentConfig, _sample_rngs, analytic_weak_error_experiment,
+from .harness import (ExperimentConfig, _named, _sample_rngs, analytic_weak_error_experiment,
                       initial_data, pathwise_error_experiment, strong_error_experiment,
                       theoretical_rates, weak_error_experiment)
 from .io import (ensure_dir, write_coefficient_csv, write_error_table_csv,
@@ -176,8 +177,29 @@ def _check_state_memory(cfg: ExperimentConfig):
         harmonics.synthesis_field_bytes(cfg.kappa_ref, cfg.grid_shape())
 
 
+# Fewest bytes of a trajectory row: 'l,m,c,' and a '%.16e' value with its newline.
+TRAJECTORY_ROW_BYTES = 6 + 23
+
+
+def _check_trajectory_disk(cfg: ExperimentConfig):
+    """Refuse, before the output directory is made, a trajectory whose rows
+    alone would exceed the free space of the nearest existing directory."""
+    states = 1 - (-cfg.steps // cfg.store_every)  # t = 0, then ceil(steps / store_every)
+    nbytes = states * 2 * mode_count(cfg.kappa_ref, cfg.dim) * TRAJECTORY_ROW_BYTES
+    existing = os.path.abspath(cfg.output)
+    while not os.path.isdir(existing):
+        existing = os.path.dirname(existing)
+    free = shutil.disk_usage(existing).free
+    if nbytes > free:
+        raise ValueError(
+            f"{_named('steps')} = {cfg.steps} with {_named('store_every')} = "
+            f"{cfg.store_every} stores {states} states, at least {nbytes / 1e9:.3g} GB, "
+            f"more than the {free / 1e9:.3g} GB free in {existing}")
+
+
 def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     _check_state_memory(cfg)
+    _check_trajectory_disk(cfg)
     ensure_dir(cfg.output)
     ps = cfg.power_spectrum()
     v1, v2 = _simulate_initial(cfg)

@@ -46,6 +46,7 @@ import numpy as np
 from . import harmonics
 from .harmonics import (GridShape, SphereGrid, legendre_block_bytes, phase_table_bytes,
                         synthesis_field_bytes, synthesize_tails)
+from .io import read_coefficient_csv
 from .modes import degree_offsets, degree_sizes, mode_count, mode_degrees
 from .noise import ConvFactorTable, _factor_entries, sample_degree_wishart
 from .spectrum import PowerSpectrum, sobolev_scale
@@ -332,7 +333,6 @@ def _load_initial_fields(cfg):
     """
     if cfg.initial_data != "file":
         return None, None
-    from .io import read_coefficient_csv
 
     def load(path):
         if not path:

@@ -33,17 +33,21 @@ which include the exact ties (166058747059374.62 is one at 17 digits).
 
 from __future__ import annotations
 
+import array
 import contextlib
 import functools
 import json
 import math
 import os
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .harmonics import GridField
-from .harness import ErrorTable
-from .modes import CoefficientField, degree_offsets, mode_count, mode_labels
+from .modes import CoefficientField, degree_sizes, label_in_degree, mode_count, row_degrees
+
+if TYPE_CHECKING:
+    from .harmonics import GridField
+    from .harness import ErrorTable
 
 # Most rows formatted per numpy pass, so the writers' working set does not
 # grow with the mode count or the grid size.
@@ -273,29 +277,20 @@ def _word_rows(text: np.ndarray) -> np.ndarray:
 def _label_prefix(kappa: int, dim: int):
     """prefix(rows) of the mode rows: their prefixes 'ell,m,component,' as words.
 
-    From each mode's degree ell and index i within its degree: on S^2,
-    m = (i + 1) // 2 and the component is 0 for i = 0, then 1 (cos) and 2
-    (sin) in turn; above, (ell, i + 1, 0).  'ell,' is a word row per degree
-    and 'm,component,' one per index, both formatted once per file; a pass
-    gathers its rows' degrees and indices from the degree offsets, so nothing
-    per mode outlives the pass.
+    'ell,' is a word row per degree and 'm,component,' one per index within a
+    degree (modes.label_in_degree), both formatted once per file; a pass
+    gathers its rows' degrees and indices (modes.row_degrees), so nothing per
+    mode outlives the pass.
     """
-    offsets = np.append(degree_offsets(kappa, dim), mode_count(kappa, dim))
-    index = np.arange(int(np.diff(offsets).max()))
-    if dim == 3:
-        second, comp = (index + 1) // 2, np.where(index == 0, 0, 2 - index % 2)
-    else:
-        second, comp = index + 1, np.zeros_like(index)
-    commas = np.full(len(index), ord(","))
+    second, comp = label_in_degree(np.arange(int(degree_sizes(kappa, dim).max())), dim)
+    commas = np.full(len(second), ord(","))
     ells = _word_rows(np.column_stack((_decimal_rows(kappa), np.full(kappa + 1, ord(",")))))
     tails = _word_rows(np.column_stack((_decimal_rows(int(second.max()))[second], commas,
                                         ord("0") + comp, commas)))
 
     def prefix(rows):
-        counts = np.diff(np.clip(offsets, rows.start, rows.stop))
-        index = np.arange(rows.start, rows.stop) - np.repeat(offsets[:-1], counts)
-        return (np.take(ells, np.repeat(np.arange(kappa + 1), counts), axis=0),
-                np.take(tails, index, axis=0))
+        ell, index = row_degrees(kappa, dim, rows)
+        return np.take(ells, ell, axis=0), np.take(tails, index, axis=0)
 
     return prefix
 
@@ -313,13 +308,13 @@ def write_coefficient_csv(path: str, field: CoefficientField, metadata: dict | N
 def read_coefficient_csv(path: str) -> CoefficientField:
     """Coefficients written by write_coefficient_csv.
 
-    Rows must carry the (ell, m, component) labels of mode_labels(kappa, dim)
-    in storage order, one row per mode, and finite values; anything else
+    Rows must carry the (ell, m, component) labels of modes.label_in_degree in
+    storage order, one row per mode, and finite values; anything else
     (reordered, mislabelled, missing or extra rows, nan, inf or an overflow
     such as 1e400) is rejected, naming the file and the first bad row.
     """
     meta = {}
-    rows = []  # (line number, fields)
+    linenos, texts = array.array("q"), []  # per data row; labels are built per pass
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -333,7 +328,8 @@ def read_coefficient_csv(path: str) -> CoefficientField:
                 continue
             if line.startswith("ell,"):
                 continue
-            rows.append((lineno, line.split(",")))
+            linenos.append(lineno)
+            texts.append(line)
     if "kappa" not in meta:
         raise ValueError(f"{path}: missing '# kappa=...' metadata line")
     def header_int(key, default=None):
@@ -347,30 +343,32 @@ def read_coefficient_csv(path: str) -> CoefficientField:
         raise ValueError(f"{path}: need kappa >= 0 and dim >= 3, got kappa={kappa}, dim={dim}")
     # Every degree has at least one mode, so a file with at most kappa rows is
     # short whatever dim is; otherwise kappa is below the row count and the
-    # mode count costs O(rows).  The labels are built only for a file of the
-    # right length.
-    n_modes = mode_count(kappa, dim) if len(rows) > kappa else None
-    if n_modes is not None and len(rows) > n_modes:
-        raise ValueError(f"{path}: line {rows[n_modes][0]}: more than the {n_modes} "
+    # mode count costs O(rows).  No label is built for a file of another length.
+    n_modes = mode_count(kappa, dim) if len(texts) > kappa else None
+    if n_modes is not None and len(texts) > n_modes:
+        raise ValueError(f"{path}: line {linenos[n_modes]}: more than the {n_modes} "
                          f"coefficient rows of kappa={kappa}, dim={dim}")
-    if len(rows) != n_modes:
+    if len(texts) != n_modes:
         expected = n_modes if n_modes is not None else f"at least {kappa + 1}"
-        raise ValueError(f"{path}: {len(rows)} coefficient rows, expected {expected} "
+        raise ValueError(f"{path}: {len(texts)} coefficient rows, expected {expected} "
                          f"for kappa={kappa}, dim={dim}")
-    labels = mode_labels(kappa, dim)
     values = np.empty(n_modes)
-    for j, (lineno, fields) in enumerate(rows):
-        try:
-            label = tuple(int(f) for f in fields[:3])
-            values[j] = float(fields[3])
-        except (ValueError, IndexError):
-            raise ValueError(f"{path}: line {lineno}: expected 'ell,m,component,value', "
-                             f"got {','.join(fields)!r}") from None
-        if label != labels[j]:
-            raise ValueError(f"{path}: line {lineno}: mode label {label} where {labels[j]} "
-                             f"is expected (rows must follow the storage order)")
-        if not math.isfinite(values[j]):
-            raise ValueError(f"{path}: line {lineno}: value {fields[3]!r} is not finite")
+    for rows in _passes(n_modes):
+        ells, index = row_degrees(kappa, dim, rows)
+        labels = zip(ells.tolist(), *(a.tolist() for a in label_in_degree(index, dim)))
+        for j, expected in zip(range(rows.start, rows.stop), labels):
+            fields = texts[j].split(",")
+            try:
+                label = tuple(int(f) for f in fields[:3])
+                values[j] = float(fields[3])
+            except (ValueError, IndexError):
+                raise ValueError(f"{path}: line {linenos[j]}: expected "
+                                 f"'ell,m,component,value', got {texts[j]!r}") from None
+            if label != expected:
+                raise ValueError(f"{path}: line {linenos[j]}: mode label {label} where "
+                                 f"{expected} is expected (rows must follow the storage order)")
+            if not math.isfinite(values[j]):
+                raise ValueError(f"{path}: line {linenos[j]}: value {fields[3]!r} is not finite")
     return CoefficientField(values, kappa, dim)
 
 

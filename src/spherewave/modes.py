@@ -100,23 +100,30 @@ def mode_degrees(kappa: int, dim: int = 3) -> np.ndarray:
     return np.repeat(np.arange(kappa + 1), degree_sizes(kappa, dim))
 
 
-def mode_labels(kappa: int, dim: int = 3) -> list[tuple[int, int, int]]:
-    """(ell, m, component) label per flat index.
+def label_in_degree(index, dim: int = 3):
+    """(m, component) of the index-th mode of a degree, for an int or an int
+    array of indices: the label rule of every coefficient file.
 
-    For dim == 3 the component is 0 for m = 0, 1 for cosine, 2 for sine.
-    For dim > 3 the label is (ell, j, 0) with j = 1..h(ell, dim).
+    On S^2 the degree's modes are (0, 0), then (m, 1) (cosine) and (m, 2)
+    (sine) for m = 1..ell; for dim > 3 the index-th mode is (index + 1, 0).
     """
-    labels = []
-    for ell in range(kappa + 1):
-        if dim == 3:
-            labels.append((ell, 0, 0))
-            for m in range(1, ell + 1):
-                labels.append((ell, m, 1))
-                labels.append((ell, m, 2))
-        else:
-            for j in range(1, harmonic_dimension(ell, dim) + 1):
-                labels.append((ell, j, 0))
-    return labels
+    index = np.asarray(index)
+    if dim == 3:
+        return (index + 1) // 2, np.where(index == 0, 0, 2 - index % 2)
+    return index + 1, np.zeros_like(index)
+
+
+def row_degrees(kappa: int, dim: int, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """The degree of each flat index in `rows` and its index within the degree."""
+    offsets, flat = degree_offsets(kappa, dim), np.arange(rows.start, rows.stop)
+    ells = np.searchsorted(offsets, flat, side="right") - 1
+    return ells, flat - offsets[ells]
+
+
+def mode_labels(kappa: int, dim: int = 3) -> list[tuple[int, int, int]]:
+    """(ell, m, component) label per flat index, by label_in_degree."""
+    ells, index = row_degrees(kappa, dim, slice(0, mode_count(kappa, dim)))
+    return list(zip(ells.tolist(), *(a.tolist() for a in label_in_degree(index, dim))))
 
 
 @dataclass(eq=False)
@@ -139,9 +146,6 @@ class CoefficientField:
     @classmethod
     def zeros(cls, kappa: int, dim: int = 3) -> "CoefficientField":
         return cls(np.zeros(mode_count(kappa, dim)), kappa, dim)
-
-    def copy(self) -> "CoefficientField":
-        return CoefficientField(self.data.copy(), self.kappa, self.dim)
 
     def truncated(self, kappa: int) -> "CoefficientField":
         """Projection onto degrees <= kappa (pad with zeros if kappa is larger)."""

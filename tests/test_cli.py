@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+import spherewave
 from spherewave import cli, harmonics, harness
 from spherewave.__main__ import BLAS_THREAD_VARIABLES
 from spherewave import io as spherewave_io
@@ -306,7 +308,7 @@ def test_coefficient_file_with_wrong_row_count_is_rejected(tmp_path):
 
 
 def test_short_coefficient_file_is_rejected_before_building_labels(tmp_path, monkeypatch):
-    monkeypatch.setattr(spherewave_io, "mode_labels",
+    monkeypatch.setattr(spherewave_io, "label_in_degree",
                         lambda *a: pytest.fail("mode labels built for a short file"))
     path = tmp_path / "short.csv"
     path.write_text("# kappa=1000\n# dim=3\nell,m,component,value\n0,0,0,1.0\n")
@@ -609,6 +611,37 @@ def test_grid_larger_than_memory_fails_before_building_its_nodes(tmp_path, monke
     assert not out.exists()
 
 
+def test_simulate_refuses_an_endless_trajectory_before_making_its_directory(tmp_path, capsys):
+    out = tmp_path / "endless"
+    assert run_cli("simulate", "--steps", "18446744073709551616", "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "steps (--steps) = 18446744073709551616 with store_every (--store-every) = 1" in err
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_trajectory_larger_than_the_free_space(tmp_path, monkeypatch,
+                                                                   capsys):
+    # kappa_ref 4 has 25 modes: 9 stored states x 2 fields x 25 rows x 29 bytes at least
+    need = 9 * 2 * 25 * cli.TRAJECTORY_ROW_BYTES
+    out = tmp_path / "a" / "b"
+    argv = ("simulate", "--kappa-ref", "4", "--steps", "16", "--store-every", "2",
+            "--output", str(out))
+    shutil_usage, usage = type(cli.shutil.disk_usage(tmp_path)), []
+
+    def disk_usage(path):
+        usage.append(path)
+        return shutil_usage(total=need, used=1, free=need - 1)
+
+    monkeypatch.setattr(cli.shutil, "disk_usage", disk_usage)
+    assert run_cli(*argv) == 1
+    assert "stores 9 states" in capsys.readouterr().err
+    assert usage == [str(tmp_path)] and not out.exists()
+    monkeypatch.setattr(cli.shutil, "disk_usage",
+                        lambda path: shutil_usage(total=need, used=0, free=need))
+    assert run_cli(*argv) == 0
+    assert (out / "trajectory.csv").stat().st_size > need
+
+
 def test_simulate_rejects_initial_data_of_another_dimension(tmp_path, capsys):
     # at kappa_ref 0 every dimension has one mode, so only the check tells them apart
     path = tmp_path / "v2.csv"
@@ -724,3 +757,12 @@ def test_the_package_loads_lazily_and_leaves_the_blas_setting_to_the_command_lin
     modules = [f"spherewave.{m}" for m in ("cli", "harmonics", "harness", "io", "modes",
                                            "noise", "spectrum", "wave")]
     assert out == ["False", f"{modules} None True\n"]
+
+
+def test_readme_lists_the_exported_names():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    listed = text.split("The package exports only this user API", 1)[1].split("Everything else")[0]
+    assert re.findall(r"`(\w+)`", listed) == spherewave.__all__

@@ -14,8 +14,9 @@ import oracles
 from spherewave import io as spherewave_io
 from spherewave.harmonics import GridField, SphereGrid
 from spherewave.harness import ErrorTable
-from spherewave.io import (write_coefficient_csv, write_error_table_csv, write_grid_field_csv,
-                           write_schrodinger_trajectory_csv, write_wave_trajectory_csv)
+from spherewave.io import (read_coefficient_csv, write_coefficient_csv, write_error_table_csv,
+                           write_grid_field_csv, write_schrodinger_trajectory_csv,
+                           write_wave_trajectory_csv)
 from spherewave.modes import CoefficientField, mode_count
 from spherewave.wave import State
 
@@ -324,3 +325,21 @@ def test_error_tables_are_utf8_whatever_the_locale(tmp_path, monkeypatch):
     path = tmp_path / "table.csv"
     write_error_table_csv(str(path), table)
     assert path.read_bytes().startswith("# v1_file=données/v1.csv\n".encode("utf-8"))
+
+
+@pytest.mark.parametrize("kappa", [128, 256])
+def test_coefficient_reader_holds_at_most_160_bytes_per_row(tmp_path, kappa):
+    # a row is held as its line number and stripped text until the counts are
+    # checked; the labels are built a pass at a time, not as one tuple per mode
+    n = mode_count(kappa)
+    field = CoefficientField(np.random.default_rng(kappa).standard_normal(n), kappa)
+    path = str(tmp_path / "coeffs.csv")
+    write_coefficient_csv(path, field)
+    tracemalloc.start()
+    try:
+        read = read_coefficient_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(read.data, field.data)
+    assert peak / n <= 160, peak / n
