@@ -20,7 +20,7 @@ from dataclasses import fields as dataclass_fields
 import numpy as np
 
 from . import harmonics
-from .harmonics import synthesize
+from .harmonics import SphereGrid, synthesize
 from .harness import (ExperimentConfig, _named, _sample_rngs, analytic_weak_error_experiment,
                       initial_data, pathwise_error_experiment, strong_error_experiment,
                       theoretical_rates, weak_error_experiment)
@@ -154,19 +154,20 @@ def _simulate_initial(cfg):
                  for v in initial_data(cfg)(*_sample_rngs(cfg.seed, [0])))
 
 
-# Peak resident bytes per mode of simulate and sample-field (states, noise and
-# the path's per-mode step arrays; the writers hold one pass of rows, not the
-# mode labels): the growth of peak RSS between 87k and 609k modes of
-# `simulate --equation wave-dsphere --dim 5 --steps 2` was 136.4 B per mode in
-# three fresh processes, and 15.4 to 15.5 B for `sample-field`.
-BYTES_PER_MODE = 137
+# Peak resident bytes per mode of each command (states, noise and the path's
+# per-mode step arrays; the writers hold one pass of rows, not the mode
+# labels): the growth of peak RSS between 87k and 609k modes of
+# `<command> --equation wave-dsphere --dim 5` (simulate with --steps 2) was
+# 136.4 B per mode for simulate and 15.4 B for sample-field, in three fresh
+# processes each; between 1.23M and 9.02M modes, 16.0 B for sample-field.
+BYTES_PER_MODE = {"simulate": 137, "sample-field": 17}
 
 
-def _check_state_memory(cfg: ExperimentConfig):
+def _check_state_memory(cfg: ExperimentConfig, command: str):
     """Refuse, before allocating anything, a state larger than physical memory,
     and on S^2 a grid whose field synthesis would not fit either."""
     modes = mode_count(cfg.kappa_ref, cfg.dim)
-    nbytes = modes * BYTES_PER_MODE
+    nbytes = modes * BYTES_PER_MODE[command]
     memory = harmonics._physical_memory()
     if memory is not None and nbytes > memory:
         raise ValueError(
@@ -174,7 +175,7 @@ def _check_state_memory(cfg: ExperimentConfig):
             f"about {nbytes / 1e9:.1f} GB, more than the {memory / 1e9:.1f} GB of "
             f"physical memory")
     if cfg.dim == 3:
-        harmonics.synthesis_field_bytes(cfg.kappa_ref, cfg.grid_shape())
+        harmonics.check_synthesis_memory(cfg.kappa_ref, *cfg.grid_shape(), unfolded=True)
 
 
 # Fewest bytes of a trajectory row: 'l,m,c,' and a '%.16e' value with its newline.
@@ -198,7 +199,7 @@ def _check_trajectory_disk(cfg: ExperimentConfig):
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
-    _check_state_memory(cfg)
+    _check_state_memory(cfg, "simulate")
     _check_trajectory_disk(cfg)
     ensure_dir(cfg.output)
     ps = cfg.power_spectrum()
@@ -212,7 +213,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
                                       cfg.component_names()).u1
     written.append(traj_path)
     if cfg.dim == 3:
-        field = synthesize(final, cfg.grid())
+        field = synthesize(final, SphereGrid(*cfg.grid_shape()))
         field_path = os.path.join(cfg.output, "final_field.csv")
         write_grid_field_csv(field_path, field, meta)
         written.append(field_path)
@@ -221,7 +222,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
 
 def cmd_sample_field(cfg: ExperimentConfig) -> list[str]:
     """Draw one isotropic Gaussian random field and export it."""
-    _check_state_memory(cfg)
+    _check_state_memory(cfg, "sample-field")
     ensure_dir(cfg.output)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     sample = sample_isotropic_grf(cfg.power_spectrum(), cfg.kappa_ref, cfg.dim, rng)
@@ -232,7 +233,7 @@ def cmd_sample_field(cfg: ExperimentConfig) -> list[str]:
     written.append(coeff_path)
     if cfg.dim == 3:
         field_path = os.path.join(cfg.output, "sample_field.csv")
-        write_grid_field_csv(field_path, synthesize(sample, cfg.grid()), meta)
+        write_grid_field_csv(field_path, synthesize(sample, SphereGrid(*cfg.grid_shape())), meta)
         written.append(field_path)
     return written
 

@@ -26,7 +26,6 @@ import math
 import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -158,11 +157,10 @@ def _legendre_blocks(kappa: int, theta: np.ndarray) -> Iterator[tuple[int, int, 
         yield m0, m1, normalized_legendre_table(kappa, theta, m0, m1)
 
 
-def legendre_block_bytes(kappa: int, grid: SphereGrid | GridShape) -> int:
+def legendre_block_bytes(kappa: int, n_theta: int) -> int:
     """Bytes of the largest Legendre block one synthesis at band kappa holds on
-    grid (a SphereGrid or a GridShape), at the northern colatitudes only (see
-    _theta_profiles)."""
-    n_north = (grid.n_theta + 1) // 2
+    a grid of n_theta colatitudes, at the northern ones only (see _theta_profiles)."""
+    n_north = (n_theta + 1) // 2
     offsets = _pair_offsets(kappa)
     return 8 * n_north * max(int(offsets[m1] - offsets[m0])
                              for m0, m1 in _block_orders(kappa, n_north))
@@ -241,13 +239,6 @@ def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.choose(quarter, [c, -s, -c, s]), np.choose(quarter, [s, c, -s, -c])
 
 
-class GridShape(NamedTuple):
-    """The sizes of a SphereGrid, for memory checks made before its nodes are built."""
-
-    n_theta: int
-    n_phi: int
-
-
 @dataclass(eq=False)
 class SphereGrid:
     """Gauss-Legendre x uniform grid on S^2 with quadrature weights."""
@@ -307,6 +298,7 @@ def synthesize(coeffs: CoefficientField, grid: SphereGrid) -> GridField:
     """
     if coeffs.dim != 3:
         raise ValueError(f"pointwise synthesis is available for dim == 3 only, got dim={coeffs.dim}")
+    check_synthesis_memory(coeffs.kappa, grid.n_theta, grid.n_phi, unfolded=True)
     ((c, s),) = synthesize_tails(coeffs.data[None], coeffs.kappa, grid, [-1])
     return GridField(_unfold(c, s, grid.n_phi), grid)
 
@@ -317,36 +309,47 @@ def _unfold(c: np.ndarray, s: np.ndarray, n_phi: int) -> np.ndarray:
     return np.concatenate([(c + s).T, (c - s)[n_phi - len(c):0:-1].T], axis=1)
 
 
-def synthesis_field_bytes(kappa: int, grid: SphereGrid | GridShape) -> int:
-    """Bytes one field adds to the working set of synthesize_tails at band kappa.
+def phase_table_bytes(kappa: int, n_phi: int) -> int:
+    """Bytes SphereGrid.phase_tables(kappa) holds while built at n_phi longitudes:
+    the two tables and the gather indices, (n_phi // 2 + 1) x (kappa + 1) each,
+    and at most ten n_phi-long arrays of unit-circle values."""
+    return 8 * (3 * (kappa + 1) * (n_phi // 2 + 1) + 10 * n_phi)
 
-    Counts the top shell's theta profiles (2 (kappa + 1) x n_theta), the
-    packed coefficients (two per (ell, m) pair) and, as a conservative bound
-    (the phi stage holds six half grids per chunk), two n_theta x n_phi arrays,
-    which fit the lower shells' profiles if sum(k + 1) <= n_phi / 2 over
-    their top degrees k.  Raises ValueError when one field and the phase
-    tables (phase_table_bytes) exceed physical memory.  Only the grid's sizes
-    are read, so a GridShape is checked before its nodes are built.
+
+def synthesis_bytes(kappa: int, n_theta: int, n_phi: int, kappas) -> tuple[int, int, int]:
+    """(per field, per call, shared): the bytes synthesize_tails holds at band
+    kappa on an n_theta x n_phi grid for the tails above `kappas`.
+
+    Per field, the largest of its stages: its coefficients (one value per
+    mode) with their packed copy (two per (ell, m) pair); then the packed copy
+    with the theta profiles of every shell (2 (hi + 1) x n_theta values for a
+    shell of top degree hi) and the staged even and odd sums.  Per call: the
+    largest Legendre block and six phi half grids ((n_phi // 2 + 1) x n_theta:
+    halves, products and two to reduce or unfold them).  Shared: the phase tables.
     """
-    pairs = (kappa + 1) * (kappa + 2) // 2
-    nbytes = 8 * (2 * grid.n_theta * grid.n_phi + 2 * (kappa + 1) * grid.n_theta + 2 * pairs)
-    table = phase_table_bytes(kappa, grid)
+    modes = (kappa + 1) ** 2
+    packed = (kappa + 1) * (kappa + 2)
+    profiles = 2 * n_theta * sum(hi + 1 for hi in [*kappas[1:], kappa])
+    staged = 4 * FOLD_ORDERS * ((n_theta + 1) // 2)
+    field = 8 * max(modes + packed, packed + profiles + staged)
+    call = legendre_block_bytes(kappa, n_theta) + 8 * 6 * (n_phi // 2 + 1) * n_theta
+    return field, call, phase_table_bytes(kappa, n_phi)
+
+
+def check_synthesis_memory(kappa, n_theta, n_phi, kappas=(-1,), n_fields=1, unfolded=False):
+    """Refuse, before anything is allocated, a synthesis of n_fields fields at
+    once (synthesize_tails, and with `unfolded` also each field's grid, as
+    synthesize makes it) whose synthesis_bytes exceed physical memory.  Only
+    the grid's sizes are read, so a grid is checked before its nodes are built."""
+    field, call, shared = synthesis_bytes(kappa, n_theta, n_phi, kappas)
+    nbytes = n_fields * (field + 8 * n_theta * n_phi * unfolded) + call
     memory = _physical_memory()
-    if memory is not None and nbytes + table > memory:
-        beside = "" if nbytes > memory else f" leaves beside its {table / 1e9:.3g} GB phase table"
+    if memory is not None and nbytes + shared > memory:
+        beside = "" if nbytes > memory else f" leaves beside its {shared / 1e9:.3g} GB phase tables"
         raise ValueError(
-            f"synthesis at kappa={kappa} on a {grid.n_theta} x {grid.n_phi} grid "
-            f"(n_theta x n_phi) needs {nbytes / 1e9:.3g} GB per field, more than the "
-            f"{memory / 1e9:.3g} GB of physical memory{beside}")
-    return nbytes
-
-
-def phase_table_bytes(kappa: int, grid: SphereGrid | GridShape) -> int:
-    """Bytes SphereGrid.phase_tables(kappa) holds while built: the two tables
-    and the gather indices, (n_phi // 2 + 1) x (kappa + 1) each, and at most
-    ten n_phi-long arrays of unit-circle values.  Built once per grid and
-    band, they are shared by every field synthesized there."""
-    return 8 * (3 * (kappa + 1) * (grid.n_phi // 2 + 1) + 10 * grid.n_phi)
+            f"synthesis of {n_fields} field{'s' * (n_fields != 1)} at kappa={kappa} on a "
+            f"{n_theta} x {n_phi} grid (n_theta x n_phi) needs {nbytes / 1e9:.3g} GB, more "
+            f"than the {memory / 1e9:.3g} GB of physical memory{beside}")
 
 
 def _packed_coefficients(data: np.ndarray, kappa: int) -> np.ndarray:
@@ -406,8 +409,8 @@ def synthesize_tails(data: np.ndarray, kappa: int, grid: SphereGrid,
 
     Cost per field: theta O(kappa^2 n_theta / 2) once; phi O(n_theta kappa
     n_phi) for the top shell plus O(n_theta k n_phi) for each lower shell of
-    top k.  Raises ValueError, before allocating, if one field's working set
-    and the phase tables (synthesis_field_bytes) exceed physical memory.
+    top k.  Raises ValueError, before allocating, if the stack's working set
+    and the phase tables (synthesis_bytes) exceed physical memory.
     """
     if kappa > MAX_SYNTHESIS_BAND:
         raise ValueError(f"band limit {kappa} exceeds synthesis maximum {MAX_SYNTHESIS_BAND}")
@@ -419,8 +422,8 @@ def synthesize_tails(data: np.ndarray, kappa: int, grid: SphereGrid,
     if not bottoms or any(b <= a for a, b in zip(bottoms, bottoms[1:])) or bottoms[-1] >= kappa:
         raise ValueError(f"kappas must be strictly increasing and below the band limit "
                          f"{kappa}, got {bottoms}")
-    synthesis_field_bytes(kappa, grid)  # refuses a field larger than memory
     n_fields = len(data)
+    check_synthesis_memory(kappa, grid.n_theta, grid.n_phi, bottoms, n_fields)
     packed = _packed_coefficients(data, kappa)
     del data  # a stack only this generator holds is freed before the theta stage
     shells = list(zip(bottoms, bottoms[1:] + [kappa]))

@@ -44,8 +44,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from . import harmonics
-from .harmonics import (GridShape, SphereGrid, legendre_block_bytes, phase_table_bytes,
-                        synthesis_field_bytes, synthesize_tails)
+from .harmonics import SphereGrid, synthesize_tails
 from .io import read_coefficient_csv
 from .modes import degree_offsets, degree_sizes, mode_count, mode_degrees
 from .noise import ConvFactorTable, _factor_entries, sample_degree_wishart
@@ -214,19 +213,11 @@ class ExperimentConfig:
     def power_spectrum(self) -> PowerSpectrum:
         return PowerSpectrum(self.alpha, self.scale, self.ell0, self.head_value)
 
-    def grid_shape(self) -> GridShape:
+    def grid_shape(self) -> tuple[int, int]:
         """(n_theta, n_phi), by default the smallest exact grid for band kappa_ref."""
         n_theta = self.n_theta if self.n_theta is not None else self.kappa_ref + 1
         n_phi = self.n_phi if self.n_phi is not None else 2 * self.kappa_ref + 2
-        return GridShape(n_theta, n_phi)
-
-    def grid(self) -> SphereGrid:
-        """The grid, built only once synthesis_field_bytes has found room for one
-        field's synthesis at kappa_ref on it: nothing is allocated for a grid
-        that does not fit in physical memory."""
-        shape = self.grid_shape()
-        synthesis_field_bytes(self.kappa_ref, shape)
-        return SphereGrid(*shape)
+        return n_theta, n_phi
 
     def component_names(self) -> tuple[str, str]:
         if self.equation == "schrodinger":
@@ -626,7 +617,7 @@ DEGREE_CHUNK_BYTES = 64 * 2**10
 
 
 # Working memory of the fields of one chunk of grid-error samples, two fields
-# each at the per-field bytes of _grid_working_set, up to kappa_ref 256: at
+# each at the per-field bytes of harmonics.synthesis_bytes, up to kappa_ref 256: at
 # kappa_ref 256 on the default grid, with the kappas 2, 4, ..., 32, a chunk
 # holds 17 samples.  Every chunk pays a whole pass of the Legendre recurrence,
 # so above 256 the budget grows as kappa_ref^2, as a field does, and a chunk
@@ -643,29 +634,12 @@ MAX_WORKER_BYTES = 960 * 2**20
 DRAW_MODE_ARRAYS = 20
 
 
-def _grid_working_set(kappa_ref: int, grid: SphereGrid | GridShape,
-                      kappas) -> tuple[int, int]:
+def _grid_working_set(kappa_ref: int, shape: tuple[int, int], kappas) -> tuple[int, int]:
     """(per field, per worker): the bytes one grid-error worker holds for each
-    field of its chunk, and whatever the chunk.
-
-    Per field, the largest of its stages: the drawn coefficients (one value
-    per mode) with their packed copy (two per (ell, m) pair) while they are
-    packed; then the packed copy with the theta profiles of every shell the
-    kappas cut (2 (hi + 1) x n_theta values for a shell of top degree hi) and
-    the staged even and odd sums; the phi stage holds the profiles alone.  Per
-    worker: the largest Legendre block, the six phi half grids
-    ((n_phi // 2 + 1) x n_theta each) and the draw's DRAW_MODE_ARRAYS per-mode
-    arrays.  The workers share the phase tables (phase_table_bytes).
-    """
-    n_theta = grid.n_theta
-    modes = (kappa_ref + 1) ** 2
-    packed = (kappa_ref + 1) * (kappa_ref + 2)
-    profiles = 2 * n_theta * sum(hi + 1 for hi in [*kappas[1:], kappa_ref])
-    staged = 4 * harmonics.FOLD_ORDERS * ((n_theta + 1) // 2)
-    field = 8 * max(modes + packed, packed + profiles + staged)
-    worker = (legendre_block_bytes(kappa_ref, grid) + 8 * 6 * (grid.n_phi // 2 + 1) * n_theta
-              + 8 * DRAW_MODE_ARRAYS * modes)
-    return field, worker
+    field of its chunk, and whatever the chunk: those of synthesize_tails
+    (harmonics.synthesis_bytes), and per worker the draw's per-mode arrays."""
+    field, call, _ = harmonics.synthesis_bytes(kappa_ref, *shape, kappas)
+    return field, call + 8 * DRAW_MODE_ARRAYS * (kappa_ref + 1) ** 2
 
 
 def _sample_chunk(kappa_ref: int, field_bytes: int, worker_bytes: int) -> int:
@@ -689,10 +663,13 @@ class _TailErrors:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.grid = cfg.grid()  # refuses a grid beyond physical memory before building it
-        self.field_bytes, fixed = _grid_working_set(cfg.kappa_ref, self.grid, cfg.kappas)
+        shape = cfg.grid_shape()
+        self.field_bytes, fixed = _grid_working_set(cfg.kappa_ref, shape, cfg.kappas)
         self.chunk = _sample_chunk(cfg.kappa_ref, self.field_bytes, fixed)
         self.worker_bytes = 2 * self.chunk * self.field_bytes + fixed
+        # refuses a chunk beyond physical memory before the grid's nodes are built
+        harmonics.check_synthesis_memory(cfg.kappa_ref, *shape, cfg.kappas, 2 * self.chunk)
+        self.grid = SphereGrid(*shape)
         self.sampler = _TerminalSampler(cfg)
 
     def check_threads(self, n: int):
@@ -700,8 +677,9 @@ class _TailErrors:
         chunks of n samples would exceed physical memory."""
         workers = min(self.cfg.threads, -(-n // self.chunk))
         memory = harmonics._physical_memory()
-        # the workers share the grid's phase tables
-        total = workers * self.worker_bytes + phase_table_bytes(self.cfg.kappa_ref, self.grid)
+        shared = harmonics.synthesis_bytes(self.cfg.kappa_ref, *self.cfg.grid_shape(),
+                                           self.cfg.kappas)[2]  # the phase tables
+        total = workers * self.worker_bytes + shared
         if memory is not None and total > memory:
             raise ValueError(
                 f"--threads {self.cfg.threads} runs {workers} chunks of grid-error samples at "

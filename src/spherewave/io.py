@@ -308,10 +308,12 @@ def write_coefficient_csv(path: str, field: CoefficientField, metadata: dict | N
 def read_coefficient_csv(path: str) -> CoefficientField:
     """Coefficients written by write_coefficient_csv.
 
-    Rows must carry the (ell, m, component) labels of modes.label_in_degree in
-    storage order, one row per mode, and finite values; anything else
-    (reordered, mislabelled, missing or extra rows, nan, inf or an overflow
-    such as 1e400) is rejected, naming the file and the first bad row.
+    Rows must be four comma-separated fields: the (ell, m, component) labels
+    of modes.label_in_degree in plain decimal digits, in storage order, one
+    row per mode, and a finite value without '_' or blanks; anything else
+    (reordered, mislabelled, missing or extra rows or fields, signs, nan, inf
+    or an overflow such as 1e400) is rejected, naming the file and the first
+    bad row.
     """
     meta = {}
     linenos, texts = array.array("q"), []  # per data row; labels are built per pass
@@ -357,18 +359,21 @@ def read_coefficient_csv(path: str) -> CoefficientField:
         ells, index = row_degrees(kappa, dim, rows)
         labels = zip(ells.tolist(), *(a.tolist() for a in label_in_degree(index, dim)))
         for j, expected in zip(range(rows.start, rows.stop), labels):
-            fields = texts[j].split(",")
-            try:
-                label = tuple(int(f) for f in fields[:3])
-                values[j] = float(fields[3])
-            except (ValueError, IndexError):
+            *label, value = texts[j].split(",")
+            try:  # three plain decimal labels and a value without '_' or blanks
+                if (len(label) != 3 or "_" in value or value != value.strip()
+                        or not all(f.isascii() and f.isdigit() for f in label)):
+                    raise ValueError
+                label = tuple(int(f) for f in label)
+                values[j] = float(value)
+            except ValueError:
                 raise ValueError(f"{path}: line {linenos[j]}: expected "
                                  f"'ell,m,component,value', got {texts[j]!r}") from None
             if label != expected:
                 raise ValueError(f"{path}: line {linenos[j]}: mode label {label} where "
                                  f"{expected} is expected (rows must follow the storage order)")
             if not math.isfinite(values[j]):
-                raise ValueError(f"{path}: line {linenos[j]}: value {fields[3]!r} is not finite")
+                raise ValueError(f"{path}: line {linenos[j]}: value {value!r} is not finite")
     return CoefficientField(values, kappa, dim)
 
 

@@ -22,18 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def laplacian_eigenvalue(ell: int, dim: int = 3) -> float:
-    """Eigenvalue of the Laplace-Beltrami operator on S^{dim-1} at degree ell."""
-    if ell < 0:
-        raise ValueError(f"degree must be non-negative, got {ell}")
-    if dim < 3:
-        raise ValueError(f"ambient dimension must be >= 3, got {dim}")
-    return -float(ell * (ell + dim - 2))
-
-
 def laplacian_lambdas(kappa: int, dim: int = 3) -> np.ndarray:
-    """lam_ell = ell (ell + dim - 2) = -laplacian_eigenvalue(ell, dim) for ell = 0..kappa;
-    exact integers below 2**53, so bit for bit the scalar function's values."""
+    """lam_ell = ell (ell + dim - 2), minus the Laplace-Beltrami eigenvalue on
+    S^{dim-1} at degree ell, for ell = 0..kappa; exact integers below 2**53."""
     ells = np.arange(kappa + 1, dtype=np.int64)
     return (ells * (ells + dim - 2)).astype(float)
 

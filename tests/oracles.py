@@ -37,8 +37,7 @@ from scipy.special import sph_harm_y
 from spherewave import noise
 from spherewave.harmonics import synthesize_tails
 from spherewave.harness import _load_initial_fields
-from spherewave.modes import (CoefficientField, degree_offsets, laplacian_eigenvalue, mode_count,
-                              mode_degrees)
+from spherewave.modes import CoefficientField, degree_offsets, mode_count, mode_degrees
 from spherewave.noise import ConvFactorTable, Propagator
 from spherewave.spectrum import PowerSpectrum, sobolev_scale
 from spherewave.wave import State
@@ -207,6 +206,15 @@ def harmonic_dimension(ell: int, dim: int) -> int:
     """h(ell, dim) as the difference of two counts of homogeneous monomials."""
     below = math.comb(ell + dim - 3, dim - 1) if ell >= 2 else 0
     return math.comb(ell + dim - 1, dim - 1) - below
+
+
+def laplacian_eigenvalue(ell: int, dim: int = 3) -> float:
+    """Eigenvalue of the Laplace-Beltrami operator on S^{dim-1} at degree ell."""
+    if ell < 0:
+        raise ValueError(f"degree must be non-negative, got {ell}")
+    if dim < 3:
+        raise ValueError(f"ambient dimension must be >= 3, got {dim}")
+    return -float(ell * (ell + dim - 2))
 
 
 def mode_labels(kappa: int, dim: int) -> list[tuple[int, int, int]]:

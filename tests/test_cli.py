@@ -232,8 +232,7 @@ def test_file_initial_data_flows_through(tmp_path):
 
 def test_outputs_are_byte_identical_across_thread_counts(tmp_path, monkeypatch):
     # grid errors in chunks of two samples, so that both workers get chunks
-    fields = 2 * 2 * harness._grid_working_set(32, harmonics.GridShape(33, 66),
-                                               [2, 4, 8, 16])[0]
+    fields = 2 * 2 * harness._grid_working_set(32, (33, 66), [2, 4, 8, 16])[0]
     monkeypatch.setattr(harness, "SAMPLE_CHUNK_BYTES", fields)
     for command, kind in [("convergence", "l2-coefficients"), ("convergence", "max-grid"),
                           ("path-error", "max-grid")]:
@@ -353,6 +352,18 @@ def test_coefficient_file_with_non_finite_value_is_rejected(tmp_path, value):
     assert read(path).decode().splitlines()[5] == f"1,1,1,{value}"
     with pytest.raises(ValueError, match=rf"bad\.csv: line 6: value '{value}' is not finite"):
         read_coefficient_csv(str(path))
+
+
+@pytest.mark.parametrize("row", ["0,0,0,1.5,junk", " 0 , +0 ,0_0, 1_5 ", "0,0,0,1_5",
+                                 "0,0,0, 1.5", "0,0,-0,1.5", "0,0,0"])
+def test_coefficient_row_that_is_not_four_plain_fields_is_rejected(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# kappa=0\nell,m,component,value\n{row}\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: line 3: expected 'ell,m,component,value', "
+                                         r"got " + re.escape(repr(row.strip()))):
+        read_coefficient_csv(str(path))
+    path.write_text("# kappa=0\nell,m,component,value\n00,0,0,1.5\n")
+    assert read_coefficient_csv(str(path)).data.tolist() == [1.5]
 
 
 def test_simulate_refuses_a_non_finite_initial_value(tmp_path, capsys):
@@ -578,21 +589,37 @@ def test_help_screens_match_a_parser_with_flags_per_subcommand(monkeypatch, caps
 @pytest.mark.parametrize("command", ["simulate", "sample-field"])
 def test_state_larger_than_memory_fails_before_allocating(tmp_path, monkeypatch, capsys,
                                                           command):
-    monkeypatch.setattr(harmonics, "_physical_memory", lambda: 64 * 10**9)
+    monkeypatch.setattr(harmonics, "_physical_memory", lambda: 32 * 10**9)
     for name in ("run_path", "sample_isotropic_grf", "_simulate_initial"):
         monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("allocated anyway"))
     out = tmp_path / "big"
-    # 2,528,665,425 modes x BYTES_PER_MODE
+    # 2,528,665,425 modes x BYTES_PER_MODE[command]
     assert run_cli(command, "--equation", "wave-dsphere", "--dim", "8", "--kappa-ref", "64",
                    "--output", str(out)) == 1
     err = capsys.readouterr().err
     assert "kappa_ref=64 with dim=8 has 2528665425 modes" in err
-    assert f"{2528665425 * cli.BYTES_PER_MODE / 1e9:.1f} GB" in err and "64.0 GB" in err
-    assert not out.exists()
+    assert f"{2528665425 * cli.BYTES_PER_MODE[command] / 1e9:.1f} GB" in err
+    assert "32.0 GB" in err and not out.exists()
 
     monkeypatch.setattr(harmonics, "_physical_memory", lambda: None)  # unknown: no check
     cli._check_state_memory(resolve_config(build_parser().parse_args(
-        [command, "--equation", "wave-dsphere", "--dim", "8", "--kappa-ref", "64"])))
+        [command, "--equation", "wave-dsphere", "--dim", "8", "--kappa-ref", "64"])), command)
+
+
+def test_sample_field_is_charged_its_own_bytes_per_mode(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harmonics, "_physical_memory", lambda: 20 * 10**6)
+    # 259,161 modes: 4.41 MB at sample-field's 17 B per mode, 35.5 MB at simulate's 137
+    out = tmp_path / "fits"
+    assert run_cli("sample-field", "--equation", "wave-dsphere", "--dim", "5", "--kappa-ref",
+                   "40", "--output", str(out)) == 0
+    assert (out / "sample_coefficients.csv").exists()
+    # 1,231,041 modes x 17 B = 20.9 MB
+    monkeypatch.setattr(cli, "sample_isotropic_grf", lambda *a, **k: pytest.fail("allocated"))
+    out = tmp_path / "big"
+    assert run_cli("sample-field", "--equation", "wave-dsphere", "--dim", "5", "--kappa-ref",
+                   "60", "--output", str(out)) == 1
+    assert "kappa_ref=60 with dim=5 has 1231041 modes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [("simulate", "--steps", "1"), ("sample-field",),
@@ -604,10 +631,21 @@ def test_grid_larger_than_memory_fails_before_building_its_nodes(tmp_path, monke
     monkeypatch.setattr(harmonics, "gauss_legendre",
                         lambda n: pytest.fail("built the grid's nodes anyway"))
     out = tmp_path / "out"
-    # (2 x 60000 x 130 + 130 x 60000 + 2 x 2145) values x 8 bytes = 0.187 GB per field
+    # Per field at kappa_ref 64: the packed coefficients (2 x 2145 values), the
+    # theta profiles (2 x 60000 values per order up to each shell's top degree)
+    # and the staged sums (4 x 8 x 30000).  simulate and sample-field synthesize
+    # one field in one shell (65 orders) and unfold its grid (60000 x 130); grid
+    # errors take one sample, two fields, in the kappas' shells (5 + 9 + 17 + 33
+    # + 65 = 129 orders).  Per call: the largest Legendre block (138 rows x
+    # 30000) and six half grids (6 x 66 x 60000), 27,900,000 values.  In all,
+    # x 8 bytes: 4290 + 7,800,000 + 960,000 + 7,800,000 + 27,900,000 values =
+    # 0.356 GB, and 2 x (4290 + 15,480,000 + 960,000) + 27,900,000 = 0.486 GB.
     assert run_cli(*command, "--n-theta", "60000", "--output", str(out)) == 1
     err = capsys.readouterr().err
-    assert "on a 60000 x 130 grid (n_theta x n_phi) needs 0.187 GB per field" in err
+    one_field = command[0] in ("simulate", "sample-field")
+    fields, gb = ("1 field", "0.356") if one_field else ("2 fields", "0.486")
+    assert (f"synthesis of {fields} at kappa=64 on a 60000 x 130 grid (n_theta x n_phi) "
+            f"needs {gb} GB, more than the 0.1 GB of physical memory") in err
     assert not out.exists()
 
 

@@ -23,8 +23,9 @@ from spherewave import harness
 from spherewave.harness import (ExperimentConfig, _DegreeSampler, pathwise_error_experiment,
                                 strong_error_experiment, weak_error_experiment)
 from spherewave.io import write_coefficient_csv
-from spherewave.modes import CoefficientField, degree_sizes, laplacian_eigenvalue, mode_count
-from oracles import analytic_second_moment, schrodinger_conv_covariance, wave_conv_covariance
+from spherewave.modes import CoefficientField, degree_sizes, mode_count
+from oracles import (analytic_second_moment, laplacian_eigenvalue, schrodinger_conv_covariance,
+                     wave_conv_covariance)
 from spherewave.noise import sample_degree_wishart
 from spherewave.spectrum import sobolev_scale
 from spherewave.wave import Propagator, State, propagate

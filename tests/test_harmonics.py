@@ -7,15 +7,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from spherewave import harmonics
 from spherewave.harmonics import (MAX_SYNTHESIS_BAND, SphereGrid, GridField,
-                                  normalized_legendre_table, synthesis_field_bytes, synthesize,
+                                  normalized_legendre_table, synthesis_bytes, synthesize,
                                   synthesize_tails, _legendre_blocks, _pair_offsets)
-from spherewave.modes import (CoefficientField, harmonic_dimension,
-                              laplacian_eigenvalue, laplacian_lambdas, mode_count)
+from spherewave.modes import CoefficientField, harmonic_dimension, laplacian_lambdas, mode_count
 
 import oracles
-from oracles import (assoc_legendre, grid_l2_norm, grid_max_abs, loop_legendre_table,
-                     normalization_factor, normalized_legendre, rodrigues_legendre,
-                     symbolic_assoc_legendre, tail_values_by_modes)
+from oracles import (assoc_legendre, grid_l2_norm, grid_max_abs, laplacian_eigenvalue,
+                     loop_legendre_table, normalization_factor, normalized_legendre,
+                     rodrigues_legendre, symbolic_assoc_legendre, tail_values_by_modes)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -309,9 +308,11 @@ def test_synthesis_fails_before_allocating_beyond_physical_memory(monkeypatch):
     for name in ("normalized_legendre_table", "_packed_coefficients"):
         monkeypatch.setattr(harmonics, name,
                             lambda *a: pytest.fail("allocated despite the memory check"))
-    # (2 x 65 x 2000 + 130 x 65 + 2 x 2145) values x 8 bytes = 2.18 MB per field
-    with pytest.raises(ValueError, match=r"kappa=64 on a 65 x 2000 grid .* needs 0\.00218 GB "
-                                         r"per field, more than the 0\.001 GB"):
+    # the field's packed coefficients, theta profiles and staged sums (2 x 2145 +
+    # 130 x 65 + 4 x 8 x 33 values), its grid (65 x 2000), and per call the
+    # Legendre table (2145 x 33) and six half grids (6 x 1001 x 65): 4,839,768 bytes
+    with pytest.raises(ValueError, match=r"synthesis of 1 field at kappa=64 on a 65 x 2000 grid "
+                                         r".* needs 0\.00484 GB, more than the 0\.001 GB"):
         synthesize(coeffs, grid)
     assert grid._phase_tables == {}
     monkeypatch.undo()
@@ -320,15 +321,17 @@ def test_synthesis_fails_before_allocating_beyond_physical_memory(monkeypatch):
 
 
 def test_synthesis_counts_the_phase_table_before_building_it(monkeypatch):
-    # one field of 1 x 100000 points needs 1.9 MB; its phase tables need 249 MB
+    # one field of 1 x 100000 points needs 4.0 MB: its coefficients and their packed
+    # copy (201^2 + 201 x 202 values) and its grid (100000), the Legendre table
+    # (20301 x 1) and six half grids (6 x 50001 x 1); its phase tables need 249 MB
     grid = SphereGrid(1, 100000)
     coeffs = CoefficientField.zeros(200)
     monkeypatch.setattr(harmonics, "_physical_memory", lambda: 50 * 10**6)
     for name in ("_unit_circle", "normalized_legendre_table", "_packed_coefficients"):
         monkeypatch.setattr(harmonics, name,
                             lambda *a: pytest.fail("allocated despite the memory check"))
-    with pytest.raises(ValueError, match=r"needs 0\.00193 GB per field, more than the 0\.05 GB "
-                                         r"of physical memory leaves beside its 0\.249 GB phase"):
+    with pytest.raises(ValueError, match=r"needs 0\.00401 GB, more than the 0\.05 GB of "
+                                         r"physical memory leaves beside its 0\.249 GB phase"):
         synthesize(coeffs, grid)
     assert grid._phase_tables == {}
 
@@ -343,7 +346,7 @@ def test_phase_table_bytes_bound_the_build():
     finally:
         tracemalloc.stop()
     # the gather's index array is as large as one of the two tables
-    assert 1.5 * tables.nbytes < peak <= harmonics.phase_table_bytes(60, grid)
+    assert 1.5 * tables.nbytes < peak <= harmonics.phase_table_bytes(60, grid.n_phi)
 
 
 def test_theta_profiles_hold_one_legendre_block_at_a_time(monkeypatch):
@@ -393,22 +396,39 @@ def test_the_theta_stage_holds_no_storage_order_stack(monkeypatch):
     assert stack > slack and peak <= budget + profiles + packed + slack
 
 
-def test_synthesis_field_bytes_bound_each_fields_working_set():
+def test_a_stack_is_refused_on_its_fields_before_allocating(monkeypatch):
+    kappa, kappas = 32, [4, 16]
+    grid = SphereGrid(kappa + 1, 2 * kappa + 2)
+    field, call, shared = synthesis_bytes(kappa, grid.n_theta, grid.n_phi, kappas)
+    data = np.zeros((8, mode_count(kappa, 3)))
+    # room for four fields beside the per-call and shared bytes, not for eight
+    monkeypatch.setattr(harmonics, "_physical_memory", lambda: 4 * field + call + shared)
+    with monkeypatch.context() as m:
+        for name in ("normalized_legendre_table", "_packed_coefficients", "_unit_circle"):
+            m.setattr(harmonics, name, lambda *a: pytest.fail("allocated despite the memory check"))
+        with pytest.raises(ValueError, match=r"synthesis of 8 fields at kappa=32 on a 33 x 66 "
+                                             r"grid \(n_theta x n_phi\) needs "):
+            next(synthesize_tails(data, kappa, grid, kappas))
+    assert grid._phase_tables == {}
+    assert len(list(synthesize_tails(data[:4], kappa, grid, kappas))) == 4 * len(kappas)
+
+
+@pytest.mark.parametrize("kappas", [[4], [2, 8, 16, 32]])
+def test_synthesis_bytes_bound_the_traced_peak_of_a_stack(kappas):
     kappa = 48
     grid = SphereGrid(kappa + 1, 2 * kappa + 2)
+    grid.phase_tables(kappa)  # cached: shared by every call on the grid
+    field, call, _ = synthesis_bytes(kappa, grid.n_theta, grid.n_phi, kappas)
     data = np.random.default_rng(0).standard_normal((8, mode_count(kappa, 3)))
-
-    def traced_peak(n_fields):
-        synthesize(CoefficientField(data[0], kappa), grid)  # the phase table is cached
+    for n_fields in (1, 2, 8):
         tracemalloc.start()
         try:
-            for _ in synthesize_tails(data[:n_fields], kappa, grid, [4]):
+            for _ in synthesize_tails(data[:n_fields], kappa, grid, kappas):
                 pass
-            return tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-
-    assert traced_peak(8) - traced_peak(2) <= 6 * synthesis_field_bytes(kappa, grid)
+        assert peak <= n_fields * field + call
 
 
 def _tails(data, kappa, grid, kappas):
@@ -574,5 +594,5 @@ def test_legendre_block_bytes_bound_the_largest_block(monkeypatch, kappa, n_thet
     grid = SphereGrid(n_theta, 2 * n_theta)
     north = grid.theta[:(n_theta + 1) // 2]
     largest = max(block.nbytes for _, _, block in harmonics._legendre_blocks(kappa, north))
-    bound = harmonics.legendre_block_bytes(kappa, grid)
+    bound = harmonics.legendre_block_bytes(kappa, grid.n_theta)
     assert largest <= bound <= max(largest, block_bytes)

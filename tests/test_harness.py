@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from spherewave import harmonics, harness
-from spherewave.harmonics import synthesize_tails
+from spherewave.harmonics import SphereGrid, synthesize_tails
 from spherewave.cli import PRESETS
 from spherewave.harness import (ErrorTable, ExperimentConfig, _TailErrors,
                                 _TerminalSampler, _degree_tails,
@@ -106,7 +106,7 @@ def test_synthesized_tails_satisfy_parseval(shape):
     grid = dict(zip(("n_theta", "n_phi"), shape or ()))
     cfg = ExperimentConfig(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, seed=21, **grid)
     data = _TerminalSampler(cfg).draw(range(4))
-    g = cfg.grid()
+    g = SphereGrid(*cfg.grid_shape())
     squares = [oracles.grid_integrate(g, harmonics._unfold(c, s, g.n_phi) ** 2)
                for c, s in synthesize_tails(data, cfg.kappa_ref, g, cfg.kappas)]
     quadrature = np.sqrt(np.reshape(squares, (len(data), -1))[:, ::-1])
@@ -139,7 +139,7 @@ def test_max_grid_error_dominates_scaled_l2():
     cfg = ExperimentConfig(alpha=3.0, kappas=[2, 4, 8], kappa_ref=16, samples=1, seed=3,
                            error_kind="max-grid")
     data = _TerminalSampler(cfg).draw(range(5))
-    e_max = oracles.grid_tail_errors(data, cfg, cfg.grid())
+    e_max = oracles.grid_tail_errors(data, cfg, SphereGrid(*cfg.grid_shape()))
     e_l2 = _coefficient_tails(data, cfg)
     assert e_max.shape == e_l2.shape == (10, 3)
     assert np.all(e_max >= e_l2 / math.sqrt(4.0 * math.pi) - 1e-12)
@@ -477,7 +477,7 @@ def test_grid_error_chunk_depends_on_kappa_ref_the_grid_and_the_kappas_only(monk
     # above kappa_ref 256 the budget grows with a field, so chunks keep several
     # samples, up to a worker of MAX_WORKER_BYTES; more shells hold more profiles
     def chunk(k, kappas):
-        shape = harmonics.GridShape(k + 1, 2 * k + 2)
+        shape = (k + 1, 2 * k + 2)
         return harness._sample_chunk(k, *harness._grid_working_set(k, shape, kappas))
     assert [chunk(k, base["kappas"]) for k in (256, 512, 1024)] == [17, 19, 14]
     assert chunk(1024, [4, 8, 16, 32, 64, 128, 256, 512]) == 8
