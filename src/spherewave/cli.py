@@ -21,9 +21,9 @@ import numpy as np
 
 from . import harmonics
 from .harmonics import SphereGrid, synthesize
-from .harness import (ExperimentConfig, _named, _sample_rngs, analytic_weak_error_experiment,
-                      initial_data, pathwise_error_experiment, strong_error_experiment,
-                      theoretical_rates, weak_error_experiment)
+from .harness import (ExperimentConfig, _check_memory, _named, _sample_rngs,
+                      analytic_weak_error_experiment, initial_data, pathwise_error_experiment,
+                      strong_error_experiment, theoretical_rates, weak_error_experiment)
 from .io import (ensure_dir, write_coefficient_csv, write_error_table_csv,
                  write_error_table_json, write_grid_field_csv, write_wave_trajectory_csv)
 from .modes import CoefficientField, mode_count
@@ -167,13 +167,8 @@ def _check_state_memory(cfg: ExperimentConfig, command: str):
     """Refuse, before allocating anything, a state larger than physical memory,
     and on S^2 a grid whose field synthesis would not fit either."""
     modes = mode_count(cfg.kappa_ref, cfg.dim)
-    nbytes = modes * BYTES_PER_MODE[command]
-    memory = harmonics._physical_memory()
-    if memory is not None and nbytes > memory:
-        raise ValueError(
-            f"kappa_ref={cfg.kappa_ref} with dim={cfg.dim} has {modes} modes, which need "
-            f"about {nbytes / 1e9:.1f} GB, more than the {memory / 1e9:.1f} GB of "
-            f"physical memory")
+    _check_memory("kappa_ref", cfg.kappa_ref, modes * BYTES_PER_MODE[command],
+                  f"{modes} modes at dim={cfg.dim}")
     if cfg.dim == 3:
         harmonics.check_synthesis_memory(cfg.kappa_ref, *cfg.grid_shape(), unfolded=True)
 

@@ -26,16 +26,11 @@ into a row of one array and does the algebra, tails and functionals once per
 chunk; a per-mode chunk synthesizes all its fields in one batch.  Sample i
 draws from the generator of np.random.SeedSequence(seed, spawn_key=(i,)), so
 results do not depend on the chunk a sample lands in or on how chunks are
-scheduled across workers.  `_sample_rngs` derives a chunk's generators in one
-pass: the SeedSequence pool after the seed's words is computed once per seed,
-and the index words and PCG64 seed words of every sample in a few uint32 array
-operations, bit for bit as SeedSequence would (about 3 µs per sample in a
-31-sample chunk instead of about 20).
+scheduled across workers.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -355,106 +350,14 @@ def initial_data(cfg: ExperimentConfig):
     return lambda rng: fixed
 
 
-# Constants of numpy's SeedSequence: its entropy pool has 4 uint32 words, the
-# `hashmix` of an entropy word uses the multipliers INIT_A * MULT_A^k in turn,
-# `mix` combines two words, and generate_state hashes the pool with INIT_B, MULT_B.
-_POOL_WORDS = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_SHIFT = np.uint32(16)
-_MASK32 = 0xFFFFFFFF
-
-
-def _hash_multipliers(init: int, mult: int, start: int, count: int):
-    """The (xor, multiply) constants of `count` consecutive hash steps from step `start`."""
-    chain = np.array([init * pow(mult, start + k, 2**32) & _MASK32 for k in range(count + 1)],
-                     dtype=np.uint32)
-    return chain[:-1], chain[1:]
-
-
-def _hashmix(words, xor, mul):
-    v = words ^ xor
-    v *= mul
-    v ^= v >> _SHIFT
-    return v
-
-
-def _mix(x, y):
-    r = _MIX_L * x - _MIX_R * y
-    r ^= r >> _SHIFT
-    return r
-
-
-# generate_state's constants for the 8 uint32 words of PCG64's 4 uint64 words,
-# as (2, 4): word 4 a + b hashes pool word b
-_OUTPUT_HASH = tuple(c.reshape(2, _POOL_WORDS)
-                     for c in _hash_multipliers(_INIT_B, _MULT_B, 0, 2 * _POOL_WORDS))
-
-
-@functools.lru_cache(maxsize=8)
-def _seed_pool(seed: int):
-    """SeedSequence(seed, spawn_key=(i,))'s pool before the spawn words, and the
-    hash constants of the first and second spawn word (of an index < 2**64).
-
-    With a spawn key the seed's words are padded with zeros to the pool size;
-    the pool after them does not depend on the index.
-    """
-    from numpy.random import SeedSequence
-
-    n_words = max(_POOL_WORDS, -(-seed.bit_length() // 32))
-    words = [(seed >> 32 * k) & _MASK32 for k in range(n_words)]
-    pool = SeedSequence(np.array(words, dtype=np.uint32)).pool
-    # hash steps so far: one per pool word, pool - 1 per pool word in the
-    # all-to-all mix, and one per pool word for each seed word beyond the pool
-    done = _POOL_WORDS * len(words)
-    return pool, [_hash_multipliers(_INIT_A, _MULT_A, done + _POOL_WORDS * j, _POOL_WORDS)
-                  for j in range(2)]
-
-
-@functools.cache
-def _generator_from_words():
-    """Generator(PCG64(...)) from 4 given uint64 seed words.  numpy.random is
-    imported on first use: importing the package does not load it."""
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Words(ISeedSequence):
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return lambda words: Generator(PCG64(Words(words)))
-
-
 def _sample_rngs(seed: int, indices) -> list:
-    """The generators of samples `indices`: sample i's is bit for bit
+    """The generators of samples `indices`: sample i's is
     np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))).
 
-    SeedSequence mixes its entropy words into a pool with fixed uint32
-    constants, so the pool after the seed's words is computed once per seed,
-    and the spawn words (one per index below 2**32, two below 2**64) and the
-    PCG64 seed words of the whole chunk in a few array operations.
-    """
-    indices = list(indices)
-    if not indices:
-        return []
-    if min(indices) < 0 or max(indices) >= 2**64:
-        raise ValueError(f"sample indices must lie in [0, 2**64), got "
-                         f"{min(indices)}..{max(indices)}")
-    pool, (first, second) = _seed_pool(seed)
-    index = np.array(indices, dtype=np.uint64)
-    pool = _mix(pool, _hashmix(index.astype(np.uint32)[:, None], *first))
-    if max(indices) >= 2**32:  # SeedSequence encodes such an index as two words
-        two = index >= 2**32
-        high = (index[two] >> np.uint64(32)).astype(np.uint32)
-        pool[two] = _mix(pool[two], _hashmix(high[:, None], *second))
-    state = _hashmix(pool[:, None, :], *_OUTPUT_HASH).reshape(len(indices), 2 * _POOL_WORDS)
-    words = state.astype("<u4").view("<u8").astype(np.uint64)
-    make = _generator_from_words()
-    return [make(w) for w in words]
+    np.random is looked up here, on first use, so that importing the package
+    does not load numpy.random."""
+    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            for i in indices]
 
 
 class _TerminalSampler:

@@ -10,8 +10,9 @@ Legendre table is built by the plain (ell, m) loop that the vectorized
 builder must reproduce bit for bit.  The CSV writers below are the
 line-by-line writers that the streaming writers in `spherewave.io` must
 reproduce byte for byte, the one-generator Bartlett draw is the one the
-chunked Wishart sampler must reproduce bit for bit, and numpy's SeedSequence
-builds the per-sample generators that the chunk-wise derivation must match.
+chunked Wishart sampler must reproduce bit for bit, and `sample_rng` states the
+per-sample generator rule (numpy's SeedSequence, the sample index as spawn
+key) that every sampler must follow.
 
 The per-step samplers below gather every per-degree entry through the mode
 degrees on every step, and the Legendre table builds its recurrence

@@ -597,9 +597,9 @@ def test_state_larger_than_memory_fails_before_allocating(tmp_path, monkeypatch,
     assert run_cli(command, "--equation", "wave-dsphere", "--dim", "8", "--kappa-ref", "64",
                    "--output", str(out)) == 1
     err = capsys.readouterr().err
-    assert "kappa_ref=64 with dim=8 has 2528665425 modes" in err
-    assert f"{2528665425 * cli.BYTES_PER_MODE[command] / 1e9:.1f} GB" in err
-    assert "32.0 GB" in err and not out.exists()
+    assert "kappa_ref (--kappa-ref) = 64: the 2528665425 modes at dim=8 need about" in err
+    assert f"{2528665425 * cli.BYTES_PER_MODE[command] / 1e9:.3g} GB" in err
+    assert "the 32 GB of physical memory" in err and not out.exists()
 
     monkeypatch.setattr(harmonics, "_physical_memory", lambda: None)  # unknown: no check
     cli._check_state_memory(resolve_config(build_parser().parse_args(
@@ -618,7 +618,9 @@ def test_sample_field_is_charged_its_own_bytes_per_mode(tmp_path, monkeypatch, c
     out = tmp_path / "big"
     assert run_cli("sample-field", "--equation", "wave-dsphere", "--dim", "5", "--kappa-ref",
                    "60", "--output", str(out)) == 1
-    assert "kappa_ref=60 with dim=5 has 1231041 modes" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "kappa_ref (--kappa-ref) = 60: the 1231041 modes at dim=5 need about" in err
+    assert "about 0.0209 GB, more than the 0.02 GB of physical memory" in err
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
-"""Per-sample generators derived a chunk at a time, against numpy's SeedSequence."""
+"""Per-sample generators: sample i of a seed draws from numpy's SeedSequence(seed,
+spawn_key=(i,)), whatever chunk it lands in; bad seeds are refused by name."""
 
 import json
 import os
@@ -33,10 +34,9 @@ def test_indices_across_the_two_word_boundary():
     assert high.bit_generator.state == oracles.sample_rng(5, 2**32).bit_generator.state
 
 
-@pytest.mark.parametrize("indices", [[-1], [3, 2**64]])
-def test_out_of_range_indices_are_refused(indices):
-    with pytest.raises(ValueError, match="sample indices"):
-        _sample_rngs(0, indices)
+def test_out_of_range_indices_are_refused():
+    with pytest.raises(ValueError, match="non-negative"):
+        _sample_rngs(0, [-1])
 
 
 def test_a_chunk_equals_its_samples_one_at_a_time():
