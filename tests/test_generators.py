@@ -34,9 +34,11 @@ def test_indices_across_the_two_word_boundary():
     assert high.bit_generator.state == oracles.sample_rng(5, 2**32).bit_generator.state
 
 
-def test_out_of_range_indices_are_refused():
+# a negative index is refused wherever it stands in a chunk
+@pytest.mark.parametrize("indices", [[-1], [3, -1]])
+def test_out_of_range_indices_are_refused(indices):
     with pytest.raises(ValueError, match="non-negative"):
-        _sample_rngs(0, [-1])
+        _sample_rngs(0, indices)
 
 
 def test_a_chunk_equals_its_samples_one_at_a_time():
