@@ -21,7 +21,7 @@ import numpy as np
 
 from . import harmonics
 from .harmonics import SphereGrid, synthesize
-from .harness import (ExperimentConfig, _check_memory, _named, _sample_rngs,
+from .harness import (ExperimentConfig, _named, _sample_rngs,
                       analytic_weak_error_experiment, initial_data, pathwise_error_experiment,
                       strong_error_experiment, theoretical_rates, weak_error_experiment)
 from .io import (ensure_dir, write_coefficient_csv, write_error_table_csv,
@@ -156,19 +156,20 @@ def _simulate_initial(cfg):
 
 # Peak resident bytes per mode of each command (states, noise and the path's
 # per-mode step arrays; the writers hold one pass of rows, not the mode
-# labels): the growth of peak RSS between 87k and 609k modes of
-# `<command> --equation wave-dsphere --dim 5` (simulate with --steps 2) was
-# 136.4 B per mode for simulate and 15.4 B for sample-field, in three fresh
-# processes each; between 1.23M and 9.02M modes, 16.0 B for sample-field.
-BYTES_PER_MODE = {"simulate": 137, "sample-field": 17}
+# labels), from the growth of peak RSS of `<command> --equation wave-dsphere
+# --dim 5` (fresh processes, two runs each).  simulate, kappa_ref 30 to 50:
+# 167.3-167.9 B per mode with --steps 2 --store-every 2 (the writer holds the
+# last stored state through an unstored step), 152.4-152.5 B with --steps 2.
+# sample-field, kappa_ref 50 to 80: 15.7-15.8 B.
+BYTES_PER_MODE = {"simulate": 176, "sample-field": 17}
 
 
 def _check_state_memory(cfg: ExperimentConfig, command: str):
     """Refuse, before allocating anything, a state larger than physical memory,
     and on S^2 a grid whose field synthesis would not fit either."""
     modes = mode_count(cfg.kappa_ref, cfg.dim)
-    _check_memory("kappa_ref", cfg.kappa_ref, modes * BYTES_PER_MODE[command],
-                  f"{modes} modes at dim={cfg.dim}")
+    harmonics.check_fits(f"{_named('kappa_ref')} = {cfg.kappa_ref}",
+                         modes * BYTES_PER_MODE[command], f"{modes} modes at dim={cfg.dim}")
     if cfg.dim == 3:
         harmonics.check_synthesis_memory(cfg.kappa_ref, *cfg.grid_shape(), unfolded=True)
 
@@ -181,16 +182,13 @@ def _check_trajectory_disk(cfg: ExperimentConfig):
     """Refuse, before the output directory is made, a trajectory whose rows
     alone would exceed the free space of the nearest existing directory."""
     states = 1 - (-cfg.steps // cfg.store_every)  # t = 0, then ceil(steps / store_every)
-    nbytes = states * 2 * mode_count(cfg.kappa_ref, cfg.dim) * TRAJECTORY_ROW_BYTES
     existing = os.path.abspath(cfg.output)
     while not os.path.isdir(existing):
         existing = os.path.dirname(existing)
-    free = shutil.disk_usage(existing).free
-    if nbytes > free:
-        raise ValueError(
-            f"{_named('steps')} = {cfg.steps} with {_named('store_every')} = "
-            f"{cfg.store_every} stores {states} states, at least {nbytes / 1e9:.3g} GB, "
-            f"more than the {free / 1e9:.3g} GB free in {existing}")
+    harmonics.check_fits(
+        f"{_named('steps')} = {cfg.steps} with {_named('store_every')} = {cfg.store_every}",
+        states * 2 * mode_count(cfg.kappa_ref, cfg.dim) * TRAJECTORY_ROW_BYTES,
+        f"rows of {states} stored states", (shutil.disk_usage(existing).free, existing))
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> list[str]:

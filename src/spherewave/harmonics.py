@@ -174,6 +174,20 @@ def _physical_memory() -> int | None:
         return None
 
 
+def check_fits(subject: str, nbytes: int, what: str, disk: tuple[int, str] | None = None):
+    """The one refusal of every memory and disk check: refuse `subject`, whose
+    `what` need nbytes, beyond physical memory, or with disk = (free bytes,
+    directory) beyond the free space there.  Where the platform does not say
+    how much memory it has, nothing is refused."""
+    if disk is None:
+        limit, room = _physical_memory(), "of physical memory"
+    else:
+        limit, room = disk[0], f"free in {disk[1]}"
+    if limit is not None and nbytes > limit:
+        raise ValueError(f"{subject}: the {what} need about {nbytes / 1e9:.3g} GB, more than "
+                         f"the {limit / 1e9:.3g} GB {room}")
+
+
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n Gauss-Legendre nodes x_k = cos(theta_k) on [-1, 1], descending, and
     their weights.
@@ -342,14 +356,10 @@ def check_synthesis_memory(kappa, n_theta, n_phi, kappas=(-1,), n_fields=1, unfo
     synthesize makes it) whose synthesis_bytes exceed physical memory.  Only
     the grid's sizes are read, so a grid is checked before its nodes are built."""
     field, call, shared = synthesis_bytes(kappa, n_theta, n_phi, kappas)
-    nbytes = n_fields * (field + 8 * n_theta * n_phi * unfolded) + call
-    memory = _physical_memory()
-    if memory is not None and nbytes + shared > memory:
-        beside = "" if nbytes > memory else f" leaves beside its {shared / 1e9:.3g} GB phase tables"
-        raise ValueError(
-            f"synthesis of {n_fields} field{'s' * (n_fields != 1)} at kappa={kappa} on a "
-            f"{n_theta} x {n_phi} grid (n_theta x n_phi) needs {nbytes / 1e9:.3g} GB, more "
-            f"than the {memory / 1e9:.3g} GB of physical memory{beside}")
+    check_fits(f"synthesis of {n_fields} field{'s' * (n_fields != 1)} at kappa={kappa} on a "
+               f"{n_theta} x {n_phi} grid (n_theta x n_phi)",
+               n_fields * (field + 8 * n_theta * n_phi * unfolded) + call + shared,
+               f"arrays and {shared / 1e9:.3g} GB of phase tables")
 
 
 def _packed_coefficients(data: np.ndarray, kappa: int) -> np.ndarray:

@@ -79,14 +79,6 @@ def _named(key: str) -> str:
     return f"{key} (--{key.replace('_', '-')})"
 
 
-def _check_memory(key: str, value, nbytes: int, what: str):
-    """Refuse, naming the key, a value whose `what` would not fit in physical memory."""
-    memory = harmonics._physical_memory()
-    if memory is not None and nbytes > memory:
-        raise ValueError(f"{_named(key)} = {value}: the {what} need about {nbytes / 1e9:.3g} GB, "
-                         f"more than the {memory / 1e9:.3g} GB of physical memory")
-
-
 def _check_key(key: str, value, spec):
     """Refuse a value that is not of its key's kind, choices or bound, naming the key."""
     kind, low, above = spec["kind"], spec["low"], spec["above"]
@@ -154,8 +146,8 @@ class ExperimentConfig:
             raise ValueError(f"{_named('kappas')} must be strictly increasing, got {ks}")
         if self.initial_data == "file" and not (self.v1_file or self.v2_file):
             raise ValueError("initial_data == 'file' needs v1_file and/or v2_file")
-        _check_memory("kappa_ref", self.kappa_ref, DEGREE_BYTES * (self.kappa_ref + 1),
-                      "per-degree tables")
+        harmonics.check_fits(f"{_named('kappa_ref')} = {self.kappa_ref}",
+                             DEGREE_BYTES * (self.kappa_ref + 1), "per-degree tables")
         try:
             degree_sizes(self.kappa_ref, self.dim)
         except OverflowError as exc:
@@ -510,9 +502,16 @@ def _degree_tails(per_degree: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
 
 
 # Peak resident bytes per degree of the per-degree tables: the growth of peak
-# RSS between kappa_ref 1e6 and 4e6 was 154 B per degree for `convergence
-# --samples 2` and 138 B for `weak --weak-method analytic`.
-DEGREE_BYTES = 160
+# RSS between kappa_ref 1e5 and 4e5 (fresh processes, two runs each) was 169.5 B
+# per degree for `weak --weak-method analytic` and 155.4-155.9 B for
+# `convergence --samples 2`.
+DEGREE_BYTES = 176
+
+# Peak resident bytes per value (a sample at a tested kappa) of the sampled
+# values: their chunks, concatenation, squares and deviations.  The growth of
+# peak RSS between 100 and 1000 samples of `convergence --kappa-ref 1024` with
+# the kappas 1..1023 was 64.0-64.2 B per value (three runs); 49.6 B for `weak`.
+SAMPLE_VALUE_BYTES = 72
 
 # Size of one (chunk, kappa_ref + 1) array of per-degree draws: at kappa_ref
 # 256 a chunk holds 31 samples, and the chunk's arrays stay in the cache.
@@ -561,34 +560,24 @@ class _TailErrors:
     their largest |C| + |S| as they come, so no tail grid is formed.  `chunk`,
     the samples (two fields each) per chunk (_sample_chunk), depends on
     kappa_ref, the grid shape and the kappas only, not on --threads or
-    --samples; `worker_bytes` is what one worker holds for it.
+    --samples; `worker_bytes` is what one worker holds for it.  Before the
+    grid's nodes are built, the constructor refuses n samples whose workers (a
+    chunk each, at most --threads at once) and phase tables would not fit.
     """
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, cfg: ExperimentConfig, n: int = 1):
         self.cfg = cfg
-        shape = cfg.grid_shape()
+        n_theta, n_phi = shape = cfg.grid_shape()
         self.field_bytes, fixed = _grid_working_set(cfg.kappa_ref, shape, cfg.kappas)
         self.chunk = _sample_chunk(cfg.kappa_ref, self.field_bytes, fixed)
         self.worker_bytes = 2 * self.chunk * self.field_bytes + fixed
-        # refuses a chunk beyond physical memory before the grid's nodes are built
-        harmonics.check_synthesis_memory(cfg.kappa_ref, *shape, cfg.kappas, 2 * self.chunk)
+        workers = min(cfg.threads, -(-n // self.chunk))
+        harmonics.check_fits(
+            f"{_named('threads')} = {cfg.threads} on a {n_theta} x {n_phi} grid (n_theta x n_phi)",
+            workers * self.worker_bytes + harmonics.phase_table_bytes(cfg.kappa_ref, n_phi),
+            f"phase tables and {workers} x {self.worker_bytes / 1e9:.3g} GB of grid-error workers")
         self.grid = SphereGrid(*shape)
         self.sampler = _TerminalSampler(cfg)
-
-    def check_threads(self, n: int):
-        """Refuse, before any worker starts, a thread count whose concurrent
-        chunks of n samples would exceed physical memory."""
-        workers = min(self.cfg.threads, -(-n // self.chunk))
-        memory = harmonics._physical_memory()
-        shared = harmonics.synthesis_bytes(self.cfg.kappa_ref, *self.cfg.grid_shape(),
-                                           self.cfg.kappas)[2]  # the phase tables
-        total = workers * self.worker_bytes + shared
-        if memory is not None and total > memory:
-            raise ValueError(
-                f"--threads {self.cfg.threads} runs {workers} chunks of grid-error samples at "
-                f"once, {self.worker_bytes / 1e6:.0f} MB per worker, "
-                f"{total / 1e9:.3g} GB in all: more than the "
-                f"{memory / 1e9:.3g} GB of physical memory")
 
     def sample(self, indices) -> np.ndarray:
         """Errors of the samples `indices`, shape (2 len(indices), len(kappas)),
@@ -627,6 +616,8 @@ def _sample_values(cfg: ExperimentConfig, n: int, per_degree=None):
     by default the tail norms.  Max-grid tail errors (no per_degree) draw every
     coefficient and synthesize a chunk's fields in one batch.
     """
+    harmonics.check_fits(f"{_named('samples')} = {n}", SAMPLE_VALUE_BYTES * n * len(cfg.kappas),
+                         "per-sample values")
     if per_degree is not None or cfg.error_kind == "l2-coefficients":
         sampler, name, meta = _DegreeSampler(cfg), "per-degree", {}
         reduce = per_degree or (lambda sums: _degree_tails(sums, cfg))
@@ -635,13 +626,11 @@ def _sample_values(cfg: ExperimentConfig, n: int, per_degree=None):
             s11, _, s22 = sampler.draw(indices)
             return np.stack([reduce(s11), reduce(s22)], axis=1)
     else:
-        sampler, name = _TailErrors(cfg), "per-mode"  # refuses a grid beyond memory
-        sampler.check_threads(n)
+        sampler, name = _TailErrors(cfg, n), "per-mode"  # refuses workers beyond memory
         meta = {"grid_n_theta": sampler.grid.n_theta, "grid_n_phi": sampler.grid.n_phi}
 
         def chunk_values(indices):
             return sampler.sample(indices).reshape(len(indices), 2, len(cfg.kappas))
-    _check_memory("samples", n, 16 * n * len(cfg.kappas), "per-sample values")
     size = sampler.chunk
     chunks = _map_samples(cfg, lambda j: chunk_values(range(j * size, min(n, (j + 1) * size))),
                           -(-n // size), name)

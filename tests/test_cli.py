@@ -639,15 +639,21 @@ def test_grid_larger_than_memory_fails_before_building_its_nodes(tmp_path, monke
     # one field in one shell (65 orders) and unfold its grid (60000 x 130); grid
     # errors take one sample, two fields, in the kappas' shells (5 + 9 + 17 + 33
     # + 65 = 129 orders).  Per call: the largest Legendre block (138 rows x
-    # 30000) and six half grids (6 x 66 x 60000), 27,900,000 values.  In all,
-    # x 8 bytes: 4290 + 7,800,000 + 960,000 + 7,800,000 + 27,900,000 values =
-    # 0.356 GB, and 2 x (4290 + 15,480,000 + 960,000) + 27,900,000 = 0.486 GB.
+    # 30000) and six half grids (6 x 66 x 60000), 27,900,000 values.  The phase
+    # tables (3 x 66 x 65 + 10 x 130 values) add 0.000113 GB.  In all, x 8
+    # bytes: 4290 + 7,800,000 + 960,000 + 7,800,000 + 27,900,000 values + the
+    # tables = 0.356 GB; a grid-error worker holds 2 x (4290 + 15,480,000 +
+    # 960,000) + 27,900,000 values and the draw's 20 x 65^2, with the tables
+    # 0.487 GB.
     assert run_cli(*command, "--n-theta", "60000", "--output", str(out)) == 1
     err = capsys.readouterr().err
-    one_field = command[0] in ("simulate", "sample-field")
-    fields, gb = ("1 field", "0.356") if one_field else ("2 fields", "0.486")
-    assert (f"synthesis of {fields} at kappa=64 on a 60000 x 130 grid (n_theta x n_phi) "
-            f"needs {gb} GB, more than the 0.1 GB of physical memory") in err
+    if command[0] in ("simulate", "sample-field"):
+        refused = ("synthesis of 1 field at kappa=64 on a 60000 x 130 grid (n_theta x n_phi): "
+                   "the arrays and 0.000113 GB of phase tables need about 0.356 GB")
+    else:
+        refused = ("threads (--threads) = 1 on a 60000 x 130 grid (n_theta x n_phi): the phase "
+                   "tables and 1 x 0.487 GB of grid-error workers need about 0.487 GB")
+    assert f"{refused}, more than the 0.1 GB of physical memory" in err
     assert not out.exists()
 
 
@@ -674,7 +680,8 @@ def test_simulate_refuses_a_trajectory_larger_than_the_free_space(tmp_path, monk
 
     monkeypatch.setattr(cli.shutil, "disk_usage", disk_usage)
     assert run_cli(*argv) == 1
-    assert "stores 9 states" in capsys.readouterr().err
+    assert (f"the rows of 9 stored states need about {need / 1e9:.3g} GB, more than the "
+            f"{(need - 1) / 1e9:.3g} GB free in {tmp_path}") in capsys.readouterr().err
     assert usage == [str(tmp_path)] and not out.exists()
     monkeypatch.setattr(cli.shutil, "disk_usage",
                         lambda path: shutil_usage(total=need, used=0, free=need))

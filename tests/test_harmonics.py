@@ -310,9 +310,11 @@ def test_synthesis_fails_before_allocating_beyond_physical_memory(monkeypatch):
                             lambda *a: pytest.fail("allocated despite the memory check"))
     # the field's packed coefficients, theta profiles and staged sums (2 x 2145 +
     # 130 x 65 + 4 x 8 x 33 values), its grid (65 x 2000), and per call the
-    # Legendre table (2145 x 33) and six half grids (6 x 1001 x 65): 4,839,768 bytes
+    # Legendre table (2145 x 33) and six half grids (6 x 1001 x 65): 4,839,768 bytes,
+    # and the phase tables (3 x 1001 x 65 + 10 x 2000 values): 1,721,560 bytes
     with pytest.raises(ValueError, match=r"synthesis of 1 field at kappa=64 on a 65 x 2000 grid "
-                                         r".* needs 0\.00484 GB, more than the 0\.001 GB"):
+                                         r".*: the arrays and 0\.00172 GB of phase tables need "
+                                         r"about 0\.00656 GB, more than the 0\.001 GB"):
         synthesize(coeffs, grid)
     assert grid._phase_tables == {}
     monkeypatch.undo()
@@ -330,8 +332,8 @@ def test_synthesis_counts_the_phase_table_before_building_it(monkeypatch):
     for name in ("_unit_circle", "normalized_legendre_table", "_packed_coefficients"):
         monkeypatch.setattr(harmonics, name,
                             lambda *a: pytest.fail("allocated despite the memory check"))
-    with pytest.raises(ValueError, match=r"needs 0\.00401 GB, more than the 0\.05 GB of "
-                                         r"physical memory leaves beside its 0\.249 GB phase"):
+    with pytest.raises(ValueError, match=r"the arrays and 0\.249 GB of phase tables need about "
+                                         r"0\.253 GB, more than the 0\.05 GB of physical memory"):
         synthesize(coeffs, grid)
     assert grid._phase_tables == {}
 
@@ -406,8 +408,10 @@ def test_a_stack_is_refused_on_its_fields_before_allocating(monkeypatch):
     with monkeypatch.context() as m:
         for name in ("normalized_legendre_table", "_packed_coefficients", "_unit_circle"):
             m.setattr(harmonics, name, lambda *a: pytest.fail("allocated despite the memory check"))
-        with pytest.raises(ValueError, match=r"synthesis of 8 fields at kappa=32 on a 33 x 66 "
-                                             r"grid \(n_theta x n_phi\) needs "):
+        need = (8 * field + call + shared) / 1e9
+        with pytest.raises(ValueError, match=rf"synthesis of 8 fields at kappa=32 on a 33 x 66 "
+                                             rf"grid \(n_theta x n_phi\): .* need about "
+                                             rf"{need:.3g} GB"):
             next(synthesize_tails(data, kappa, grid, kappas))
     assert grid._phase_tables == {}
     assert len(list(synthesize_tails(data[:4], kappa, grid, kappas))) == 4 * len(kappas)

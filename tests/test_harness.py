@@ -547,13 +547,32 @@ def test_thread_count_beyond_physical_memory_is_refused_before_sampling(monkeypa
         m.setattr(_TerminalSampler, "draw", _refuse)
         with pytest.raises(ValueError) as info:
             strong_error_experiment(ExperimentConfig(**cfg, threads=2))
-    message = str(info.value)
-    assert "--threads 2" in message and f"{worker / 1e6:.0f} MB per worker" in message
-    assert f"{1.5 * worker / 1e9:.3g} GB of physical memory" in message
+    need = 2 * worker + harmonics.phase_table_bytes(16, 34)
+    assert str(info.value) == (
+        f"threads (--threads) = 2 on a 17 x 34 grid (n_theta x n_phi): the phase tables and 2 x "
+        f"{worker / 1e9:.3g} GB of grid-error workers need about {need / 1e9:.3g} GB, more than "
+        f"the {1.5 * worker / 1e9:.3g} GB of physical memory")
     # one worker fits, and so does a run of one chunk on any thread count
     one = strong_error_experiment(ExperimentConfig(**cfg, threads=1))
     two = strong_error_experiment(ExperimentConfig(**{**cfg, "samples": 1}, threads=8))
     assert one["position"].errors.shape == two["position"].errors.shape == (2,)
+
+
+@pytest.mark.parametrize("error_kind", ["l2-coefficients", "max-grid"])
+def test_samples_beyond_physical_memory_are_refused_before_any_sampler_is_built(monkeypatch,
+                                                                                error_kind):
+    cfg = ExperimentConfig(alpha=1.0, kappas=[2, 4], kappa_ref=16, samples=10**6,
+                           error_kind=error_kind)
+    need = 10**6 * 2 * harness.SAMPLE_VALUE_BYTES  # a value per sample and tested kappa
+    monkeypatch.setattr(harmonics, "_physical_memory", lambda: need - 1)
+    for sampler in (harness._DegreeSampler, _TailErrors):
+        monkeypatch.setattr(sampler, "__init__",
+                            lambda *a: pytest.fail("built a sampler before the samples check"))
+    with pytest.raises(ValueError) as info:
+        strong_error_experiment(cfg)
+    assert str(info.value) == (
+        f"samples (--samples) = 1000000: the per-sample values need about {need / 1e9:.3g} GB, "
+        f"more than the {(need - 1) / 1e9:.3g} GB of physical memory")
 
 
 def test_worker_bytes_count_one_chunk_of_fields_and_the_largest_legendre_block():
